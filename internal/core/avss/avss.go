@@ -85,12 +85,17 @@ type AVSS struct {
 	// Reconstruction state.
 	recActive bool
 	recSent   bool
-	phi       map[int]poly.Share // verified key shares (Φ in Alg. 2)
+	phi       map[int]keyShare // verified key shares (Φ in Alg. 2)
 	keySent   bool
+	recA      poly.Poly // A and B, pinned by the first f+1 of Φ (set with keySent)
+	recB      poly.Poly
 	keyVotes  map[string]map[int]bool
 	keyVals   map[string]field.Scalar
 	recOut    bool
 }
+
+// keyShare is one party's pair (A(ω), B(ω)).
+type keyShare struct{ a, b field.Scalar }
 
 type cipherMsg struct {
 	quorum sig.Quorum
@@ -111,7 +116,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, dealer int, onShare f
 		onRec:    onRec,
 		echoes:   make(map[string]map[int]bool),
 		readies:  make(map[string]map[int]bool),
-		phi:      make(map[int]poly.Share),
+		phi:      make(map[int]keyShare),
 		keyVotes: make(map[string]map[int]bool),
 		keyVals:  make(map[string]field.Scalar),
 	}
@@ -437,27 +442,52 @@ func (a *AVSS) onKeyRec(from int, rd *wire.Reader) {
 	}
 	shA, errA := field.SetCanonical(shAB)
 	shB, errB := field.SetCanonical(shBB)
-	if errA != nil || errB != nil || !a.cmt.VerifyShare(from, shA, shB) {
+	if errA != nil || errB != nil || !a.validKeyShare(from, keyShare{shA, shB}) {
 		a.rt.Reject()
 		return
 	}
-	a.phi[from] = poly.Share{Index: from, Value: shA}
+	a.phi[from] = keyShare{shA, shB}
 	if len(a.phi) == a.rt.F()+1 && !a.keySent {
 		// Sorted party order: interpolation is subset-exact either way, but
 		// map-order assembly would make replays of the same seed diverge.
-		shares := make([]poly.Share, 0, len(a.phi))
+		as := make([]poly.Share, 0, len(a.phi))
+		bs := make([]poly.Share, 0, len(a.phi))
 		for _, j := range order.SortedKeys(a.phi) {
-			shares = append(shares, a.phi[j])
+			as = append(as, poly.Share{Index: j, Value: a.phi[j].a})
+			bs = append(bs, poly.Share{Index: j, Value: a.phi[j].b})
 		}
-		key, err := poly.InterpolateSecret(shares)
-		if err != nil {
+		recA, errA := poly.Interpolate(as)
+		recB, errB := poly.Interpolate(bs)
+		if errA != nil || errB != nil {
 			return
 		}
-		a.keySent = true
+		a.recA, a.recB, a.keySent = recA, recB, true
 		var w wire.Writer
 		w.Byte(msgKey)
-		w.Bytes32(key.Bytes())
+		w.Bytes32(a.recA.Secret().Bytes())
 		a.rt.Multicast(a.inst, w.Bytes())
+	}
+}
+
+// validKeyShare decides whether sh is party from's key share under a.cmt,
+// with a group operation only where nothing cheaper gives the same answer.
+func (a *AVSS) validKeyShare(from int, sh keyShare) bool {
+	switch {
+	case from == a.rt.Self() && sh.a.Equal(a.shA) && sh.b.Equal(a.shB):
+		// Our own KeyRec looped back: onKeyShare checked exactly this pair
+		// against a.cmt when it stored the three together.
+		return true
+	case a.keySent:
+		// f+1 accepted shares satisfy g^{A(i)} h^{B(i)} = Eval(C, i), and
+		// both sides have degree ≤ f in the exponent, so Eval(C, j) =
+		// g^{A(j)} h^{B(j)} for every j whatever the dealer did. A pair
+		// equal to (A(j), B(j)) therefore passes VerifyShare, and any other
+		// pair that passed it would open one Pedersen commitment two ways
+		// (binding, Lemma 3): same decision, field arithmetic only.
+		x := poly.X(from)
+		return sh.a.Equal(a.recA.Eval(x)) && sh.b.Equal(a.recB.Eval(x))
+	default:
+		return a.cmt.VerifyShare(from, sh.a, sh.b)
 	}
 }
 

@@ -19,21 +19,26 @@ type fixture struct {
 	shareRd map[int]int // causal depth at sharing output
 }
 
-func setup(t *testing.T, n, f int, seed int64, dealer int, opts harness.Options) *fixture {
+func setup(t testing.TB, n, f int, seed int64, dealer int, opts harness.Options) *fixture {
 	t.Helper()
 	c, err := harness.NewCluster(n, f, seed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return launch(c, "avss", dealer)
+}
+
+// launch registers one AVSS instance per honest party under inst.
+func launch(c *harness.Cluster, inst string, dealer int) *fixture {
 	fx := &fixture{
 		c:       c,
-		insts:   make([]*AVSS, n),
+		insts:   make([]*AVSS, c.N),
 		shares:  make(map[int]ShareOutput),
 		recs:    make(map[int][]byte),
 		shareRd: make(map[int]int),
 	}
 	c.EachHonest(func(i int) {
-		fx.insts[i] = New(c.Net.Node(i), "avss", c.Keys[i], dealer,
+		fx.insts[i] = New(c.Net.Node(i), inst, c.Keys[i], dealer,
 			func(out ShareOutput) {
 				fx.shares[i] = out
 				fx.shareRd[i] = c.Net.Node(i).Depth()

@@ -122,19 +122,6 @@ func TestHashToPointDeterministicAndOnCurve(t *testing.T) {
 	}
 }
 
-func TestMulSum(t *testing.T) {
-	r := testRand(3)
-	ks := []field.Scalar{field.MustRandom(r), field.MustRandom(r), field.MustRandom(r)}
-	ps := []Point{BaseMul(field.MustRandom(r)), BaseMul(field.MustRandom(r)), BaseMul(field.MustRandom(r))}
-	want := Point{}
-	for i := range ks {
-		want = want.Add(ps[i].Mul(ks[i]))
-	}
-	if got := MulSum(ks, ps); !got.Equal(want) {
-		t.Fatal("MulSum mismatch")
-	}
-}
-
 func TestDoubleViaAdd(t *testing.T) {
 	g := Generator()
 	if !g.Add(g).Equal(g.Mul(field.FromUint64(2))) {

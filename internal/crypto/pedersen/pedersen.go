@@ -39,13 +39,15 @@ func Commit(a, b poly.Poly) (Commitment, error) {
 // Degree returns the committed polynomial degree.
 func (c Commitment) Degree() int { return len(c.C) - 1 }
 
-// Eval computes Π_k c_k^{x^k}, the commitment to (A(x), B(x)).
-func (c Commitment) Eval(x field.Scalar) group.Point {
+// Eval computes Π_k c_k^{x^k}, the commitment to (A(x), B(x)), at the
+// public evaluation point x by Horner's rule: ((c_f·x + c_{f−1})·x + …)·x + c_0.
+// x is a party's evaluation point — small and never secret — so each ·x is
+// a short addition chain (group.Point.MulSmall), not a full scalar
+// multiplication.
+func (c Commitment) Eval(x uint64) group.Point {
 	acc := group.Point{}
-	pow := field.One()
-	for _, ck := range c.C {
-		acc = acc.Add(ck.Mul(pow))
-		pow = pow.Mul(x)
+	for k := len(c.C) - 1; k >= 0; k-- {
+		acc = acc.MulSmall(x).Add(c.C[k])
 	}
 	return acc
 }
@@ -54,7 +56,7 @@ func (c Commitment) Eval(x field.Scalar) group.Point {
 // commitment: g^a h^b == Π c_k^{ω_i^k} with ω_i = i+1.
 func (c Commitment) VerifyShare(i int, a, b field.Scalar) bool {
 	lhs := group.BaseMul(a).Add(group.SecondGenerator().Mul(b))
-	return lhs.Equal(c.Eval(poly.X(i)))
+	return lhs.Equal(c.Eval(uint64(i + 1)))
 }
 
 // Equal reports whether two commitments are identical.

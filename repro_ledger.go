@@ -88,7 +88,9 @@ type Ledger struct {
 	logs     map[int][][]abc.Entry // per-party committed slots, in order
 	launched map[int]int           // per-party locally launched slot count
 	finished int                   // honest engines that delivered their final slot
-	stopped  bool
+	stopped  bool                  // Stop has begun: Submit fails
+	draining bool                  // every engine has been handed its RequestStop (set after stopped)
+	owing    bool                  // work was owed when progress last looked (see wedged)
 	err      error
 	rr       int // round-robin cursor
 	emitted  int // slots emitted to out (pump-owned; under mu for readers)
@@ -221,6 +223,11 @@ func (l *Ledger) Stop(ctx context.Context) ([][]byte, error) {
 		hc.EachHonest(func(i int) {
 			hc.Launch(i, func() { l.engines[i].RequestStop() })
 		})
+		// Only now does the pump owe a stop drain, and only now may it drive
+		// again (see handingOutStopLocked).
+		l.mu.Lock()
+		l.draining = true
+		l.mu.Unlock()
 		l.kickPump()
 	}
 	select {
@@ -300,13 +307,29 @@ func (l *Ledger) pump() {
 	}
 }
 
-// progress is the Await predicate: a new slot is emittable, or every
-// engine has finished. Runs under the driver lock on the live runtime.
+// progress is the Await predicate: a new slot is emittable, every engine
+// has finished, or Stop wants the drive token. Runs under the driver lock on
+// the live runtime. It also records whether the ledger owed work at this
+// look (see wedged).
 func (l *Ledger) progress() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.emittableLocked() || l.finished == len(l.order)
+	l.owing = l.owedLocked()
+	return l.emittableLocked() || l.finished == len(l.order) || l.handingOutStopLocked()
 }
+
+// handingOutStopLocked reports the stretch of Stop between refusing Submits
+// and having handed RequestStop to every engine. The pump stays off the
+// drive token for its length — progress ends the Await in flight,
+// outstanding parks the pump until Stop's kick — because Stop's launches
+// wait for that token and a half-stopped ledger must not be driven. The
+// engines already stopping launch flagged slot after flagged slot, the
+// others join unflagged so none is final, and a newest-first scheduler fed
+// that endless stream starves a lagging party for good: no slot becomes
+// emittable, the Await never returns, the rest are never asked. And an
+// Await that merely drained the queue in that gap used to read "stopped,
+// engines unfinished, nothing to deliver" as a wedge.
+func (l *Ledger) handingOutStopLocked() bool { return l.stopped && !l.draining }
 
 func (l *Ledger) emittableLocked() bool {
 	for _, i := range l.order {
@@ -319,28 +342,29 @@ func (l *Ledger) emittableLocked() bool {
 
 // outstanding reports whether runtime progress is possible without a new
 // kick: an emittable slot, slots in flight past the committed frontier,
-// queued transactions, or a pending stop drain.
+// queued transactions, or a pending stop drain — and never while Stop is
+// handing out RequestStops, which ends with a kick.
 func (l *Ledger) outstanding() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.emittableLocked() || (l.stopped && l.finished < len(l.order)) {
+	if l.handingOutStopLocked() {
+		return false
+	}
+	if l.emittableLocked() || l.owedLocked() {
 		return true
 	}
 	for _, i := range l.order {
-		if l.launched[i] > len(l.logs[i]) || !l.pools[i].Empty() {
+		if !l.pools[i].Empty() {
 			return true
 		}
 	}
 	return false
 }
 
-// wedged reports whether a drained simulator stall is a genuine failure:
-// work was pending (in-flight slots or a stop drain) yet the network has
-// nothing left to deliver.
-func (l *Ledger) wedged() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.stopped && l.finished < len(l.order) {
+// owedLocked reports work the runtime still owes the ledger: a stop drain
+// every engine has been asked for, or slots in flight past a party's log.
+func (l *Ledger) owedLocked() bool {
+	if l.draining && l.finished < len(l.order) {
 		return true
 	}
 	for _, i := range l.order {
@@ -349,6 +373,20 @@ func (l *Ledger) wedged() bool {
 		}
 	}
 	return false
+}
+
+// wedged reports whether a drained simulator stall is a genuine failure:
+// work was owed (owedLocked) yet the network had nothing left to deliver.
+// It answers from what progress recorded, not from
+// the state now: the simulator's Await looks at progress and at the empty
+// queue under one hold of the drive token, so the record is the state the
+// stall saw, whereas a Submit or Stop that gets the token after Await let
+// go launches a slot at once — and would turn an idle quiesce into a
+// "wedge" if the question were asked afresh.
+func (l *Ledger) wedged() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.owing
 }
 
 func (l *Ledger) allFinished() bool {

@@ -291,3 +291,47 @@ func TestLedgerBackpressureBlocksNotDrops(t *testing.T) {
 	}
 	checkExactlyOnce(t, seen, admitted)
 }
+
+// TestLedgerStopWhilePumpDrains: Stop called right after the last Submit —
+// BenchmarkABCThroughput's n = 4 shape — races the pump, which usually holds
+// the drive token in an Await at that moment. Stop's RequestStop launches
+// wait for that token; an Await that drained the queue in the gap used to
+// see "stopped, engines unfinished, queue empty" and fail a healthy ledger
+// ("queue drained after N steps but run not done"; seed 2 hit it).
+func TestLedgerStopWhilePumpDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 48-tx ledger runs take several seconds")
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		c, err := NewCluster(4, WithSeed(seed), WithGenesisNonce([]byte("bench")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := c.NewLedger("log", WithBatchBytes(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan map[string]int, 1)
+		go func() { got <- drainLedger(t, l) }()
+		var want []string
+		for q := 0; q < 48; q++ {
+			tx := make([]byte, 64)
+			copy(tx, fmt.Sprintf("stop-race-tx-%d-%d", seed, q))
+			want = append(want, string(tx))
+			if err := l.Submit(context.Background(), tx); err != nil {
+				t.Fatalf("seed %d: submit %d: %v", seed, q, err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		leftover, err := l.Stop(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("seed %d: stop: %v", seed, err)
+		}
+		if len(leftover) != 0 {
+			t.Fatalf("seed %d: stop left %d txs behind", seed, len(leftover))
+		}
+		checkExactlyOnce(t, <-got, want)
+		c.Close()
+	}
+}
