@@ -12,14 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"repro/internal/adversary"
-	"repro/internal/core/aba"
-	"repro/internal/core/adkg"
-	"repro/internal/core/coin"
-	"repro/internal/core/election"
-	"repro/internal/core/vba"
 	"repro/internal/harness"
+	"repro/internal/kinds"
 	"repro/internal/sim"
 )
 
@@ -38,15 +35,14 @@ type ByzOutcome struct {
 	Liars int
 }
 
-// byzPredicate is the external validity predicate Q the VBA workloads use.
-// Behaviors that rewrite proposals (vba-doublevote's value+"!") keep the
-// prefix intact: their lie must survive Q so the pin-conflict path, not
-// predicate filtering, is what catches them.
-func byzPredicate(v []byte) bool {
-	return len(v) >= 3 && string(v[:3]) == "ok:"
-}
+// okPrefixed is the external validity predicate Q of every VBA workload in
+// the registry. Behaviors that rewrite proposals (vba-doublevote's
+// value+"!") keep the prefix intact: their lie must survive Q so the
+// pin-conflict path, not predicate filtering, is what catches them.
+func okPrefixed(v []byte) bool { return strings.HasPrefix(string(v), "ok:") }
 
-func byzProposal(i int) []byte { return []byte(fmt.Sprintf("ok:p%d", i)) }
+// okProposal is party i's distinct valid proposal.
+func okProposal(i int) []byte { return []byte(fmt.Sprintf("ok:p%d", i)) }
 
 // RunByzantine executes one protocol run in which the top-indexed
 // len(behaviors) parties each run the named lying behavior (repeat a name
@@ -56,13 +52,12 @@ func byzProposal(i int) []byte { return []byte(fmt.Sprintf("ok:p%d", i)) }
 // that many parties just below the liars, composing crash faults with
 // active lies; rs.Sched composes adversarial scheduling as usual.
 //
-// protocol selects the workload: "coin", "aba", "vba", "adkg" or
-// "election". Honest parties run the standard launcher for it; safety is
-// judged over their decisions only.
+// protocol names the workload's kind in the kinds table. Honest parties run
+// the standard launcher for it; safety is judged over their decisions only.
 func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, error) {
-	f := rs.F
-	if f < 0 {
-		f = (rs.N - 1) / 3
+	start, err := kinds.Lookup(protocol)
+	if err != nil {
+		return ByzOutcome{}, fmt.Errorf("byz run: %w", err)
 	}
 	byz := make(map[int]bool, len(behaviors)+rs.Crash)
 	liars := make([]int, 0, len(behaviors))
@@ -77,7 +72,7 @@ func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, 
 		byz[i] = true
 		crashed = append(crashed, i)
 	}
-	c, err := harness.NewCluster(rs.N, f, rs.Seed, harness.Options{
+	c, err := harness.NewCluster(rs.N, rs.faults(), rs.Seed, harness.Options{
 		Scheduler: rs.Sched, Byzantine: byz, Budget: rs.steps(),
 	})
 	if err != nil {
@@ -87,91 +82,30 @@ func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, 
 		c.Net.Node(i).Crash()
 	}
 
+	// Honest parties: the standard launcher (EachHonest skips the byz set).
+	// Liars: the same table entry on a wrapped runtime with the decision
+	// discarded — their outputs are not part of the contract.
 	const tag = "byz"
-	cfg := rs.coinCfg()
-	inputs := make([]byte, rs.N)
-	props := make([][]byte, rs.N)
-	for i := range inputs {
-		inputs[i] = byte(i % 2)
-		props[i] = byzProposal(i)
+	in := func(i int) kinds.Input {
+		return kinds.Input{Bit: byte(i % 2), Proposal: okProposal(i), Valid: okPrefixed}
 	}
-
-	// Honest parties: the standard launchers (EachHonest skips the byz
-	// set). Liars: the same state machines on a wrapped runtime with
-	// discarded outputs — their decisions are not part of the contract.
-	var wait func(context.Context) error
-	var outcome func() (agreed bool, decision string)
-	switch protocol {
-	case "coin":
-		inst := LaunchCoin(c, tag, cfg)
-		wait = inst.Wait
-		outcome = func() (bool, string) {
-			o := inst.Outcome()
-			return o.Agreed, fmt.Sprintf("coin bit=%d maxset=%v", o.Bit, o.MaxIsSet)
-		}
-	case "aba":
-		inst := LaunchABA(c, tag, inputs, func(i int) aba.CoinFactory {
-			return aba.PaperCoins(c.Runtime(i), tag+"/c", c.Keys[i], cfg)
-		})
-		wait = inst.Wait
-		outcome = func() (bool, string) {
-			o := inst.Outcome()
-			return o.Agreed, fmt.Sprintf("aba bit=%d", o.Bit)
-		}
-	case "vba":
-		inst := LaunchVBA(c, tag, props, byzPredicate, vba.Config{Coin: cfg})
-		wait = inst.Wait
-		outcome = func() (bool, string) {
-			o := inst.Outcome()
-			return o.Agreed, fmt.Sprintf("vba value=%q", o.Value)
-		}
-	case "adkg":
-		inst := LaunchADKG(c, tag, adkg.Config{VBA: vba.Config{Coin: cfg}})
-		wait = inst.Wait
-		outcome = func() (bool, string) {
-			o := inst.Outcome()
-			return o.KeysAgree, fmt.Sprintf("adkg agree=%v contributors=%d", o.KeysAgree, o.Contributors)
-		}
-	case "election":
-		inst := LaunchElection(c, tag, election.Config{Coin: cfg})
-		wait = inst.Wait
-		outcome = func() (bool, string) {
-			o := inst.Outcome()
-			return o.Agreed, fmt.Sprintf("election leader=%d default=%v", o.Leader, o.ByDefault)
-		}
-	default:
-		return ByzOutcome{}, fmt.Errorf("byz run: unknown protocol %q", protocol)
-	}
-
+	inst := launchKnown(c, protocol, tag, rs.Genesis, in)
 	for k, i := range liars {
 		b, ok := adversary.Lookup(behaviors[k])
 		if !ok {
 			return ByzOutcome{}, fmt.Errorf("byz run: unknown behavior %q", behaviors[k])
 		}
-		i := i
 		wrt := adversary.Wrap(c.Runtime(i), b)
 		c.Launch(i, func() {
-			switch protocol {
-			case "coin":
-				coin.New(wrt, tag, c.Keys[i], cfg, func(coin.Result) {}).Start()
-			case "aba":
-				a := aba.New(wrt, tag, aba.PaperCoins(wrt, tag+"/c", c.Keys[i], cfg), func(byte) {})
-				a.Start(inputs[i])
-			case "vba":
-				v := vba.New(wrt, tag, c.Keys[i], byzPredicate, vba.Config{Coin: cfg}, func([]byte) {})
-				v.Start(props[i])
-			case "adkg":
-				adkg.New(wrt, tag, c.Keys[i], adkg.Config{VBA: vba.Config{Coin: cfg}}, func(adkg.ThresholdKey) {}).Start()
-			case "election":
-				election.New(wrt, tag, c.Keys[i], election.Config{Coin: cfg}, func(election.Result) {}).Start()
-			}
+			start(wrt, tag, c.Keys[i], rs.Genesis, in(i), func(*kinds.Decision) {})
 		})
 	}
 
-	if err := wait(context.Background()); err != nil {
+	if err := inst.Wait(context.Background()); err != nil {
 		return ByzOutcome{}, fmt.Errorf("byz %s run: %w", protocol, err)
 	}
-	agreed, decision := outcome()
+	agreed := inst.Agreed()
+	decision := byzSummary(inst.Decisions(), agreed)
 	h := fnv.New32a()
 	h.Write([]byte(decision))
 	return ByzOutcome{
@@ -181,6 +115,27 @@ func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, 
 		Digest:   h.Sum32(),
 		Liars:    len(liars),
 	}, nil
+}
+
+// byzSummary is the canonical one-line summary of the honest outcome that
+// ByzOutcome.Digest fingerprints: the lowest-indexed honest party's
+// decision. The five spellings are hashed into the committed digest cells
+// of BENCH_byz.json, so they are pinned byte for byte.
+func byzSummary(ds []*kinds.Decision, agreed bool) string {
+	switch d := ds[0]; d.Kind {
+	case "coin":
+		return fmt.Sprintf("coin bit=%d maxset=%v", d.Bit, allMaxSet(ds))
+	case "aba":
+		return fmt.Sprintf("aba bit=%d", d.Bit)
+	case "vba":
+		return fmt.Sprintf("vba value=%q", d.Value)
+	case "adkg":
+		return fmt.Sprintf("adkg agree=%v contributors=%d", agreed, d.Weight)
+	case "election":
+		return fmt.Sprintf("election leader=%d default=%v", d.Leader, d.ByDefault)
+	default:
+		return fmt.Sprintf("%+v", *d.Canonical())
+	}
 }
 
 func maxHonestDepth(c *harness.Cluster) int {
@@ -212,11 +167,7 @@ func repeat(names []string, k int) []string {
 // failure, not a statistic.
 func byzRun(protocol string, names ...string) func(RunSpec) (Outcome, error) {
 	return func(rs RunSpec) (Outcome, error) {
-		f := rs.F
-		if f < 0 {
-			f = (rs.N - 1) / 3
-		}
-		out, err := RunByzantine(rs, protocol, repeat(names, f))
+		out, err := RunByzantine(rs, protocol, repeat(names, rs.faults()))
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -242,10 +193,7 @@ func byzRun(protocol string, names ...string) func(RunSpec) (Outcome, error) {
 // waiting is the success condition, and termination within budget would
 // mean the bound is slack somewhere.
 func byzViolationRun(rs RunSpec) (Outcome, error) {
-	f := rs.F
-	if f < 0 {
-		f = (rs.N - 1) / 3
-	}
+	f := rs.faults()
 	out, err := RunByzantine(rs, "vba", repeat([]string{"byz/wire-garbage"}, f+1))
 	if err != nil {
 		var stall *sim.StallError

@@ -1,27 +1,25 @@
 package exp
 
-// Instance launchers: each wires one protocol instance per honest party
-// onto a long-lived harness.Cluster under a caller-chosen instance tag,
-// tracks per-party completion, and reports an instance-scoped outcome.
-// They are the session layer shared by the one-shot Run* functions (fresh
-// cluster, one instance), the concurrent-instance experiment family
-// (mux.go), and the public repro.Cluster API — and they are runtime-
-// agnostic: the same launcher drives the deterministic simulator (instances
-// interleaved by the adversarial scheduler) and the live runtime (instances
-// truly parallel), through the proto.Driver contract.
+// The instance launcher: Launch wires one instance of a kinds-table
+// protocol per honest party onto a long-lived harness.Cluster under a
+// caller-chosen instance tag, tracks per-party completion and collects the
+// decisions; the typed views below report them as instance-scoped outcomes.
+// Every session-level surface goes through it — the one-shot Run* functions,
+// the concurrent-instance family (mux.go), the Byzantine runner (byz.go),
+// nodenet's simulator reference and the public repro.Cluster — and it is
+// runtime-agnostic: the same launcher drives the deterministic simulator and
+// the live runtime, through the proto.Driver contract.
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 
-	"repro/internal/core/aba"
-	"repro/internal/core/adkg"
 	"repro/internal/core/beacon"
-	"repro/internal/core/coin"
-	"repro/internal/core/election"
 	"repro/internal/core/vba"
 	"repro/internal/harness"
+	"repro/internal/kinds"
 	"repro/internal/sim"
 )
 
@@ -79,95 +77,121 @@ func (t *tracker) wait(ctx context.Context) error {
 	return nil
 }
 
+// ClusterStats fills a Stats with the cluster's cumulative counters: total
+// honest traffic, simulator deliveries, and the verifier-cache, codec and
+// detection counters that every instance of the cluster shares. It is the
+// one place those counters are read; instance- and run-scoped Stats start
+// from it and overwrite Msgs, Bytes and Rounds.
+func ClusterStats(c *harness.Cluster) Stats {
+	tl := c.TotalTally()
+	return Stats{
+		N: c.N, F: c.F,
+		Msgs: tl.Msgs, Bytes: tl.Bytes,
+		Steps: c.Steps(), Verifies: c.VerifyStats().Verifies,
+		ScriptVerifies: c.ScriptVerifyStats().Verifies, RSOps: c.RSStats().Ops(),
+		Rejected: c.Rejected(), Equivocations: c.Equivocations(),
+	}
+}
+
 // stats scopes the paper's metrics to this instance's traffic (the tag
 // path and every tag/… sub-path). Steps and Verifies stay cluster-global —
 // simulator deliveries and the verifier cache are shared by every
 // concurrent instance.
 func (t *tracker) stats() Stats {
+	s := ClusterStats(t.c)
 	tl := t.c.InstanceTally(t.tag)
-	return Stats{
-		N: t.c.N, F: t.c.F,
-		Msgs: tl.Msgs, Bytes: tl.Bytes,
-		Rounds: t.rounds, Steps: t.c.Steps(), Verifies: t.c.Verifies(),
-		ScriptVerifies: t.c.ScriptVerifies(), RSOps: t.c.RSOps(),
-		Rejected: t.c.Rejected(), Equivocations: t.c.Equivocations(),
+	s.Msgs, s.Bytes, s.Rounds = tl.Msgs, tl.Bytes, t.rounds
+	return s
+}
+
+// Instance is one instance of a kinds-table protocol launched on a cluster:
+// per-party completion plus every honest party's decision.
+type Instance struct {
+	t    *tracker
+	decs []*kinds.Decision // indexed by party; nil at corrupted parties
+}
+
+// Launch builds and starts one instance of the named kind per honest party
+// under tag, in party order; in(i) is party i's input (a nil in means the
+// kind takes none). An unknown kind name is an error.
+func Launch(c *harness.Cluster, name, tag string, genesis []byte, in func(i int) kinds.Input) (*Instance, error) {
+	start, err := kinds.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// --- paper-standard convenience launchers ---
-//
-// The public session facade (repro.Cluster) configures every protocol by
-// the cluster's genesis nonce alone; these wrappers keep the core config
-// types out of the public package's import graph.
-
-// LaunchPaperCoin launches one Alg. 4 coin under the paper-standard config.
-func LaunchPaperCoin(c *harness.Cluster, tag string, genesis []byte) *CoinInstance {
-	return LaunchCoin(c, tag, coin.Config{GenesisNonce: genesis})
-}
-
-// LaunchPaperABA launches one ABA whose round coins are paper coins under
-// tag/c.
-func LaunchPaperABA(c *harness.Cluster, tag string, inputs []byte, genesis []byte) *ABAInstance {
-	cfg := coin.Config{GenesisNonce: genesis}
-	coins := func(i int) aba.CoinFactory {
-		return aba.PaperCoins(c.Runtime(i), tag+"/c", c.Keys[i], cfg)
-	}
-	return LaunchABA(c, tag, inputs, coins)
-}
-
-// LaunchPaperElection launches one Alg. 5 election.
-func LaunchPaperElection(c *harness.Cluster, tag string, genesis []byte) *ElectionInstance {
-	return LaunchElection(c, tag, election.Config{Coin: coin.Config{GenesisNonce: genesis}})
-}
-
-// LaunchPaperVBA launches one validated BA.
-func LaunchPaperVBA(c *harness.Cluster, tag string, proposals [][]byte, valid func([]byte) bool, genesis []byte) *VBAInstance {
-	return LaunchVBA(c, tag, proposals, valid, vba.Config{Coin: coin.Config{GenesisNonce: genesis}})
-}
-
-// LaunchPaperADKG launches one §7.3 distributed key generation.
-func LaunchPaperADKG(c *harness.Cluster, tag string, genesis []byte) *ADKGInstance {
-	return LaunchADKG(c, tag, adkg.Config{VBA: vba.Config{Coin: coin.Config{GenesisNonce: genesis}}})
-}
-
-// LaunchPaperBeacon launches one §7.3 DKG-free beacon.
-func LaunchPaperBeacon(c *harness.Cluster, tag string, epochs int, genesis []byte) *BeaconInstance {
-	return LaunchBeacon(c, tag, epochs, coin.Config{GenesisNonce: genesis})
-}
-
-// --- Coin ---
-
-// CoinInstance is one common-coin instance launched on a cluster.
-type CoinInstance struct {
-	t   *tracker
-	res map[int]coin.Result
-}
-
-// LaunchCoin wires one coin (Alg. 4) instance per honest party under tag.
-func LaunchCoin(c *harness.Cluster, tag string, cfg coin.Config) *CoinInstance {
-	ci := &CoinInstance{t: newTracker(c, tag), res: make(map[int]coin.Result)}
+	inst := newInstance(c, tag)
 	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			co := coin.New(c.Runtime(i), tag, c.Keys[i], cfg, func(r coin.Result) {
-				c.Update(func() {
-					ci.res[i] = r
-					ci.t.report(i)
-				})
-			})
-			co.Start()
-		})
+		var input kinds.Input
+		if in != nil {
+			input = in(i)
+		}
+		decide := inst.record(i)
+		c.Launch(i, func() { start(c.Runtime(i), tag, c.Keys[i], genesis, input, decide) })
 	})
-	return ci
+	return inst, nil
 }
 
-// Wait blocks until every honest party output its coin bit.
-func (ci *CoinInstance) Wait(ctx context.Context) error { return ci.t.wait(ctx) }
+func newInstance(c *harness.Cluster, tag string) *Instance {
+	return &Instance{t: newTracker(c, tag), decs: make([]*kinds.Decision, c.N)}
+}
+
+// record returns party i's decision callback: it books the decision and
+// the party's completion under the session lock.
+func (inst *Instance) record(i int) func(*kinds.Decision) {
+	return func(d *kinds.Decision) {
+		inst.t.c.Update(func() {
+			inst.decs[i] = d
+			inst.t.report(i)
+		})
+	}
+}
+
+// launchKnown is Launch for a name already known to be in the table (a
+// literal of this package, or one the caller resolved): the lookup cannot
+// fail.
+func launchKnown(c *harness.Cluster, name, tag string, genesis []byte, in func(i int) kinds.Input) *Instance {
+	inst, err := Launch(c, name, tag, genesis, in)
+	if err != nil {
+		panic(err)
+	}
+	return inst
+}
+
+// Wait blocks until every honest party decided.
+func (inst *Instance) Wait(ctx context.Context) error { return inst.t.wait(ctx) }
+
+// Decisions returns the honest parties' decisions in party order, once Wait
+// returned nil. The first entry is the one reported as "the" decision.
+func (inst *Instance) Decisions() []*kinds.Decision {
+	ds := make([]*kinds.Decision, 0, inst.t.need)
+	inst.t.c.EachHonest(func(i int) { ds = append(ds, inst.decs[i]) })
+	return ds
+}
+
+// Agreed reports whether every honest party reached the same decision.
+func (inst *Instance) Agreed() bool { return kinds.Agree(inst.Decisions()) }
+
+// --- typed views ---
+//
+// One per kind, under the launcher names the public session facade
+// (repro.Cluster), the benchmarks and the tests use: each configures its
+// protocol by the cluster's genesis nonce alone and derives the kind's
+// Outcome from the decisions — the agreed value from the lowest-indexed
+// honest party, the per-party observations by a fold over all of them.
+
+// CoinInstance is one common-coin (Alg. 4) instance launched on a cluster.
+type CoinInstance struct{ *Instance }
+
+// LaunchPaperCoin launches one coin per honest party under tag.
+func LaunchPaperCoin(c *harness.Cluster, tag string, genesis []byte) *CoinInstance {
+	return &CoinInstance{launchKnown(c, "coin", tag, genesis, nil)}
+}
 
 // Outcome aggregates the instance after Wait returned nil.
-func (ci *CoinInstance) Outcome() CoinOutcome {
-	c := ci.t.c
-	out := CoinOutcome{Agreed: true, MaxIsSet: true}
-	if c.Net != nil {
+func (ci CoinInstance) Outcome() CoinOutcome {
+	ds := ci.Decisions()
+	out := CoinOutcome{Stats: ci.t.stats(), Agreed: ci.Agreed(), Bit: byte(ds[0].Bit), MaxIsSet: allMaxSet(ds)}
+	if c := ci.t.c; c.Net != nil {
 		out.PerPhase = map[string]sim.Tally{
 			"seeding":   c.Net.Metrics().ByPrefix(ci.t.tag + "/sd/"),
 			"avss":      c.Net.Metrics().ByPrefix(ci.t.tag + "/av/"),
@@ -176,286 +200,117 @@ func (ci *CoinInstance) Outcome() CoinOutcome {
 			"candidate": c.Net.Metrics().ByPrefix(ci.t.tag + "/cd"),
 		}
 	}
-	first := true
-	for _, r := range ci.res {
-		if first {
-			out.Bit = r.Bit
-			first = false
-		} else if r.Bit != out.Bit {
-			out.Agreed = false
-		}
-		if r.Max == nil {
-			out.MaxIsSet = false
-		}
-	}
-	out.Stats = ci.t.stats()
 	return out
 }
 
-// --- ABA ---
-
-type abaResult struct {
-	bit   byte
-	round int
+// allMaxSet reports whether every party's speculative coin max was non-⊥.
+func allMaxSet(ds []*kinds.Decision) bool {
+	for _, d := range ds {
+		if !d.MaxSet {
+			return false
+		}
+	}
+	return true
 }
 
 // ABAInstance is one binary-agreement instance launched on a cluster.
-type ABAInstance struct {
-	t   *tracker
-	res map[int]abaResult
-}
+type ABAInstance struct{ *Instance }
 
-// LaunchABA wires one ABA instance per honest party; inputs[i] is party
-// i's bit, and coins builds each party's round-coin factory.
-func LaunchABA(c *harness.Cluster, tag string, inputs []byte, coins func(i int) aba.CoinFactory) *ABAInstance {
-	ai := &ABAInstance{t: newTracker(c, tag), res: make(map[int]abaResult)}
-	insts := make([]*aba.ABA, c.N)
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			insts[i] = aba.New(c.Runtime(i), tag, coins(i), func(b byte) {
-				c.Update(func() {
-					ai.res[i] = abaResult{bit: b, round: insts[i].DecidedRound}
-					ai.t.report(i)
-				})
-			})
-		})
-	})
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() { insts[i].Start(inputs[i]) })
-	})
-	return ai
+// LaunchPaperABA launches one ABA per honest party; inputs[i] is party i's
+// bit, and the round coins are paper coins under tag/c.
+func LaunchPaperABA(c *harness.Cluster, tag string, inputs []byte, genesis []byte) *ABAInstance {
+	return &ABAInstance{launchKnown(c, "aba", tag, genesis, func(i int) kinds.Input {
+		return kinds.Input{Bit: inputs[i]}
+	})}
 }
-
-// Wait blocks until every honest party decided.
-func (ai *ABAInstance) Wait(ctx context.Context) error { return ai.t.wait(ctx) }
 
 // Outcome aggregates the instance after Wait returned nil.
-func (ai *ABAInstance) Outcome() ABAOutcome {
-	out := ABAOutcome{Agreed: true}
-	first := true
-	total, cnt := 0, 0
-	ai.t.c.EachHonest(func(i int) {
-		r := ai.res[i]
-		if first {
-			out.Bit = r.bit
-			first = false
-		} else if r.bit != out.Bit {
-			out.Agreed = false
-		}
-		total += r.round
-		cnt++
-		if r.round > out.MaxRound {
-			out.MaxRound = r.round
-		}
-	})
-	out.MeanRound = float64(total) / float64(cnt)
-	out.Stats = ai.t.stats()
-	return out
-}
-
-// --- Election ---
-
-// ElectionInstance is one leader-election instance launched on a cluster.
-type ElectionInstance struct {
-	t   *tracker
-	res map[int]election.Result
-}
-
-// LaunchElection wires one election (Alg. 5) instance per honest party.
-func LaunchElection(c *harness.Cluster, tag string, cfg election.Config) *ElectionInstance {
-	ei := &ElectionInstance{t: newTracker(c, tag), res: make(map[int]election.Result)}
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			e := election.New(c.Runtime(i), tag, c.Keys[i], cfg, func(r election.Result) {
-				c.Update(func() {
-					ei.res[i] = r
-					ei.t.report(i)
-				})
-			})
-			e.Start()
-		})
-	})
-	return ei
-}
-
-// Wait blocks until every honest party elected.
-func (ei *ElectionInstance) Wait(ctx context.Context) error { return ei.t.wait(ctx) }
-
-// Outcome aggregates the instance after Wait returned nil.
-func (ei *ElectionInstance) Outcome() ElectionOutcome {
-	out := ElectionOutcome{Agreed: true}
-	first := true
-	for _, r := range ei.res {
-		if first {
-			out.Leader, out.ByDefault = r.Leader, r.ByDefault
-			first = false
-		} else if r.Leader != out.Leader || r.ByDefault != out.ByDefault {
-			out.Agreed = false
-		}
+func (ai ABAInstance) Outcome() ABAOutcome {
+	ds := ai.Decisions()
+	out := ABAOutcome{Stats: ai.t.stats(), Agreed: ai.Agreed(), Bit: byte(ds[0].Bit)}
+	total := 0
+	for _, d := range ds {
+		total += d.Round
+		out.MaxRound = max(out.MaxRound, d.Round)
 	}
-	out.Stats = ei.t.stats()
+	out.MeanRound = float64(total) / float64(len(ds))
 	return out
 }
 
-// --- VBA ---
+// ElectionInstance is one leader-election (Alg. 5) instance on a cluster.
+type ElectionInstance struct{ *Instance }
 
-type vbaResult struct {
-	value []byte
-	view  int
+// LaunchPaperElection launches one election per honest party.
+func LaunchPaperElection(c *harness.Cluster, tag string, genesis []byte) *ElectionInstance {
+	return &ElectionInstance{launchKnown(c, "election", tag, genesis, nil)}
+}
+
+// Outcome aggregates the instance after Wait returned nil.
+func (ei ElectionInstance) Outcome() ElectionOutcome {
+	d := ei.Decisions()[0]
+	return ElectionOutcome{Stats: ei.t.stats(), Agreed: ei.Agreed(), Leader: d.Leader, ByDefault: d.ByDefault}
 }
 
 // VBAInstance is one validated-BA instance launched on a cluster.
-type VBAInstance struct {
-	t   *tracker
-	res map[int]vbaResult
+type VBAInstance struct{ *Instance }
+
+// vbaInputs gives party i proposals[i] under the external predicate valid.
+func vbaInputs(proposals [][]byte, valid vba.Predicate) func(i int) kinds.Input {
+	return func(i int) kinds.Input { return kinds.Input{Proposal: proposals[i], Valid: valid} }
 }
 
-// LaunchVBA wires one VBA instance per honest party; proposals[i] is party
+// LaunchPaperVBA launches one VBA per honest party; proposals[i] is party
 // i's input, valid the external predicate Q.
-func LaunchVBA(c *harness.Cluster, tag string, proposals [][]byte, valid vba.Predicate, cfg vba.Config) *VBAInstance {
-	vi := &VBAInstance{t: newTracker(c, tag), res: make(map[int]vbaResult)}
-	insts := make([]*vba.VBA, c.N)
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			insts[i] = vba.New(c.Runtime(i), tag, c.Keys[i], valid, cfg, func(v []byte) {
-				c.Update(func() {
-					vi.res[i] = vbaResult{value: v, view: insts[i].DecidedView}
-					vi.t.report(i)
-				})
-			})
-		})
-	})
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() { insts[i].Start(proposals[i]) })
-	})
-	return vi
+func LaunchPaperVBA(c *harness.Cluster, tag string, proposals [][]byte, valid func([]byte) bool, genesis []byte) *VBAInstance {
+	return &VBAInstance{launchKnown(c, "vba", tag, genesis, vbaInputs(proposals, valid))}
 }
 
-// Wait blocks until every honest party decided.
-func (vi *VBAInstance) Wait(ctx context.Context) error { return vi.t.wait(ctx) }
-
 // Outcome aggregates the instance after Wait returned nil.
-func (vi *VBAInstance) Outcome() VBAOutcome {
-	out := VBAOutcome{Agreed: true}
-	var first []byte
-	set := false
-	vi.t.c.EachHonest(func(i int) {
-		r := vi.res[i]
-		if !set {
-			first = r.value
-			set = true
-		} else if string(first) != string(r.value) {
-			out.Agreed = false
-		}
-		if r.view > out.MaxView {
-			out.MaxView = r.view
-		}
-	})
-	out.Value = first
-	out.Stats = vi.t.stats()
+func (vi VBAInstance) Outcome() VBAOutcome {
+	ds := vi.Decisions()
+	out := VBAOutcome{Stats: vi.t.stats(), Agreed: vi.Agreed(), Value: []byte(ds[0].Value)}
+	for _, d := range ds {
+		out.MaxView = max(out.MaxView, d.View)
+	}
 	return out
 }
 
-// --- ADKG ---
+// ADKGInstance is one distributed-key-generation (§7.3) instance.
+type ADKGInstance struct{ *Instance }
 
-// ADKGInstance is one distributed-key-generation instance on a cluster.
-type ADKGInstance struct {
-	t    *tracker
-	keys map[int]adkg.ThresholdKey
+// LaunchPaperADKG launches one ADKG per honest party.
+func LaunchPaperADKG(c *harness.Cluster, tag string, genesis []byte) *ADKGInstance {
+	return &ADKGInstance{launchKnown(c, "adkg", tag, genesis, nil)}
 }
-
-// LaunchADKG wires one ADKG (§7.3) instance per honest party.
-func LaunchADKG(c *harness.Cluster, tag string, cfg adkg.Config) *ADKGInstance {
-	di := &ADKGInstance{t: newTracker(c, tag), keys: make(map[int]adkg.ThresholdKey)}
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			a := adkg.New(c.Runtime(i), tag, c.Keys[i], cfg, func(k adkg.ThresholdKey) {
-				c.Update(func() {
-					di.keys[i] = k
-					di.t.report(i)
-				})
-			})
-			a.Start()
-		})
-	})
-	return di
-}
-
-// Wait blocks until every honest party holds key material.
-func (di *ADKGInstance) Wait(ctx context.Context) error { return di.t.wait(ctx) }
 
 // Outcome aggregates the instance after Wait returned nil.
-func (di *ADKGInstance) Outcome() ADKGOutcome {
-	out := ADKGOutcome{KeysAgree: true}
-	var ref *adkg.ThresholdKey
-	for _, k := range di.keys {
-		k := k
-		if ref == nil {
-			ref = &k
-			out.Contributors = k.Script.WeightCount()
-		} else if !k.GroupPK.Equal(ref.GroupPK) {
-			out.KeysAgree = false
-		}
-	}
-	out.Stats = di.t.stats()
-	return out
+func (di ADKGInstance) Outcome() ADKGOutcome {
+	return ADKGOutcome{Stats: di.t.stats(), KeysAgree: di.Agreed(), Contributors: di.Decisions()[0].Weight}
 }
 
-// --- Beacon ---
+// BeaconInstance is one multi-epoch DKG-free beacon (§7.3) instance.
+type BeaconInstance struct{ *Instance }
 
-// BeaconInstance is one multi-epoch beacon instance on a cluster.
-type BeaconInstance struct {
-	t      *tracker
-	epochs int
-	got    map[int][]beacon.Epoch
+// LaunchPaperBeacon launches one beacon per honest party, running for the
+// given number of epochs.
+func LaunchPaperBeacon(c *harness.Cluster, tag string, epochs int, genesis []byte) *BeaconInstance {
+	return &BeaconInstance{launchKnown(c, "beacon", tag, genesis, func(int) kinds.Input {
+		return kinds.Input{Epochs: epochs}
+	})}
 }
-
-// LaunchBeacon wires one DKG-free beacon (§7.3) per honest party, running
-// for the given number of epochs.
-func LaunchBeacon(c *harness.Cluster, tag string, epochs int, cfg coin.Config) *BeaconInstance {
-	bi := &BeaconInstance{t: newTracker(c, tag), epochs: epochs, got: make(map[int][]beacon.Epoch)}
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			b := beacon.New(c.Runtime(i), tag, c.Keys[i],
-				beacon.Config{Coin: cfg, Epochs: epochs}, func(e beacon.Epoch) {
-					c.Update(func() {
-						bi.got[i] = append(bi.got[i], e)
-						bi.t.bump(i)
-						if len(bi.got[i]) == epochs {
-							bi.t.report(i)
-						}
-					})
-				})
-			b.Start()
-		})
-	})
-	return bi
-}
-
-// Wait blocks until every honest party emitted every epoch.
-func (bi *BeaconInstance) Wait(ctx context.Context) error { return bi.t.wait(ctx) }
 
 // Outcome aggregates the instance after Wait returned nil.
-func (bi *BeaconInstance) Outcome() BeaconOutcome {
-	out := BeaconOutcome{Epochs: bi.epochs, Agreed: true}
-	var ref []beacon.Epoch
-	totalAttempts := 0
-	for _, es := range bi.got {
-		if ref == nil {
-			ref = es
-			for _, e := range es {
-				out.Values = append(out.Values, e.Value)
-				totalAttempts += e.Attempts
-			}
-		} else {
-			for k := range ref {
-				if es[k].Value != ref[k].Value {
-					out.Agreed = false
-				}
-			}
-		}
+func (bi BeaconInstance) Outcome() BeaconOutcome {
+	d := bi.Decisions()[0]
+	out := BeaconOutcome{Stats: bi.t.stats(), Epochs: len(d.EpochValues), Agreed: bi.Agreed()}
+	total := 0
+	for k, hv := range d.EpochValues {
+		var v beacon.Value
+		// The kinds table hex-encoded the value: decoding cannot fail.
+		_, _ = hex.Decode(v[:], []byte(hv))
+		out.Values = append(out.Values, v)
+		total += d.Attempts[k]
 	}
-	out.MeanAttempt = float64(totalAttempts) / float64(bi.epochs)
-	out.Stats = bi.t.stats()
+	out.MeanAttempt = float64(total) / float64(out.Epochs)
 	return out
 }

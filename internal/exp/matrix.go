@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"repro/internal/order"
 )
 
 // MatrixOptions tune one engine invocation. Zero values defer to each
@@ -224,16 +226,16 @@ func RunMatrix(specs []Spec, opt MatrixOptions) Matrix {
 				msgs = append(msgs, float64(sl.out.Stats.Msgs))
 				rounds = append(rounds, float64(sl.out.Stats.Rounds))
 				steps = append(steps, float64(sl.out.Stats.Steps))
-				for k, v := range sl.out.Extra {
-					extras[k] = append(extras[k], v)
+				for _, k := range order.SortedKeys(sl.out.Extra) {
+					extras[k] = append(extras[k], sl.out.Extra[k])
 				}
 			}
 			cell.Bytes, cell.Msgs = NewDist(bytes), NewDist(msgs)
 			cell.Rounds, cell.Steps = NewDist(rounds), NewDist(steps)
 			if len(extras) > 0 {
 				cell.Extra = make(map[string]Dist, len(extras))
-				for k, vs := range extras {
-					cell.Extra[k] = NewDist(vs)
+				for _, k := range order.SortedKeys(extras) {
+					cell.Extra[k] = NewDist(extras[k])
 				}
 			}
 			if len(bytes) > 0 {

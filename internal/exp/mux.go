@@ -11,9 +11,8 @@ package exp
 import (
 	"context"
 	"fmt"
-	"strings"
 
-	"repro/internal/core/vba"
+	"repro/internal/kinds"
 )
 
 // MuxOutcome reports k concurrent instances that shared one cluster.
@@ -26,77 +25,48 @@ type MuxOutcome struct {
 	// accounting is airtight (no traffic outside instance tags)
 }
 
-// muxValid is the external-validity predicate shared by the mux VBA specs.
-func muxValid(v []byte) bool { return strings.HasPrefix(string(v), "ok:") }
+// runMux executes k concurrent instances of one kind on one shared cluster;
+// in(j, i) is party i's input to instance j.
+func runMux(spec RunSpec, k int, name string, in func(j, i int) kinds.Input) (MuxOutcome, error) {
+	c, err := spec.cluster()
+	if err != nil {
+		return MuxOutcome{}, err
+	}
+	insts := make([]*Instance, k)
+	for j := range insts {
+		insts[j] = launchKnown(c, name, fmt.Sprintf("%s%d", name, j), spec.Genesis,
+			func(i int) kinds.Input { return in(j, i) })
+	}
+	out := MuxOutcome{Instances: k, AllAgreed: true}
+	rounds := 0
+	for j, inst := range insts {
+		if err := inst.Wait(context.Background()); err != nil {
+			return MuxOutcome{}, fmt.Errorf("%s mux [%d/%d]: %w", name, j, k, err)
+		}
+		if !inst.Agreed() {
+			out.AllAgreed = false
+		}
+		st := inst.t.stats()
+		out.PerInstance = append(out.PerInstance, st)
+		out.InstanceBytes += st.Bytes
+		rounds = max(rounds, st.Rounds)
+	}
+	out.Stats = collectStats(c, rounds)
+	return out, nil
+}
 
 // RunVBAMux executes k concurrent VBA instances on one shared cluster;
 // instance j's party i proposes a distinct valid value, so per-instance
 // decisions are independent.
 func RunVBAMux(spec RunSpec, k int) (MuxOutcome, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return MuxOutcome{}, err
-	}
-	insts := make([]*VBAInstance, k)
-	for j := 0; j < k; j++ {
-		props := make([][]byte, spec.N)
-		for i := range props {
-			props[i] = []byte(fmt.Sprintf("ok:i%d-p%d", j, i))
-		}
-		insts[j] = LaunchVBA(c, fmt.Sprintf("vba%d", j), props, muxValid, vba.Config{Coin: spec.coinCfg()})
-	}
-	out := MuxOutcome{Instances: k, AllAgreed: true}
-	for j, inst := range insts {
-		if err := inst.Wait(context.Background()); err != nil {
-			return MuxOutcome{}, fmt.Errorf("vba mux [%d/%d]: %w", j, k, err)
-		}
-		o := inst.Outcome()
-		if !o.Agreed {
-			out.AllAgreed = false
-		}
-		out.PerInstance = append(out.PerInstance, o.Stats)
-		out.InstanceBytes += o.Stats.Bytes
-	}
-	tl := c.TotalTally()
-	out.Stats = Stats{N: c.N, F: c.F, Msgs: tl.Msgs, Bytes: tl.Bytes, Steps: c.Steps(), Verifies: c.Verifies()}
-	for _, s := range out.PerInstance {
-		if s.Rounds > out.Stats.Rounds {
-			out.Stats.Rounds = s.Rounds
-		}
-	}
-	return out, nil
+	return runMux(spec, k, "vba", func(j, i int) kinds.Input {
+		return kinds.Input{Proposal: []byte(fmt.Sprintf("ok:i%d-p%d", j, i)), Valid: okPrefixed}
+	})
 }
 
 // RunCoinMux executes k concurrent common coins on one shared cluster.
 func RunCoinMux(spec RunSpec, k int) (MuxOutcome, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return MuxOutcome{}, err
-	}
-	insts := make([]*CoinInstance, k)
-	for j := 0; j < k; j++ {
-		insts[j] = LaunchCoin(c, fmt.Sprintf("coin%d", j), spec.coinCfg())
-	}
-	out := MuxOutcome{Instances: k, AllAgreed: true}
-	for j, inst := range insts {
-		if err := inst.Wait(context.Background()); err != nil {
-			return MuxOutcome{}, fmt.Errorf("coin mux [%d/%d]: %w", j, k, err)
-		}
-		o := inst.Outcome()
-		if !o.Agreed {
-			out.AllAgreed = false
-		}
-		out.PerInstance = append(out.PerInstance, o.Stats)
-		out.InstanceBytes += o.Stats.Bytes
-	}
-	tl := c.TotalTally()
-	out.Stats = Stats{N: c.N, F: c.F, Msgs: tl.Msgs, Bytes: tl.Bytes, Steps: c.Steps(), Verifies: c.Verifies()}
-	for _, s := range out.PerInstance {
-		if s.Rounds > out.Stats.Rounds {
-			out.Stats.Rounds = s.Rounds
-		}
-	}
-	return out, nil
+	return runMux(spec, k, "coin", func(int, int) kinds.Input { return kinds.Input{} })
 }
 
 func muxRun(k int, f func(RunSpec, int) (MuxOutcome, error)) func(RunSpec) (Outcome, error) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/harness"
+	"repro/internal/order"
 	"repro/internal/sim"
 )
 
@@ -114,8 +115,8 @@ func Select(selector string) ([]Spec, error) {
 			continue
 		}
 		matched := false
-		for name, s := range registry {
-			if term == "all" || term == name || term == s.Group || hasTag(s, term) {
+		for _, name := range order.SortedKeys(registry) {
+			if s := registry[name]; term == "all" || term == name || term == s.Group || hasTag(s, term) {
 				picked[name] = s
 				matched = true
 			}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/baseline/kms20"
 	"repro/internal/baseline/threshcoin"
 	"repro/internal/core/aba"
-	"repro/internal/core/adkg"
 	"repro/internal/core/avss"
 	"repro/internal/core/beacon"
 	"repro/internal/core/coin"
@@ -32,9 +31,8 @@ import (
 	"repro/internal/core/wcs"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/rs"
-	"repro/internal/crypto/scache"
-	"repro/internal/crypto/vcache"
 	"repro/internal/harness"
+	"repro/internal/kinds"
 	"repro/internal/sim"
 )
 
@@ -92,28 +90,45 @@ func (r RunSpec) steps() int64 {
 	return sim.DefaultDeliveryBudget
 }
 
-func (r RunSpec) cluster() (*harness.Cluster, error) {
-	f := r.F
-	if f < 0 {
-		f = (r.N - 1) / 3
+// faults is the corruption bound: F, or ⌊(n−1)/3⌋ when F is negative.
+func (r RunSpec) faults() int {
+	if r.F < 0 {
+		return (r.N - 1) / 3
 	}
+	return r.F
+}
+
+func (r RunSpec) cluster() (*harness.Cluster, error) {
 	byz := harness.Crashed(r.Where, r.N, r.Crash, r.Seed)
-	return harness.NewCluster(r.N, f, r.Seed, harness.Options{
+	return harness.NewCluster(r.N, r.faults(), r.Seed, harness.Options{
 		Scheduler: r.Sched, Byzantine: byz, Crash: true, Budget: r.steps(),
 	})
 }
 
 func (r RunSpec) coinCfg() coin.Config { return coin.Config{GenesisNonce: r.Genesis} }
 
+// collectStats is the Stats of a run that owned its whole cluster.
 func collectStats(c *harness.Cluster, rounds int) Stats {
-	m := c.Net.Metrics()
-	return Stats{
-		N: c.N, F: c.F,
-		Msgs: m.Honest.Msgs, Bytes: m.Honest.Bytes,
-		Rounds: rounds, Steps: c.Net.Steps(), Verifies: c.Verifies(),
-		ScriptVerifies: c.ScriptVerifies(), RSOps: c.RSOps(),
-		Rejected: c.Rejected(), Equivocations: c.Equivocations(),
+	s := ClusterStats(c)
+	s.Rounds = rounds
+	return s
+}
+
+// run executes one instance of the named kind under tag on a fresh cluster
+// and returns it once every honest party decided.
+func run(spec RunSpec, name, tag string, in func(i int) kinds.Input) (*Instance, error) {
+	c, err := spec.cluster()
+	if err != nil {
+		return nil, err
 	}
+	inst, err := Launch(c, name, tag, spec.Genesis, in)
+	if err != nil {
+		return nil, err
+	}
+	if err := inst.Wait(context.Background()); err != nil {
+		return nil, fmt.Errorf("%s run: %w", name, err)
+	}
+	return inst, nil
 }
 
 // CoinOutcome is the result of RunCoin.
@@ -127,15 +142,11 @@ type CoinOutcome struct {
 
 // RunCoin executes one common coin (Alg. 4) across a fresh cluster.
 func RunCoin(spec RunSpec) (CoinOutcome, error) {
-	c, err := spec.cluster()
+	inst, err := run(spec, "coin", "coin", nil)
 	if err != nil {
 		return CoinOutcome{}, err
 	}
-	inst := LaunchCoin(c, "coin", spec.coinCfg())
-	if err := inst.Wait(context.Background()); err != nil {
-		return CoinOutcome{}, fmt.Errorf("coin run: %w", err)
-	}
-	return inst.Outcome(), nil
+	return CoinInstance{inst}.Outcome(), nil
 }
 
 // ABAOutcome is the result of RunABA.
@@ -173,23 +184,22 @@ func RunABA(spec RunSpec, inputs []byte, kind ABACoinKind) (ABAOutcome, error) {
 		}
 		setup, tshares = s, sh
 	}
-	coins := func(i int) aba.CoinFactory {
+	inst := launchKnown(c, "aba", "aba", spec.Genesis, func(i int) kinds.Input {
+		in := kinds.Input{Bit: inputs[i]} // nil Coins: the paper coin under aba/c
 		switch kind {
 		case ABATestCoin:
-			return aba.TestCoins(fmt.Sprint("h", spec.Seed))
+			in.Coins = aba.TestCoins(fmt.Sprint("h", spec.Seed))
 		case ABALocalCoin:
-			return aba.AdversarialCoins(fmt.Sprint("h", spec.Seed), i)
+			in.Coins = aba.AdversarialCoins(fmt.Sprint("h", spec.Seed), i)
 		case ABAThreshCoin:
-			return threshcoin.Factory(c.Runtime(i), "aba/tc", setup, tshares[i])
-		default:
-			return aba.PaperCoins(c.Runtime(i), "aba/c", c.Keys[i], spec.coinCfg())
+			in.Coins = threshcoin.Factory(c.Runtime(i), "aba/tc", setup, tshares[i])
 		}
-	}
-	inst := LaunchABA(c, "aba", inputs, coins)
+		return in
+	})
 	if err := inst.Wait(context.Background()); err != nil {
 		return ABAOutcome{}, fmt.Errorf("aba run: %w", err)
 	}
-	return inst.Outcome(), nil
+	return ABAInstance{inst}.Outcome(), nil
 }
 
 // ElectionOutcome is the result of RunElection.
@@ -202,15 +212,11 @@ type ElectionOutcome struct {
 
 // RunElection executes one leader election (Alg. 5).
 func RunElection(spec RunSpec) (ElectionOutcome, error) {
-	c, err := spec.cluster()
+	inst, err := run(spec, "election", "el", nil)
 	if err != nil {
 		return ElectionOutcome{}, err
 	}
-	inst := LaunchElection(c, "el", election.Config{Coin: spec.coinCfg()})
-	if err := inst.Wait(context.Background()); err != nil {
-		return ElectionOutcome{}, fmt.Errorf("election run: %w", err)
-	}
-	return inst.Outcome(), nil
+	return ElectionInstance{inst}.Outcome(), nil
 }
 
 // VBAOutcome is the result of RunVBA.
@@ -224,15 +230,11 @@ type VBAOutcome struct {
 // RunVBA executes one validated BA; proposals[i] is party i's input, and
 // valid is the external predicate Q.
 func RunVBA(spec RunSpec, proposals [][]byte, valid vba.Predicate) (VBAOutcome, error) {
-	c, err := spec.cluster()
+	inst, err := run(spec, "vba", "vba", vbaInputs(proposals, valid))
 	if err != nil {
 		return VBAOutcome{}, err
 	}
-	inst := LaunchVBA(c, "vba", proposals, valid, vba.Config{Coin: spec.coinCfg()})
-	if err := inst.Wait(context.Background()); err != nil {
-		return VBAOutcome{}, fmt.Errorf("vba run: %w", err)
-	}
-	return inst.Outcome(), nil
+	return VBAInstance{inst}.Outcome(), nil
 }
 
 // ADKGOutcome is the result of RunADKG.
@@ -244,15 +246,11 @@ type ADKGOutcome struct {
 
 // RunADKG executes one distributed key generation (§7.3).
 func RunADKG(spec RunSpec) (ADKGOutcome, error) {
-	c, err := spec.cluster()
+	inst, err := run(spec, "adkg", "dkg", nil)
 	if err != nil {
 		return ADKGOutcome{}, err
 	}
-	inst := LaunchADKG(c, "dkg", adkg.Config{VBA: vba.Config{Coin: spec.coinCfg()}})
-	if err := inst.Wait(context.Background()); err != nil {
-		return ADKGOutcome{}, fmt.Errorf("adkg run: %w", err)
-	}
-	return inst.Outcome(), nil
+	return ADKGInstance{inst}.Outcome(), nil
 }
 
 // BeaconOutcome is the result of RunBeacon.
@@ -266,15 +264,11 @@ type BeaconOutcome struct {
 
 // RunBeacon executes `epochs` epochs of the DKG-free beacon (§7.3).
 func RunBeacon(spec RunSpec, epochs int) (BeaconOutcome, error) {
-	c, err := spec.cluster()
+	inst, err := run(spec, "beacon", "bcn", func(int) kinds.Input { return kinds.Input{Epochs: epochs} })
 	if err != nil {
 		return BeaconOutcome{}, err
 	}
-	inst := LaunchBeacon(c, "bcn", epochs, spec.coinCfg())
-	if err := inst.Wait(context.Background()); err != nil {
-		return BeaconOutcome{}, fmt.Errorf("beacon run: %w", err)
-	}
-	return inst.Outcome(), nil
+	return BeaconInstance{inst}.Outcome(), nil
 }
 
 // SubprotocolStats measures one AVSS, WCS or Seeding instance (E9–E11).
@@ -408,40 +402,6 @@ func RunRBCOps(spec RunSpec, payload int) (Stats, rs.Stats, error) {
 	return collectStats(c, rounds), c.RSStats(), nil
 }
 
-// RunVBADedup executes one validated BA and additionally reports the
-// cluster's VRF verifier-cache counters, quantifying how much P-256 work
-// the memo layer removed from the run.
-func RunVBADedup(spec RunSpec, proposals [][]byte, valid vba.Predicate) (VBAOutcome, vcache.Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return VBAOutcome{}, vcache.Stats{}, err
-	}
-	inst := LaunchVBA(c, "vba", proposals, valid, vba.Config{Coin: spec.coinCfg()})
-	if err := inst.Wait(context.Background()); err != nil {
-		return VBAOutcome{}, vcache.Stats{}, fmt.Errorf("vba dedup run: %w", err)
-	}
-	return inst.Outcome(), c.VerifyStats(), nil
-}
-
-// RunADKGDedup executes one distributed key generation and additionally
-// reports the cluster's PVSS script verifier-cache counters, quantifying
-// how much multi-pairing work the memo layer removed: without it every
-// party re-verifies every dealer script on receipt and every VBA stage
-// re-evaluates the aggregate predicate per sender (O(n²) script
-// verifications per DKG); with it each distinct script or aggregate is
-// verified cold once, cluster-wide.
-func RunADKGDedup(spec RunSpec) (ADKGOutcome, scache.Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return ADKGOutcome{}, scache.Stats{}, err
-	}
-	inst := LaunchADKG(c, "dkg", adkg.Config{VBA: vba.Config{Coin: spec.coinCfg()}})
-	if err := inst.Wait(context.Background()); err != nil {
-		return ADKGOutcome{}, scache.Stats{}, fmt.Errorf("adkg dedup run: %w", err)
-	}
-	return inst.Outcome(), c.ScriptVerifyStats(), nil
-}
-
 // RunElectionBots models corruption beyond what honest coin runs can
 // produce: EVERY party's speculative max is forced to ⊥ (the coin layer is
 // bypassed via ForceCoinResult; RBC and ABA run for real). Alg. 5 must
@@ -452,23 +412,21 @@ func RunElectionBots(spec RunSpec) (ElectionOutcome, error) {
 	if err != nil {
 		return ElectionOutcome{}, err
 	}
-	ei := &ElectionInstance{t: newTracker(c, "el"), res: make(map[int]election.Result)}
+	inst := newInstance(c, "el")
 	c.EachHonest(func(i int) {
+		decide := inst.record(i)
 		c.Launch(i, func() {
 			e := election.New(c.Runtime(i), "el", c.Keys[i],
 				election.Config{Coin: spec.coinCfg()}, func(r election.Result) {
-					c.Update(func() {
-						ei.res[i] = r
-						ei.t.report(i)
-					})
+					decide(&kinds.Decision{Kind: "election", Tag: "el", Leader: r.Leader, ByDefault: r.ByDefault})
 				})
 			e.ForceCoinResult(coin.Result{})
 		})
 	})
-	if err := ei.Wait(context.Background()); err != nil {
+	if err := inst.Wait(context.Background()); err != nil {
 		return ElectionOutcome{}, fmt.Errorf("election bots run: %w", err)
 	}
-	return ei.Outcome(), nil
+	return ElectionInstance{inst}.Outcome(), nil
 }
 
 // BaselineKind selects a Table 1 comparator coin.

@@ -67,45 +67,54 @@ func abaRun(kind ABACoinKind) func(RunSpec) (Outcome, error) {
 	}
 }
 
-func electionRun(rs RunSpec) (Outcome, error) {
-	out, err := RunElection(rs)
-	if err != nil {
-		return Outcome{}, err
+// electionRun adapts an election runner — RunElection, or RunElectionBots
+// with every speculative max forced to ⊥.
+func electionRun(elect func(RunSpec) (ElectionOutcome, error)) func(RunSpec) (Outcome, error) {
+	return func(rs RunSpec) (Outcome, error) {
+		out, err := elect(rs)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return Outcome{Stats: out.Stats, Extra: map[string]float64{
+			"agreed":     b2f(out.Agreed),
+			"by-default": b2f(out.ByDefault),
+			"leader":     float64(out.Leader),
+		}}, nil
 	}
-	return Outcome{Stats: out.Stats, Extra: map[string]float64{
-		"agreed":     b2f(out.Agreed),
-		"by-default": b2f(out.ByDefault),
-		"leader":     float64(out.Leader),
-	}}, nil
+}
+
+// specVBA runs the registry's VBA workload — distinct valid proposals — and
+// returns the finished instance.
+func specVBA(rs RunSpec) (*Instance, error) {
+	props := make([][]byte, rs.N)
+	for i := range props {
+		props[i] = okProposal(i)
+	}
+	return run(rs, "vba", "vba", vbaInputs(props, okPrefixed))
 }
 
 func vbaRun(rs RunSpec) (Outcome, error) {
-	props := make([][]byte, rs.N)
-	for i := range props {
-		props[i] = []byte(fmt.Sprintf("ok:p%d", i))
-	}
-	out, err := RunVBA(rs, props, func(v []byte) bool { return strings.HasPrefix(string(v), "ok:") })
+	inst, err := specVBA(rs)
 	if err != nil {
 		return Outcome{}, err
 	}
+	out := VBAInstance{inst}.Outcome()
 	return Outcome{Stats: out.Stats, Extra: map[string]float64{
 		"agreed":   b2f(out.Agreed),
 		"max-view": float64(out.MaxView),
 	}}, nil
 }
 
-// vbaDedupRun is vbaRun plus the verifier-cache counters: vrf-lookups is
-// the VRF-check demand the protocols issued, vrf-verifies the cold P-256
-// work actually performed, dedup-x their ratio (≥ 2 is the headline).
+// vbaDedupRun is vbaRun plus the verifier-cache counters of the cluster it
+// ran on: vrf-lookups is the VRF-check demand the protocols issued,
+// vrf-verifies the cold P-256 work actually performed, dedup-x their ratio
+// (≥ 2 is the headline).
 func vbaDedupRun(rs RunSpec) (Outcome, error) {
-	props := make([][]byte, rs.N)
-	for i := range props {
-		props[i] = []byte(fmt.Sprintf("ok:p%d", i))
-	}
-	out, vs, err := RunVBADedup(rs, props, func(v []byte) bool { return strings.HasPrefix(string(v), "ok:") })
+	inst, err := specVBA(rs)
 	if err != nil {
 		return Outcome{}, err
 	}
+	out, vs := VBAInstance{inst}.Outcome(), inst.t.c.VerifyStats()
 	dedup := 0.0
 	if vs.Verifies > 0 {
 		dedup = float64(vs.Lookups) / float64(vs.Verifies)
@@ -115,18 +124,6 @@ func vbaDedupRun(rs RunSpec) (Outcome, error) {
 		"vrf-lookups":  float64(vs.Lookups),
 		"vrf-verifies": float64(vs.Verifies),
 		"dedup-x":      dedup,
-	}}, nil
-}
-
-func electionBotsRun(rs RunSpec) (Outcome, error) {
-	out, err := RunElectionBots(rs)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Stats: out.Stats, Extra: map[string]float64{
-		"agreed":     b2f(out.Agreed),
-		"by-default": b2f(out.ByDefault),
-		"leader":     float64(out.Leader),
 	}}, nil
 }
 
@@ -141,16 +138,19 @@ func adkgRun(rs RunSpec) (Outcome, error) {
 	}}, nil
 }
 
-// adkgDedupRun is adkgRun plus the script verifier-cache counters:
-// script-lookups is the PVSS script-check demand the ADKG issued (receipt
-// path + VBA external-validity predicate), script-verifies the cold
-// multi-pairing work actually performed, dedup-x their ratio (≥ n is the
-// headline — the receipt path alone demands n checks per party).
+// adkgDedupRun is adkgRun plus the script verifier-cache counters of the
+// cluster it ran on: script-lookups is the PVSS script-check demand the
+// ADKG issued (receipt path + VBA external-validity predicate),
+// script-verifies the cold multi-pairing work actually performed, dedup-x
+// their ratio (≥ n is the headline — the receipt path alone demands n
+// checks per party; without the memo layer every VBA stage re-evaluates
+// the aggregate predicate per sender, O(n²) script verifications per DKG).
 func adkgDedupRun(rs RunSpec) (Outcome, error) {
-	out, ss, err := RunADKGDedup(rs)
+	inst, err := run(rs, "adkg", "dkg", nil)
 	if err != nil {
 		return Outcome{}, err
 	}
+	out, ss := ADKGInstance{inst}.Outcome(), inst.t.c.ScriptVerifyStats()
 	dedup := 0.0
 	if ss.Verifies > 0 {
 		dedup = float64(ss.Lookups) / float64(ss.Verifies)
@@ -352,7 +352,7 @@ func init() {
 	Register(Spec{
 		Name: "e2/election", Group: "e2", Tags: []string{"table1"},
 		Title: "Election (this paper)", Claim: "Θ(λn³)",
-		Ns: sweepNs, Trials: 3, Run: electionRun,
+		Ns: sweepNs, Trials: 3, Run: electionRun(RunElection),
 	})
 	Register(Spec{
 		Name: "e2/vba", Group: "e2", Tags: []string{"table1"},
@@ -383,7 +383,7 @@ func init() {
 	Register(Spec{
 		Name: "e5/election-agreement", Group: "e5",
 		Title: "Election agreement (delay adversary)", Claim: "perfect agreement",
-		Ns: []int{4}, Trials: 10, Genesis: []byte("e5"), Sched: delaySched, Run: electionRun,
+		Ns: []int{4}, Trials: 10, Genesis: []byte("e5"), Sched: delaySched, Run: electionRun(RunElection),
 	})
 
 	// E6 / Thm 4 — ABA rounds-to-decide by coin type.
@@ -518,17 +518,17 @@ func init() {
 		Name: "adv/election-crash-spread", Group: "adv", Tags: []string{"sched"},
 		Title: "Election, f spread crashes + delay", Claim: "perfect agreement",
 		Ns: smallNs, Trials: 4, Genesis: []byte("adv"), Sched: delaySched,
-		Crash: func(n, f int) int { return f }, Where: harness.CrashSpread, Run: electionRun,
+		Crash: func(n, f int) int { return f }, Where: harness.CrashSpread, Run: electionRun(RunElection),
 	})
 	Register(Spec{
 		Name: "adv/election-lifo", Group: "adv", Tags: []string{"sched"},
 		Title: "Election under LIFO reordering", Claim: "terminates, agrees",
-		Ns: smallNs, Trials: 2, Sched: lifoSched, Run: electionRun,
+		Ns: smallNs, Trials: 2, Sched: lifoSched, Run: electionRun(RunElection),
 	})
 	Register(Spec{
 		Name: "adv/election-bots", Group: "adv", Tags: []string{"sched"},
 		Title: "Election, all-⊥ speculative maxes", Claim: "votes 0, default leader",
-		Ns: smallNs, Trials: 2, Genesis: []byte("adv"), Run: electionBotsRun,
+		Ns: smallNs, Trials: 2, Genesis: []byte("adv"), Run: electionRun(RunElectionBots),
 	})
 
 	// Verifier-cache dedup: the vcache layer must collapse the coin's n²

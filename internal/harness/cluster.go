@@ -275,10 +275,6 @@ func (c *Cluster) VerifyStats() vcache.Stats {
 	return c.Keys[0].Verifier.Stats()
 }
 
-// Verifies reports cold VRF verifications performed cluster-wide — the
-// P-256 work the verifier cache could not dedup away.
-func (c *Cluster) Verifies() int64 { return c.VerifyStats().Verifies }
-
 // ScriptVerifyStats reports the cluster's shared PVSS script verifier-cache
 // counters (pki.Setup hands every keyring the same memoizing script
 // verifier, so the counters cover all parties on both runtimes).
@@ -289,11 +285,6 @@ func (c *Cluster) ScriptVerifyStats() scache.Stats {
 	return c.Keys[0].Scripts.Stats()
 }
 
-// ScriptVerifies reports cold PVSS script verifications performed
-// cluster-wide — the multi-pairing work the script cache could not dedup
-// away.
-func (c *Cluster) ScriptVerifies() int64 { return c.ScriptVerifyStats().Verifies }
-
 // RSStats reports the Reed–Solomon codec work performed since the cluster
 // was built. The rs counters (and the codec/basis caches behind them) are
 // process-wide rather than per-cluster — the same reuse discipline as the
@@ -301,11 +292,6 @@ func (c *Cluster) ScriptVerifies() int64 { return c.ScriptVerifyStats().Verifies
 // serially and approximately when they overlap; serial execution is what
 // the dedup specs and the CI artifact job use.
 func (c *Cluster) RSStats() rs.Stats { return rs.Snapshot().Delta(c.rs0) }
-
-// RSOps reports the codec operations (encodes + decodes) the cluster's
-// protocols drove through the RBC data plane — the erasure-coding
-// counterpart of Verifies/ScriptVerifies.
-func (c *Cluster) RSOps() int64 { return c.RSStats().Ops() }
 
 // Depth reports party i's current causal depth (0 on the live runtime).
 func (c *Cluster) Depth(i int) int { return c.Runtime(i).Depth() }

@@ -32,6 +32,8 @@ var MapOrder = &Analyzer{
 		"repro/internal/crypto",
 		"repro/internal/baseline",
 		"repro/internal/adversary",
+		"repro/internal/kinds",
+		"repro/internal/exp",
 	),
 	Run: runMapOrder,
 }

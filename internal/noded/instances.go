@@ -1,10 +1,11 @@
 package noded
 
-// Per-kind instance launchers. These mirror internal/exp's cluster
-// launchers, but run on exactly one party: the other n-1 instances of the
-// same tag live in other processes, reached over the mesh. All protocol
-// construction happens on the dispatcher goroutine, and every decision
-// funnels into Daemon.complete as a wire-comparable Decision.
+// Launch and ledger only: every other kind a launch request can name is
+// built, started and turned into its Decision by the internal/kinds table.
+// Either way the instance runs on exactly one party — the other n-1
+// instances of the same tag live in other processes, reached over the mesh
+// — all protocol construction happens on the dispatcher goroutine, and
+// every decision funnels into Daemon.complete.
 //
 // Launch is split into prepare (validation, returns the construction
 // closure) and the dispatcher-side build so the same closure serves both
@@ -24,13 +25,9 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/core/aba"
 	"repro/internal/core/abc"
-	"repro/internal/core/adkg"
-	"repro/internal/core/beacon"
 	"repro/internal/core/coin"
-	"repro/internal/core/election"
-	"repro/internal/core/vba"
+	"repro/internal/kinds"
 	"repro/internal/proto"
 )
 
@@ -46,15 +43,14 @@ var errDuplicateTag = errors.New("duplicate instance tag")
 
 // prepare validates a launch request and returns the construction closure to
 // run on the dispatcher goroutine. Nothing is registered yet — validation
-// errors surface before the tag is claimed.
+// errors (behavior, kind and predicate lookups) surface before the tag is
+// claimed and before the launch is journaled.
 func (d *Daemon) prepare(req *Request) (func(inst *instance), error) {
 	genesis := req.Genesis
 	if len(genesis) == 0 {
 		genesis = []byte(req.Tag)
 	}
-	cfg := coin.Config{GenesisNonce: genesis}
 	var rt proto.Runtime = d.party.Node()
-	keys := d.ring
 	if req.Byz != "" {
 		// This party runs the instance through a lying runtime: the state
 		// machine below stays the honest one, but its outbound messages
@@ -66,97 +62,37 @@ func (d *Daemon) prepare(req *Request) (func(inst *instance), error) {
 		}
 		rt = adversary.Wrap(rt, b)
 	}
-
-	switch req.Kind {
-	case "coin":
-		tag := req.Tag
-		return func(inst *instance) {
-			c := coin.New(rt, tag, keys, cfg, func(r coin.Result) {
-				d.complete(inst, &Decision{Kind: "coin", Tag: tag, Bit: int(r.Bit)})
-			})
-			c.Start()
-		}, nil
-
-	case "aba":
-		tag := req.Tag
-		var bit byte
-		if len(req.Input) > 0 {
-			bit = req.Input[0] & 1
-		}
-		return func(inst *instance) {
-			var a *aba.ABA
-			a = aba.New(rt, tag, aba.PaperCoins(rt, tag+"/c", keys, cfg), func(b byte) {
-				d.complete(inst, &Decision{Kind: "aba", Tag: tag, Bit: int(b), Round: a.DecidedRound})
-			})
-			a.Start(bit)
-		}, nil
-
-	case "election":
-		tag := req.Tag
-		return func(inst *instance) {
-			e := election.New(rt, tag, keys, election.Config{Coin: cfg}, func(r election.Result) {
-				d.complete(inst, &Decision{Kind: "election", Tag: tag, Leader: r.Leader, ByDefault: r.ByDefault})
-			})
-			e.Start()
-		}, nil
-
-	case "vba":
-		pred, err := PredicateByName(req.Predicate)
-		if err != nil {
-			return nil, err
-		}
-		tag := req.Tag
-		proposal := append([]byte(nil), req.Input...)
-		return func(inst *instance) {
-			var v *vba.VBA
-			v = vba.New(rt, tag, keys, pred, vba.Config{Coin: cfg}, func(val []byte) {
-				d.complete(inst, &Decision{Kind: "vba", Tag: tag, Value: string(val), View: v.DecidedView})
-			})
-			v.Start(proposal)
-		}, nil
-
-	case "adkg":
-		tag := req.Tag
-		return func(inst *instance) {
-			a := adkg.New(rt, tag, keys, adkg.Config{VBA: vba.Config{Coin: cfg}}, func(k adkg.ThresholdKey) {
-				d.complete(inst, &Decision{
-					Kind:    "adkg",
-					Tag:     tag,
-					GroupPK: hex.EncodeToString(k.GroupPK.Bytes()),
-					Weight:  k.Script.WeightCount(),
-				})
-			})
-			a.Start()
-		}, nil
-
-	case "beacon":
-		tag := req.Tag
-		epochs := req.Epochs
-		if epochs <= 0 {
-			epochs = 1
-		}
-		return func(inst *instance) {
-			var values []string
-			var attempts []int
-			b := beacon.New(rt, tag, keys, beacon.Config{Coin: cfg, Epochs: epochs}, func(e beacon.Epoch) {
-				values = append(values, hex.EncodeToString(e.Value[:]))
-				attempts = append(attempts, e.Attempts)
-				if len(values) == epochs {
-					d.complete(inst, &Decision{
-						Kind: "beacon", Tag: tag,
-						EpochValues: values, Attempts: attempts,
-					})
-				}
-			})
-			b.Start()
-		}, nil
-
-	case "ledger":
-		return d.prepareLedger(req, cfg, rt), nil
-
-	default:
-		return nil, fmt.Errorf("noded: unknown instance kind %q", req.Kind)
+	if req.Kind == "ledger" {
+		return d.prepareLedger(req, coin.Config{GenesisNonce: genesis}, rt), nil
 	}
+	start, err := kinds.Lookup(req.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("noded: %w", err)
+	}
+	in, err := req.KindInput()
+	if err != nil {
+		return nil, err
+	}
+	tag := req.Tag
+	return func(inst *instance) {
+		start(rt, tag, d.ring, genesis, in, func(dec *Decision) { d.complete(inst, dec) })
+	}, nil
+}
+
+// KindInput maps a launch request to the kinds-table input: Input is the
+// vba proposal and, in the low bit of its first byte, the aba input bit;
+// Predicate names the vba validity predicate. nodenet's simulator reference
+// feeds its clusters through the same mapping.
+func (req *Request) KindInput() (kinds.Input, error) {
+	valid, err := PredicateByName(req.Predicate)
+	if err != nil {
+		return kinds.Input{}, err
+	}
+	in := kinds.Input{Proposal: append([]byte(nil), req.Input...), Valid: valid, Epochs: req.Epochs}
+	if len(req.Input) > 0 {
+		in.Bit = req.Input[0] & 1
+	}
+	return in, nil
 }
 
 // launch validates, registers and schedules construction. With a journal,
@@ -249,16 +185,22 @@ func (l *ledgerLog) absorb(slot int, entries []abc.Entry) {
 			binary.BigEndian.PutUint64(num[:], uint64(len(tx)))
 			l.h.Write(num[:])
 			l.h.Write(tx)
-			sum := sha256.Sum256(tx)
-			carry := 0
-			for i := sha256.Size - 1; i >= 0; i-- {
-				v := int(l.set[i]) + int(sum[i]) + carry
-				l.set[i] = byte(v)
-				carry = v >> 8
-			}
+			addTx(&l.set, tx)
 			l.txs++
 			l.bytes += int64(len(tx))
 		}
+	}
+}
+
+// addTx adds sha256(tx) into the 256-bit big-endian accumulator, mod 2²⁵⁶ —
+// the one definition of the set digest's group operation.
+func addTx(set *[sha256.Size]byte, tx []byte) {
+	sum := sha256.Sum256(tx)
+	carry := 0
+	for i := sha256.Size - 1; i >= 0; i-- {
+		v := int(set[i]) + int(sum[i]) + carry
+		set[i] = byte(v)
+		carry = v >> 8
 	}
 }
 
@@ -282,13 +224,7 @@ func ExpectedTxSet(n, txCount, txBytes int) string {
 	var set [sha256.Size]byte
 	for self := 0; self < n; self++ {
 		for k := 0; k < txCount; k++ {
-			sum := sha256.Sum256(LedgerTx(self, k, txBytes))
-			carry := 0
-			for i := sha256.Size - 1; i >= 0; i-- {
-				v := int(set[i]) + int(sum[i]) + carry
-				set[i] = byte(v)
-				carry = v >> 8
-			}
+			addTx(&set, LedgerTx(self, k, txBytes))
 		}
 	}
 	return hex.EncodeToString(set[:])

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/kinds"
 )
 
 // Ops accepted by the daemon control listener.
@@ -68,33 +70,8 @@ type Response struct {
 }
 
 // Decision is one party's view of a finished instance — the unit the
-// launcher compares across processes (and against the simulator). Fields
-// beyond Kind/Tag are kind-specific.
-type Decision struct {
-	Kind string `json:"kind"`
-	Tag  string `json:"tag"`
-
-	Bit       int    `json:"bit,omitempty"`       // coin / aba decided bit
-	Round     int    `json:"round,omitempty"`     // aba decision round
-	Leader    int    `json:"leader,omitempty"`    // election winner
-	ByDefault bool   `json:"byDefault,omitempty"` // election fell to default leader
-	Value     string `json:"value,omitempty"`     // vba decided value; ledger log digest (hex)
-	View      int    `json:"view,omitempty"`      // vba decision view
-
-	GroupPK string `json:"groupPk,omitempty"` // adkg aggregate public key (hex)
-	Weight  int    `json:"weight,omitempty"`  // adkg transcript weight
-
-	EpochValues []string `json:"epochValues,omitempty"` // beacon values (hex, in order)
-	Attempts    []int    `json:"attempts,omitempty"`    // beacon elections per epoch
-
-	FinalSlot int   `json:"finalSlot,omitempty"` // ledger final committed slot
-	Txs       int   `json:"txs,omitempty"`       // ledger delivered tx count
-	Bytes     int64 `json:"bytes,omitempty"`     // ledger delivered tx bytes
-	// TxSet is the order-insensitive digest of the delivered tx multiset —
-	// invariant across scheduling differences (including crash/recovery),
-	// unlike Value's order-chained digest.
-	TxSet string `json:"txSet,omitempty"`
-}
+// launcher compares across processes (and against the simulator).
+type Decision = kinds.Decision
 
 // Stats is one party's runtime counters.
 type Stats struct {

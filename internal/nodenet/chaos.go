@@ -25,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/kinds"
 	"repro/internal/noded"
 )
 
@@ -117,7 +118,7 @@ func runChaosLedger(cl *Cluster, tag string, txCount, txBytes int, mid func() er
 	if err != nil {
 		return nil, fmt.Errorf("%s: await: %w", tag, err)
 	}
-	if !decisionsAgree(decs) {
+	if !kinds.Agree(decs) {
 		return nil, fmt.Errorf("%s: processes disagree: %+v", tag, decs)
 	}
 	return decs, nil

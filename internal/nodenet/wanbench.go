@@ -98,14 +98,6 @@ var benchWorkloads = []struct {
 	{"ledger", false},
 }
 
-// gatedDecision strips per-party observation fields (views, rounds,
-// attempts) so the committed decision is the agreement output alone.
-func gatedDecision(d *noded.Decision) *noded.Decision {
-	c := *d
-	c.Round, c.View, c.Attempts = 0, 0, nil
-	return &c
-}
-
 // RunWANBench regenerates the WAN matrix artifact at outPath. With check
 // set, it first loads the committed artifact and fails on any drift in the
 // gated fields (config, agreement, gated decisions) — informational fields
@@ -204,7 +196,7 @@ func runBenchProfile(cl *Cluster, profile string) ([]WANBenchRow, error) {
 			row.WANLosses += after[i].WANLosses - before[i].WANLosses
 		}
 		if bw.gated {
-			row.Decision = gatedDecision(res.Decisions[0])
+			row.Decision = res.Decisions[0].Canonical()
 		}
 		rows = append(rows, row)
 	}
@@ -234,7 +226,7 @@ func diffWANBench(prev, next *WANBenchDoc) error {
 			return fmt.Errorf("nodenet: %s: agreement drifted", id)
 		}
 		if b.Gated {
-			if a.Decision == nil || b.Decision == nil || !sameDecision(a.Decision, b.Decision) ||
+			if a.Decision == nil || b.Decision == nil || !a.Decision.Same(b.Decision) ||
 				a.Decision.Tag != b.Decision.Tag {
 				return fmt.Errorf("nodenet: %s: gated decision drifted:\ncommitted   %+v\nregenerated %+v",
 					id, a.Decision, b.Decision)

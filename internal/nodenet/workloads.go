@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/kinds"
 	"repro/internal/noded"
 )
 
@@ -102,16 +103,7 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 	tag := "wl/" + w.Name
 	start := time.Now()
 	launch := func(i int) *noded.Request {
-		req := &noded.Request{
-			Op: noded.OpLaunch, Kind: w.Kind, Tag: tag,
-			Genesis:   []byte(w.Genesis),
-			Predicate: w.Predicate,
-			Epochs:    w.Epochs,
-			TxCount:   w.TxCount, TxBytes: w.TxBytes,
-		}
-		if w.Input != nil {
-			req.Input = w.Input(i)
-		}
+		req := w.request(tag, i)
 		if w.Byz != "" && i == cl.N-1 {
 			req.Byz = w.Byz
 		}
@@ -138,7 +130,7 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 	}
 	res := &WorkloadResult{
 		Name: w.Name, Tag: tag, Decisions: decs,
-		Agreed:    decisionsAgree(decs),
+		Agreed:    kinds.Agree(decs),
 		ElapsedMS: time.Since(start).Milliseconds(),
 	}
 	if w.Agreement && !res.Agreed {
@@ -163,7 +155,7 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("workload %s: sim run: %w", w.Name, err)
 		}
-		match := sameDecision(decs[0], simDec)
+		match := decs[0].Same(simDec)
 		res.SimMatch = &match
 		if !match {
 			return res, fmt.Errorf("workload %s: process decision %+v != sim decision %+v",
@@ -173,41 +165,27 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 	return res, nil
 }
 
-// decisionsAgree reports whether every party's decision is identical in
-// its kind-relevant fields.
-func decisionsAgree(decs []*noded.Decision) bool {
-	for _, d := range decs[1:] {
-		if !sameDecision(decs[0], d) {
-			return false
-		}
+// request is party i's launch request for the workload under tag, before
+// any fault is assigned to the party.
+func (w Workload) request(tag string, i int) *noded.Request {
+	req := &noded.Request{
+		Op: noded.OpLaunch, Kind: w.Kind, Tag: tag,
+		Genesis:   []byte(w.Genesis),
+		Predicate: w.Predicate,
+		Epochs:    w.Epochs,
+		TxCount:   w.TxCount, TxBytes: w.TxBytes,
 	}
-	return true
+	if w.Input != nil {
+		req.Input = w.Input(i)
+	}
+	return req
 }
 
-// sameDecision compares the outcome fields that must agree across parties
-// (views/rounds/attempts are per-party observations and may differ).
-func sameDecision(a, b *noded.Decision) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Kind != b.Kind || a.Bit != b.Bit || a.Leader != b.Leader ||
-		a.ByDefault != b.ByDefault || a.Value != b.Value ||
-		a.GroupPK != b.GroupPK || a.Weight != b.Weight ||
-		a.FinalSlot != b.FinalSlot || a.Txs != b.Txs || a.Bytes != b.Bytes ||
-		a.TxSet != b.TxSet || len(a.EpochValues) != len(b.EpochValues) {
-		return false
-	}
-	for i := range a.EpochValues {
-		if a.EpochValues[i] != b.EpochValues[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SimDecision runs the same protocol on the in-process simulator with the
-// same seed and returns the reference decision. Only meaningful for
-// workloads whose outcome is pinned by the seed (w.Sim).
+// SimDecision runs the same kind on the in-process simulator with the same
+// seed and the inputs of the same launch requests, and returns the
+// reference decision. Every kind of the kinds table can be run this way;
+// the comparison is only meaningful for workloads whose outcome is pinned
+// by the seed (w.Sim).
 func (w Workload) SimDecision(n, f int, seed int64) (*noded.Decision, error) {
 	c, err := harness.NewCluster(n, f, seed, harness.Options{})
 	if err != nil {
@@ -216,55 +194,22 @@ func (w Workload) SimDecision(n, f int, seed int64) (*noded.Decision, error) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	genesis := []byte(w.Genesis)
-	switch w.Kind {
-	case "election":
-		ei := exp.LaunchPaperElection(c, "wl/"+w.Name, genesis)
-		if err := ei.Wait(ctx); err != nil {
+	tag := "wl/" + w.Name
+	ins := make([]kinds.Input, n)
+	for i := range ins {
+		if ins[i], err = w.request(tag, i).KindInput(); err != nil {
 			return nil, err
 		}
-		out := ei.Outcome()
-		if !out.Agreed {
-			return nil, fmt.Errorf("sim election disagreed")
-		}
-		return &noded.Decision{Kind: "election", Leader: out.Leader, ByDefault: out.ByDefault}, nil
-	case "vba":
-		proposals := make([][]byte, n)
-		for i := range proposals {
-			proposals[i] = w.Input(i)
-		}
-		pred, err := predicateFor(w.Predicate)
-		if err != nil {
-			return nil, err
-		}
-		vi := exp.LaunchPaperVBA(c, "wl/"+w.Name, proposals, pred, genesis)
-		if err := vi.Wait(ctx); err != nil {
-			return nil, err
-		}
-		out := vi.Outcome()
-		if !out.Agreed {
-			return nil, fmt.Errorf("sim vba disagreed")
-		}
-		return &noded.Decision{Kind: "vba", Value: string(out.Value)}, nil
-	case "aba":
-		inputs := make([]byte, n)
-		for i := range inputs {
-			inputs[i] = w.Input(i)[0] & 1
-		}
-		ai := exp.LaunchPaperABA(c, "wl/"+w.Name, inputs, genesis)
-		if err := ai.Wait(ctx); err != nil {
-			return nil, err
-		}
-		out := ai.Outcome()
-		if !out.Agreed {
-			return nil, fmt.Errorf("sim aba disagreed")
-		}
-		return &noded.Decision{Kind: "aba", Bit: int(out.Bit)}, nil
 	}
-	return nil, fmt.Errorf("nodenet: workload kind %q is not sim-comparable", w.Kind)
-}
-
-// predicateFor mirrors noded's named-predicate resolution for the sim run.
-func predicateFor(name string) (func([]byte) bool, error) {
-	return noded.PredicateByName(name)
+	inst, err := exp.Launch(c, w.Kind, tag, []byte(w.Genesis), func(i int) kinds.Input { return ins[i] })
+	if err != nil {
+		return nil, err
+	}
+	if err := inst.Wait(ctx); err != nil {
+		return nil, err
+	}
+	if !inst.Agreed() {
+		return nil, fmt.Errorf("sim %s disagreed", w.Kind)
+	}
+	return inst.Decisions()[0], nil
 }

@@ -238,27 +238,12 @@ func (c *Cluster) Close() {
 // per-instance results carry their own scoped Stats, and the scoped values
 // sum back to this total.
 func (c *Cluster) Stats() Stats {
-	t := c.hc.TotalTally()
-	tcp := c.hc.TCPStats()
-	rec := c.hc.RecoveryStats()
-	return Stats{
-		Messages: t.Msgs, Bytes: t.Bytes, Rounds: 0,
-		Verifies: c.hc.Verifies(), ScriptVerifies: c.hc.ScriptVerifies(),
-		Rejected: c.hc.Rejected(), Equivocations: c.hc.Equivocations(),
-		Transport: TransportStats{
-			Frames: tcp.Frames, Syscalls: tcp.Syscalls, Dropped: tcp.Dropped,
-			Resends: tcp.Resends, Redials: tcp.Redials, BackoffResets: tcp.BackoffResets,
-			AuthRejects: tcp.AuthRejects, Dups: tcp.Dups,
-			WANDelays: tcp.WANDelays, WANLosses: tcp.WANLosses,
-		},
-		Recovery: RecoveryStats{
-			Restarts: rec.Restarts, ReplayedRecords: rec.ReplayedRecords,
-			ReplayedFrames: rec.ReplayedFrames, ReplayedOps: rec.ReplayedOps,
-			SelfMismatches: rec.SelfMismatches, TruncatedBytes: rec.TruncatedBytes,
-			WALAppends: rec.WALAppends, WALSyncs: rec.WALSyncs,
-			Compactions: rec.Compactions, SnapshotBytes: rec.SnapshotBytes,
-		},
-	}
+	s := stats(exp.ClusterStats(c.hc))
+	// The public mirrors are field for field the livenet structs; these
+	// conversions stop compiling the moment either side drifts.
+	s.Transport = TransportStats(c.hc.TCPStats())
+	s.Recovery = RecoveryStats(c.hc.RecoveryStats())
+	return s
 }
 
 // InstanceStats reports the cumulative traffic scoped to one instance tag
@@ -369,12 +354,34 @@ type TransportStats struct {
 	WANLosses int64 // loss→retransmit latency events injected
 }
 
+// stats is the one conversion from the experiment layer's counters, which
+// exp.ClusterStats fills once for instance-scoped and cluster-wide values
+// alike, to the public Stats.
 func stats(s exp.Stats) Stats {
 	return Stats{
 		Messages: s.Msgs, Bytes: s.Bytes, Rounds: s.Rounds,
 		Verifies: s.Verifies, ScriptVerifies: s.ScriptVerifies,
 		RSOps: s.RSOps, Rejected: s.Rejected, Equivocations: s.Equivocations,
 	}
+}
+
+// Handle awaits one protocol instance launched on a Cluster; R is the
+// protocol's result type. The per-protocol names (CoinHandle, VBAHandle, …)
+// are aliases of its instantiations.
+type Handle[R any] struct {
+	wait   func(context.Context) error
+	result func() (R, error)
+}
+
+// Wait blocks until every honest party finished the instance, then reports
+// the outcome. An outcome that violates the protocol's agreement property
+// (a bug, not an operational condition) is an error.
+func (h *Handle[R]) Wait(ctx context.Context) (R, error) {
+	if err := h.wait(ctx); err != nil {
+		var zero R
+		return zero, err
+	}
+	return h.result()
 }
 
 // CoinResult is the outcome of FlipCoin.
@@ -385,7 +392,7 @@ type CoinResult struct {
 }
 
 // CoinHandle awaits one common-coin instance.
-type CoinHandle struct{ inst *exp.CoinInstance }
+type CoinHandle = Handle[CoinResult]
 
 // FlipCoin launches one reasonably fair common coin (Alg. 4, Theorem 3)
 // under the given instance tag.
@@ -393,16 +400,11 @@ func (c *Cluster) FlipCoin(tag string) (*CoinHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &CoinHandle{inst: exp.LaunchPaperCoin(c.hc, tag, c.genesis)}, nil
-}
-
-// Wait blocks until every honest party flipped, then reports the outcome.
-func (h *CoinHandle) Wait(ctx context.Context) (CoinResult, error) {
-	if err := h.inst.Wait(ctx); err != nil {
-		return CoinResult{}, err
-	}
-	out := h.inst.Outcome()
-	return CoinResult{Bit: out.Bit, Agreed: out.Agreed, Stats: stats(out.Stats)}, nil
+	inst := exp.LaunchPaperCoin(c.hc, tag, c.genesis)
+	return &CoinHandle{wait: inst.Wait, result: func() (CoinResult, error) {
+		out := inst.Outcome()
+		return CoinResult{Bit: out.Bit, Agreed: out.Agreed, Stats: stats(out.Stats)}, nil
+	}}, nil
 }
 
 // ABAResult is the outcome of DecideBit.
@@ -413,7 +415,7 @@ type ABAResult struct {
 }
 
 // ABAHandle awaits one binary-agreement instance.
-type ABAHandle struct{ inst *exp.ABAInstance }
+type ABAHandle = Handle[ABAResult]
 
 // DecideBit launches one asynchronous binary agreement driven by the
 // paper's coin (Theorem 4). inputs[i] is party i's bit; len(inputs) must
@@ -425,19 +427,14 @@ func (c *Cluster) DecideBit(tag string, inputs []byte) (*ABAHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &ABAHandle{inst: exp.LaunchPaperABA(c.hc, tag, inputs, c.genesis)}, nil
-}
-
-// Wait blocks until every honest party decided, then reports the outcome.
-func (h *ABAHandle) Wait(ctx context.Context) (ABAResult, error) {
-	if err := h.inst.Wait(ctx); err != nil {
-		return ABAResult{}, err
-	}
-	out := h.inst.Outcome()
-	if !out.Agreed {
-		return ABAResult{}, errors.New("repro: ABA agreement violated (bug)")
-	}
-	return ABAResult{Bit: out.Bit, Rounds: out.MeanRound, Stats: stats(out.Stats)}, nil
+	inst := exp.LaunchPaperABA(c.hc, tag, inputs, c.genesis)
+	return &ABAHandle{wait: inst.Wait, result: func() (ABAResult, error) {
+		out := inst.Outcome()
+		if !out.Agreed {
+			return ABAResult{}, errors.New("repro: ABA agreement violated (bug)")
+		}
+		return ABAResult{Bit: out.Bit, Rounds: out.MeanRound, Stats: stats(out.Stats)}, nil
+	}}, nil
 }
 
 // ElectionResult is the outcome of ElectLeader.
@@ -448,7 +445,7 @@ type ElectionResult struct {
 }
 
 // ElectionHandle awaits one leader-election instance.
-type ElectionHandle struct{ inst *exp.ElectionInstance }
+type ElectionHandle = Handle[ElectionResult]
 
 // ElectLeader launches one leader election with perfect agreement (Alg. 5,
 // Theorem 5).
@@ -456,19 +453,14 @@ func (c *Cluster) ElectLeader(tag string) (*ElectionHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &ElectionHandle{inst: exp.LaunchPaperElection(c.hc, tag, c.genesis)}, nil
-}
-
-// Wait blocks until every honest party elected, then reports the outcome.
-func (h *ElectionHandle) Wait(ctx context.Context) (ElectionResult, error) {
-	if err := h.inst.Wait(ctx); err != nil {
-		return ElectionResult{}, err
-	}
-	out := h.inst.Outcome()
-	if !out.Agreed {
-		return ElectionResult{}, errors.New("repro: election agreement violated (bug)")
-	}
-	return ElectionResult{Leader: out.Leader, ByDefault: out.ByDefault, Stats: stats(out.Stats)}, nil
+	inst := exp.LaunchPaperElection(c.hc, tag, c.genesis)
+	return &ElectionHandle{wait: inst.Wait, result: func() (ElectionResult, error) {
+		out := inst.Outcome()
+		if !out.Agreed {
+			return ElectionResult{}, errors.New("repro: election agreement violated (bug)")
+		}
+		return ElectionResult{Leader: out.Leader, ByDefault: out.ByDefault, Stats: stats(out.Stats)}, nil
+	}}, nil
 }
 
 // VBAResult is the outcome of Agree.
@@ -478,7 +470,7 @@ type VBAResult struct {
 }
 
 // VBAHandle awaits one validated-agreement instance.
-type VBAHandle struct{ inst *exp.VBAInstance }
+type VBAHandle = Handle[VBAResult]
 
 // Agree launches one validated Byzantine agreement (Theorem 6):
 // proposals[i] is party i's input and valid is the external-validity
@@ -502,19 +494,14 @@ func (c *Cluster) Agree(tag string, proposals [][]byte, valid func([]byte) bool)
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &VBAHandle{inst: exp.LaunchPaperVBA(c.hc, tag, proposals, valid, c.genesis)}, nil
-}
-
-// Wait blocks until every honest party decided, then reports the outcome.
-func (h *VBAHandle) Wait(ctx context.Context) (VBAResult, error) {
-	if err := h.inst.Wait(ctx); err != nil {
-		return VBAResult{}, err
-	}
-	out := h.inst.Outcome()
-	if !out.Agreed {
-		return VBAResult{}, errors.New("repro: VBA agreement violated (bug)")
-	}
-	return VBAResult{Value: out.Value, Stats: stats(out.Stats)}, nil
+	inst := exp.LaunchPaperVBA(c.hc, tag, proposals, valid, c.genesis)
+	return &VBAHandle{wait: inst.Wait, result: func() (VBAResult, error) {
+		out := inst.Outcome()
+		if !out.Agreed {
+			return VBAResult{}, errors.New("repro: VBA agreement violated (bug)")
+		}
+		return VBAResult{Value: out.Value, Stats: stats(out.Stats)}, nil
+	}}, nil
 }
 
 // DKGResult is the outcome of GenerateKey.
@@ -524,7 +511,7 @@ type DKGResult struct {
 }
 
 // DKGHandle awaits one distributed-key-generation instance.
-type DKGHandle struct{ inst *exp.ADKGInstance }
+type DKGHandle = Handle[DKGResult]
 
 // GenerateKey launches the asynchronous distributed key generation of
 // §7.3: all honest parties end with consistent threshold key material
@@ -533,19 +520,14 @@ func (c *Cluster) GenerateKey(tag string) (*DKGHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &DKGHandle{inst: exp.LaunchPaperADKG(c.hc, tag, c.genesis)}, nil
-}
-
-// Wait blocks until every honest party holds key material.
-func (h *DKGHandle) Wait(ctx context.Context) (DKGResult, error) {
-	if err := h.inst.Wait(ctx); err != nil {
-		return DKGResult{}, err
-	}
-	out := h.inst.Outcome()
-	if !out.KeysAgree {
-		return DKGResult{}, errors.New("repro: DKG produced inconsistent keys (bug)")
-	}
-	return DKGResult{Contributors: out.Contributors, Stats: stats(out.Stats)}, nil
+	inst := exp.LaunchPaperADKG(c.hc, tag, c.genesis)
+	return &DKGHandle{wait: inst.Wait, result: func() (DKGResult, error) {
+		out := inst.Outcome()
+		if !out.KeysAgree {
+			return DKGResult{}, errors.New("repro: DKG produced inconsistent keys (bug)")
+		}
+		return DKGResult{Contributors: out.Contributors, Stats: stats(out.Stats)}, nil
+	}}, nil
 }
 
 // BeaconResult is the outcome of RunBeacon.
@@ -556,7 +538,7 @@ type BeaconResult struct {
 }
 
 // BeaconHandle awaits one multi-epoch beacon instance.
-type BeaconHandle struct{ inst *exp.BeaconInstance }
+type BeaconHandle = Handle[BeaconResult]
 
 // NewBeacon launches the DKG-free asynchronous random beacon of §7.3 for
 // the given number of epochs.
@@ -567,23 +549,18 @@ func (c *Cluster) NewBeacon(tag string, epochs int) (*BeaconHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &BeaconHandle{inst: exp.LaunchPaperBeacon(c.hc, tag, epochs, c.genesis)}, nil
-}
-
-// Wait blocks until every honest party emitted every epoch.
-func (h *BeaconHandle) Wait(ctx context.Context) (BeaconResult, error) {
-	if err := h.inst.Wait(ctx); err != nil {
-		return BeaconResult{}, err
-	}
-	out := h.inst.Outcome()
-	if !out.Agreed {
-		return BeaconResult{}, errors.New("repro: beacon values diverged (bug)")
-	}
-	res := BeaconResult{MeanAttempts: out.MeanAttempt, Stats: stats(out.Stats)}
-	for _, v := range out.Values {
-		res.Values = append(res.Values, [16]byte(v))
-	}
-	return res, nil
+	inst := exp.LaunchPaperBeacon(c.hc, tag, epochs, c.genesis)
+	return &BeaconHandle{wait: inst.Wait, result: func() (BeaconResult, error) {
+		out := inst.Outcome()
+		if !out.Agreed {
+			return BeaconResult{}, errors.New("repro: beacon values diverged (bug)")
+		}
+		res := BeaconResult{MeanAttempts: out.MeanAttempt, Stats: stats(out.Stats)}
+		for _, v := range out.Values {
+			res.Values = append(res.Values, [16]byte(v))
+		}
+		return res, nil
+	}}, nil
 }
 
 // --- one-shot wrappers ---
@@ -619,94 +596,56 @@ func (c Config) cluster() (*Cluster, error) {
 	return NewCluster(c.N, opts...)
 }
 
+// oneShot builds cfg's single-use cluster, launches one instance on it and
+// waits for the result.
+func oneShot[R any](cfg Config, launch func(*Cluster) (*Handle[R], error)) (R, error) {
+	var zero R
+	c, err := cfg.cluster()
+	if err != nil {
+		return zero, err
+	}
+	defer c.Close()
+	h, err := launch(c)
+	if err != nil {
+		return zero, err
+	}
+	return h.Wait(context.Background())
+}
+
 // FlipCoin runs one reasonably fair common coin (Alg. 4, Theorem 3) on a
 // fresh single-use cluster.
 func FlipCoin(cfg Config) (CoinResult, error) {
-	c, err := cfg.cluster()
-	if err != nil {
-		return CoinResult{}, err
-	}
-	defer c.Close()
-	h, err := c.FlipCoin("coin")
-	if err != nil {
-		return CoinResult{}, err
-	}
-	return h.Wait(context.Background())
+	return oneShot(cfg, func(c *Cluster) (*CoinHandle, error) { return c.FlipCoin("coin") })
 }
 
 // DecideBit runs one asynchronous binary agreement driven by the paper's
 // coin (Theorem 4). inputs[i] is party i's bit; len(inputs) must be N.
 func DecideBit(cfg Config, inputs []byte) (ABAResult, error) {
-	c, err := cfg.cluster()
-	if err != nil {
-		return ABAResult{}, err
-	}
-	defer c.Close()
-	h, err := c.DecideBit("aba", inputs)
-	if err != nil {
-		return ABAResult{}, err
-	}
-	return h.Wait(context.Background())
+	return oneShot(cfg, func(c *Cluster) (*ABAHandle, error) { return c.DecideBit("aba", inputs) })
 }
 
 // ElectLeader runs one leader election with perfect agreement (Alg. 5,
 // Theorem 5).
 func ElectLeader(cfg Config) (ElectionResult, error) {
-	c, err := cfg.cluster()
-	if err != nil {
-		return ElectionResult{}, err
-	}
-	defer c.Close()
-	h, err := c.ElectLeader("el")
-	if err != nil {
-		return ElectionResult{}, err
-	}
-	return h.Wait(context.Background())
+	return oneShot(cfg, func(c *Cluster) (*ElectionHandle, error) { return c.ElectLeader("el") })
 }
 
 // Agree runs one validated Byzantine agreement (Theorem 6): proposals[i]
 // is party i's input and valid is the external-validity predicate Q; the
 // decided value satisfies Q and was proposed by some party.
 func Agree(cfg Config, proposals [][]byte, valid func([]byte) bool) (VBAResult, error) {
-	c, err := cfg.cluster()
-	if err != nil {
-		return VBAResult{}, err
-	}
-	defer c.Close()
-	h, err := c.Agree("vba", proposals, valid)
-	if err != nil {
-		return VBAResult{}, err
-	}
-	return h.Wait(context.Background())
+	return oneShot(cfg, func(c *Cluster) (*VBAHandle, error) { return c.Agree("vba", proposals, valid) })
 }
 
 // GenerateKey runs the asynchronous distributed key generation of §7.3:
 // all honest parties end with consistent threshold key material without
 // any trusted dealer.
 func GenerateKey(cfg Config) (DKGResult, error) {
-	c, err := cfg.cluster()
-	if err != nil {
-		return DKGResult{}, err
-	}
-	defer c.Close()
-	h, err := c.GenerateKey("dkg")
-	if err != nil {
-		return DKGResult{}, err
-	}
-	return h.Wait(context.Background())
+	return oneShot(cfg, func(c *Cluster) (*DKGHandle, error) { return c.GenerateKey("dkg") })
 }
 
 // RunBeacon runs the DKG-free asynchronous random beacon of §7.3 for the
 // given number of epochs.
 func RunBeacon(cfg Config, epochs int) (BeaconResult, error) {
-	c, err := cfg.cluster()
-	if err != nil {
-		return BeaconResult{}, err
-	}
-	defer c.Close()
-	h, err := c.NewBeacon("bcn", epochs)
-	if err != nil {
-		return BeaconResult{}, err
-	}
-	return h.Wait(context.Background())
+	return oneShot(cfg, func(c *Cluster) (*BeaconHandle, error) { return c.NewBeacon("bcn", epochs) })
 }
