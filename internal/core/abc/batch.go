@@ -1,9 +1,11 @@
 package abc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/wire"
@@ -14,6 +16,14 @@ import (
 type Entry struct {
 	Origin int
 	Txs    [][]byte
+}
+
+// SameEntries reports whether two committed slots carry the same origins
+// with the same transaction bytes, in the same order.
+func SameEntries(a, b []Entry) bool {
+	return slices.EqualFunc(a, b, func(x, y Entry) bool {
+		return x.Origin == y.Origin && slices.EqualFunc(x.Txs, y.Txs, bytes.Equal)
+	})
 }
 
 // Default engine tunables (see EngineConfig).

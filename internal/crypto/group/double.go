@@ -1,267 +1,21 @@
 package group
 
-// Double-scalar multiplication and fixed-base wNAF: the DLEQ verification
-// shape k1·P + k2·Q evaluated as ONE interleaved Strauss/Shamir ladder
-// instead of two independent ladders, and BaseMul driven from a table of
-// precomputed odd multiples of G.
-//
-// Dispatch policy (measured, see BenchmarkDoubleMul* in double_test.go): on
-// architectures where crypto/elliptic's P-256 backend is dedicated assembly
-// (amd64, arm64, ppc64le, s390x) a single nistec ScalarMult runs ~20×
-// faster than any point arithmetic this package can express over math/big,
-// so there the interleaved ladder cannot win and DoubleMul composes the
-// accelerated primitives. On every other architecture the generic nistec
-// fallback loses its edge and the Strauss ladder halves the double chain —
-// there the portable path below is the default. Both paths are
-// equivalence-tested against each other on every platform.
+// Double-scalar multiplication: the DLEQ verification shape k1·P + k2·Q,
+// composed from the standard library's scalar multiplications. Where
+// crypto/elliptic's P-256 backend is assembly (amd64, arm64, ppc64le,
+// s390x) one ScalarMult runs ~20× faster than any math/big ladder this
+// package could express, so an interleaved Strauss/Shamir ladder cannot win
+// there, and no measured platform runs anything else.
 
-import (
-	"math/big"
-	"runtime"
-	"sync"
-
-	"repro/internal/crypto/field"
-)
-
-// hasAccelScalarMult mirrors the architecture list for which the Go
-// standard library ships dedicated P-256 scalar-multiplication assembly
-// (crypto/internal/nistec p256_asm).
-var hasAccelScalarMult = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64" ||
-	runtime.GOARCH == "ppc64le" || runtime.GOARCH == "s390x"
+import "repro/internal/crypto/field"
 
 // DoubleMul returns k1·p1 + k2·p2.
 func DoubleMul(k1 field.Scalar, p1 Point, k2 field.Scalar, p2 Point) Point {
-	if hasAccelScalarMult {
-		return p1.Mul(k1).Add(p2.Mul(k2))
-	}
-	return straussDoubleMul(k1, p1, k2, p2)
+	return p1.Mul(k1).Add(p2.Mul(k2))
 }
 
 // BaseDoubleMul returns k1·G + k2·p — the s·G − c·PK leg shape of a DLEQ
 // verification (pass a negated scalar or point for subtraction).
 func BaseDoubleMul(k1 field.Scalar, k2 field.Scalar, p Point) Point {
-	if hasAccelScalarMult {
-		return BaseMul(k1).Add(p.Mul(k2))
-	}
-	return straussDoubleMul(k1, Generator(), k2, p)
-}
-
-// --- internal Jacobian arithmetic (portable path) ---
-
-// jacPoint is a point in Jacobian projective coordinates (X/Z², Y/Z³);
-// Z = 0 encodes the identity.
-type jacPoint struct{ x, y, z *big.Int }
-
-func jacIdentity() jacPoint {
-	return jacPoint{x: big.NewInt(0), y: big.NewInt(1), z: big.NewInt(0)}
-}
-
-// jacDouble returns 2p (dbl-2001-b, a = −3).
-func jacDouble(p jacPoint) jacPoint {
-	if p.z.Sign() == 0 {
-		return p
-	}
-	delta := new(big.Int).Mul(p.z, p.z)
-	delta.Mod(delta, curveP)
-	gamma := new(big.Int).Mul(p.y, p.y)
-	gamma.Mod(gamma, curveP)
-	beta := new(big.Int).Mul(p.x, gamma)
-	beta.Mod(beta, curveP)
-	t1 := new(big.Int).Sub(p.x, delta)
-	t2 := new(big.Int).Add(p.x, delta)
-	alpha := new(big.Int).Mul(t1, t2)
-	alpha.Mul(alpha, three)
-	alpha.Mod(alpha, curveP)
-	x3 := new(big.Int).Mul(alpha, alpha)
-	x3.Sub(x3, new(big.Int).Lsh(beta, 3))
-	x3.Mod(x3, curveP)
-	z3 := new(big.Int).Add(p.y, p.z)
-	z3.Mul(z3, z3)
-	z3.Sub(z3, gamma)
-	z3.Sub(z3, delta)
-	z3.Mod(z3, curveP)
-	y3 := new(big.Int).Lsh(beta, 2)
-	y3.Sub(y3, x3)
-	y3.Mul(y3, alpha)
-	g2 := new(big.Int).Mul(gamma, gamma)
-	y3.Sub(y3, g2.Lsh(g2, 3))
-	y3.Mod(y3, curveP)
-	return jacPoint{x: x3, y: y3, z: z3}
-}
-
-var three = big.NewInt(3)
-
-// jacAddAffine returns p + (qx, qy) with the second operand affine
-// (madd-2007-bl shape with Z2 = 1).
-func jacAddAffine(p jacPoint, qx, qy *big.Int) jacPoint {
-	if p.z.Sign() == 0 {
-		return jacPoint{x: new(big.Int).Set(qx), y: new(big.Int).Set(qy), z: big.NewInt(1)}
-	}
-	z1z1 := new(big.Int).Mul(p.z, p.z)
-	z1z1.Mod(z1z1, curveP)
-	u2 := new(big.Int).Mul(qx, z1z1)
-	u2.Mod(u2, curveP)
-	s2 := new(big.Int).Mul(qy, p.z)
-	s2.Mul(s2, z1z1)
-	s2.Mod(s2, curveP)
-	h := new(big.Int).Sub(u2, p.x)
-	h.Mod(h, curveP)
-	r := new(big.Int).Sub(s2, p.y)
-	r.Mod(r, curveP)
-	if h.Sign() == 0 {
-		if r.Sign() == 0 {
-			return jacDouble(p)
-		}
-		return jacIdentity() // p + (−p)
-	}
-	hh := new(big.Int).Mul(h, h)
-	hh.Mod(hh, curveP)
-	hhh := new(big.Int).Mul(hh, h)
-	hhh.Mod(hhh, curveP)
-	v := new(big.Int).Mul(p.x, hh)
-	v.Mod(v, curveP)
-	x3 := new(big.Int).Mul(r, r)
-	x3.Sub(x3, hhh)
-	x3.Sub(x3, new(big.Int).Lsh(v, 1))
-	x3.Mod(x3, curveP)
-	y3 := new(big.Int).Sub(v, x3)
-	y3.Mul(y3, r)
-	y3.Sub(y3, new(big.Int).Mul(p.y, hhh))
-	y3.Mod(y3, curveP)
-	z3 := new(big.Int).Mul(p.z, h)
-	z3.Mod(z3, curveP)
-	return jacPoint{x: x3, y: y3, z: z3}
-}
-
-// jacToAffine normalizes back to the package's affine representation.
-func jacToAffine(p jacPoint) Point {
-	if p.z.Sign() == 0 {
-		return Point{}
-	}
-	zinv := new(big.Int).ModInverse(p.z, curveP)
-	zinv2 := new(big.Int).Mul(zinv, zinv)
-	zinv2.Mod(zinv2, curveP)
-	x := new(big.Int).Mul(p.x, zinv2)
-	x.Mod(x, curveP)
-	y := new(big.Int).Mul(p.y, zinv2)
-	y.Mul(y, zinv)
-	y.Mod(y, curveP)
-	return Point{x: x, y: y}
-}
-
-// --- wNAF recoding and tables ---
-
-// wnaf returns the width-w non-adjacent form of k, least significant digit
-// first: every non-zero digit is odd, |digit| < 2^(w−1), and non-zero
-// digits are separated by ≥ w−1 zeros.
-func wnaf(k *big.Int, w uint) []int {
-	d := new(big.Int).Set(k)
-	mod := int64(1) << w
-	half := mod >> 1
-	digits := make([]int, 0, d.BitLen()+1)
-	for d.Sign() > 0 {
-		if d.Bit(0) == 1 {
-			r := int64(0)
-			for i := uint(0); i < w; i++ {
-				r |= int64(d.Bit(int(i))) << i
-			}
-			if r >= half {
-				r -= mod
-			}
-			digits = append(digits, int(r))
-			if r >= 0 {
-				d.Sub(d, big.NewInt(r))
-			} else {
-				d.Add(d, big.NewInt(-r))
-			}
-		} else {
-			digits = append(digits, 0)
-		}
-		d.Rsh(d, 1)
-	}
-	return digits
-}
-
-// oddMultiples returns [1·p, 3·p, 5·p, …, (2·count−1)·p] in affine form.
-func oddMultiples(p Point, count int) []Point {
-	tbl := make([]Point, count)
-	tbl[0] = p
-	twoP := p.Add(p)
-	for i := 1; i < count; i++ {
-		tbl[i] = tbl[i-1].Add(twoP)
-	}
-	return tbl
-}
-
-// negY returns the y coordinate of −(x, y).
-func negY(y *big.Int) *big.Int { return new(big.Int).Sub(curveP, y) }
-
-// straussWindow is the wNAF width for the interleaved double-scalar ladder:
-// 2^(w−2) = 8 precomputed odd multiples per input point.
-const straussWindow = 5
-
-// straussDoubleMul evaluates k1·p1 + k2·p2 with one shared doubling chain —
-// the Strauss/Shamir trick: both wNAF digit streams are consumed in the
-// same most-significant-first sweep, so the ~256 doublings are paid once
-// instead of twice.
-func straussDoubleMul(k1 field.Scalar, p1 Point, k2 field.Scalar, p2 Point) Point {
-	if p1.IsIdentity() || k1.IsZero() {
-		return p2.Mul(k2)
-	}
-	if p2.IsIdentity() || k2.IsZero() {
-		return p1.Mul(k1)
-	}
-	n1 := wnaf(k1.Big(), straussWindow)
-	n2 := wnaf(k2.Big(), straussWindow)
-	t1 := oddMultiples(p1, 1<<(straussWindow-2))
-	t2 := oddMultiples(p2, 1<<(straussWindow-2))
-	top := len(n1)
-	if len(n2) > top {
-		top = len(n2)
-	}
-	acc := jacIdentity()
-	for i := top - 1; i >= 0; i-- {
-		acc = jacDouble(acc)
-		acc = addDigit(acc, n1, i, t1)
-		acc = addDigit(acc, n2, i, t2)
-	}
-	return jacToAffine(acc)
-}
-
-func addDigit(acc jacPoint, digits []int, i int, tbl []Point) jacPoint {
-	if i >= len(digits) || digits[i] == 0 {
-		return acc
-	}
-	d := digits[i]
-	if d > 0 {
-		q := tbl[(d-1)/2]
-		return jacAddAffine(acc, q.x, q.y)
-	}
-	q := tbl[(-d-1)/2]
-	return jacAddAffine(acc, q.x, negY(q.y))
-}
-
-// --- fixed-base wNAF table for BaseMul (portable path) ---
-
-// baseWindow is wider than straussWindow because the table is computed once
-// per process: 2^(w−2) = 64 odd multiples of G.
-const baseWindow = 8
-
-var baseTable struct {
-	once sync.Once
-	tbl  []Point
-}
-
-// baseMulWNAF computes k·G from the precomputed odd-multiple table.
-func baseMulWNAF(k field.Scalar) Point {
-	baseTable.once.Do(func() {
-		baseTable.tbl = oddMultiples(Generator(), 1<<(baseWindow-2))
-	})
-	digits := wnaf(k.Big(), baseWindow)
-	acc := jacIdentity()
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc = jacDouble(acc)
-		acc = addDigit(acc, digits, i, baseTable.tbl)
-	}
-	return jacToAffine(acc)
+	return BaseMul(k1).Add(p.Mul(k2))
 }

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -9,43 +8,6 @@ import (
 )
 
 func randPoint(rng *rand.Rand) Point { return BaseMul(field.MustRandom(rng)) }
-
-// TestStraussMatchesComposition: the interleaved ladder and the
-// accelerated composition are the same function, including sign mixes,
-// zero scalars and identity inputs.
-func TestStraussMatchesComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 40; i++ {
-		k1, k2 := field.MustRandom(rng), field.MustRandom(rng)
-		if i%4 == 1 {
-			k1 = k1.Neg()
-		}
-		if i%4 == 2 {
-			k2 = k2.Neg()
-		}
-		p1, p2 := randPoint(rng), randPoint(rng)
-		want := p1.Mul(k1).Add(p2.Mul(k2))
-		if got := straussDoubleMul(k1, p1, k2, p2); !got.Equal(want) {
-			t.Fatalf("iter %d: strauss mismatch", i)
-		}
-	}
-	p := randPoint(rng)
-	k := field.MustRandom(rng)
-	if got := straussDoubleMul(field.Zero(), p, k, p); !got.Equal(p.Mul(k)) {
-		t.Fatal("zero k1 not handled")
-	}
-	if got := straussDoubleMul(k, Point{}, k, p); !got.Equal(p.Mul(k)) {
-		t.Fatal("identity p1 not handled")
-	}
-	// k·p + k·(−p) = identity exercises the h=0, r≠0 branch.
-	if got := straussDoubleMul(k, p, k, p.Neg()); !got.IsIdentity() {
-		t.Fatal("p + (−p) not identity")
-	}
-	// Same point twice exercises the doubling branch (h=0, r=0).
-	if got := straussDoubleMul(field.One(), p, field.One(), p); !got.Equal(p.Add(p)) {
-		t.Fatal("p + p not 2p")
-	}
-}
 
 // TestDoubleMulAPI: the public entry points agree with the reference
 // composition on whichever dispatch path this architecture selected.
@@ -63,52 +25,6 @@ func TestDoubleMulAPI(t *testing.T) {
 	}
 }
 
-// TestBaseMulWNAFMatchesScalarBaseMult: the portable fixed-base table
-// agrees with the standard library across random and structured scalars.
-func TestBaseMulWNAFMatchesScalarBaseMult(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	scalars := []field.Scalar{
-		field.One(), field.FromUint64(2), field.FromUint64(255),
-		field.FromBig(new(big.Int).Sub(field.Modulus(), big.NewInt(1))),
-	}
-	for i := 0; i < 20; i++ {
-		scalars = append(scalars, field.MustRandom(rng))
-	}
-	for i, k := range scalars {
-		x, y := curve.ScalarBaseMult(k.Bytes())
-		want := Point{x: x, y: y}
-		if got := baseMulWNAF(k); !got.Equal(want) {
-			t.Fatalf("scalar %d: wNAF base mul mismatch", i)
-		}
-	}
-}
-
-// TestWNAFRecode: digits reconstruct the scalar, non-zero digits are odd
-// and bounded by the window.
-func TestWNAFRecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 20; i++ {
-		k := field.MustRandom(rng).Big()
-		for _, w := range []uint{2, 5, 8} {
-			digits := wnaf(k, w)
-			acc := new(big.Int)
-			for j := len(digits) - 1; j >= 0; j-- {
-				acc.Lsh(acc, 1)
-				acc.Add(acc, big.NewInt(int64(digits[j])))
-			}
-			if acc.Cmp(k) != 0 {
-				t.Fatalf("w=%d: wNAF does not reconstruct scalar", w)
-			}
-			bound := 1 << (w - 1)
-			for _, d := range digits {
-				if d != 0 && (d%2 == 0 || d >= bound || d <= -bound) {
-					t.Fatalf("w=%d: bad digit %d", w, d)
-				}
-			}
-		}
-	}
-}
-
 func TestHashToPointMemoized(t *testing.T) {
 	a := HashToPoint("memo-test", []byte("payload"))
 	b := HashToPoint("memo-test", []byte("payload"))
@@ -120,9 +36,8 @@ func TestHashToPointMemoized(t *testing.T) {
 	}
 }
 
-// The dispatch-policy record: on asm-backed architectures the composed
-// nistec path must beat the portable ladder (that is why DoubleMul
-// composes there); elsewhere the ladder is the default.
+// The cost of one double-scalar multiplication: two standard-library
+// ScalarMults and one addition.
 func BenchmarkDoubleMulDispatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	k1, k2 := field.MustRandom(rng), field.MustRandom(rng)
@@ -133,30 +48,11 @@ func BenchmarkDoubleMulDispatch(b *testing.B) {
 	}
 }
 
-func BenchmarkDoubleMulStrauss(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	k1, k2 := field.MustRandom(rng), field.MustRandom(rng)
-	p1, p2 := randPoint(rng), randPoint(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = straussDoubleMul(k1, p1, k2, p2)
-	}
-}
-
 func BenchmarkBaseMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	k := field.MustRandom(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BaseMul(k)
-	}
-}
-
-func BenchmarkBaseMulWNAF(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	k := field.MustRandom(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = baseMulWNAF(k)
 	}
 }

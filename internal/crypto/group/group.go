@@ -122,15 +122,10 @@ func (p Point) MulSmall(k uint64) Point {
 	return acc
 }
 
-// BaseMul returns k·G using the fastest fixed-base path available: the
-// standard library's precomputed-table assembly where it exists, the
-// package's own wNAF odd-multiple table otherwise (see double.go).
+// BaseMul returns k·G through the standard library's fixed-base path.
 func BaseMul(k field.Scalar) Point {
 	if k.IsZero() {
 		return Point{}
-	}
-	if !hasAccelScalarMult {
-		return baseMulWNAF(k)
 	}
 	x, y := curve.ScalarBaseMult(k.Bytes())
 	return Point{x: x, y: y}

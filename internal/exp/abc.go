@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core/abc"
@@ -53,9 +54,12 @@ type ABCOutcome struct {
 }
 
 // ABCInstance is one parallel-broadcast engine launched per honest party on
-// a cluster.
+// a cluster. The engines' callbacks write its logs, launch counts and
+// completion under Cluster.Update, so Log, Launched and Finished must be
+// read under the same lock: inside Update or an Await predicate.
 type ABCInstance struct {
 	t       *tracker
+	engines []*abc.Engine // each set in its party's dispatch context
 	logs    map[int][][]abc.Entry
 	launchD map[int][]int // causal depth at each local slot launch, in order
 	commitD map[int][]int // causal depth at each slot commit, in order
@@ -69,6 +73,7 @@ type ABCInstance struct {
 func LaunchABC(c *harness.Cluster, tag string, cfg abc.EngineConfig, pools []*abc.Mempool) *ABCInstance {
 	ai := &ABCInstance{
 		t:       newTracker(c, tag),
+		engines: make([]*abc.Engine, c.N),
 		logs:    make(map[int][][]abc.Entry),
 		launchD: make(map[int][]int),
 		commitD: make(map[int][]int),
@@ -79,7 +84,7 @@ func LaunchABC(c *harness.Cluster, tag string, cfg abc.EngineConfig, pools []*ab
 			c.Update(func() { ai.launchD[i] = append(ai.launchD[i], c.Depth(i)) })
 		}
 		c.Launch(i, func() {
-			eng := abc.NewEngine(c.Runtime(i), tag, c.Keys[i], pcfg, pools[i],
+			ai.engines[i] = abc.NewEngine(c.Runtime(i), tag, c.Keys[i], pcfg, pools[i],
 				func(slot int, entries []abc.Entry) {
 					c.Update(func() {
 						ai.logs[i] = append(ai.logs[i], entries)
@@ -90,11 +95,24 @@ func LaunchABC(c *harness.Cluster, tag string, cfg abc.EngineConfig, pools []*ab
 				func(int) {
 					c.Update(func() { ai.t.report(i) })
 				})
-			eng.Start()
+			ai.engines[i].Start()
 		})
 	})
 	return ai
 }
+
+// Engine returns party i's engine. Use it only in party i's dispatch
+// context (a Cluster.Launch(i, …) closure), which runs after construction.
+func (ai *ABCInstance) Engine(i int) *abc.Engine { return ai.engines[i] }
+
+// Log returns the slots party i has committed so far, in slot order.
+func (ai *ABCInstance) Log(i int) [][]abc.Entry { return ai.logs[i] }
+
+// Launched reports how many slots party i has launched.
+func (ai *ABCInstance) Launched(i int) int { return len(ai.launchD[i]) }
+
+// Finished reports whether every honest engine delivered its final slot.
+func (ai *ABCInstance) Finished() bool { return ai.t.done() }
 
 // Wait blocks until every honest engine finished its log.
 func (ai *ABCInstance) Wait(ctx context.Context) error { return ai.t.wait(ctx) }
@@ -108,7 +126,7 @@ func (ai *ABCInstance) Outcome() ABCOutcome {
 	c.EachHonest(func(i int) {
 		if !haveRef {
 			ref, haveRef = ai.logs[i], true
-		} else if !sameLog(ref, ai.logs[i]) {
+		} else if !slices.EqualFunc(ref, ai.logs[i], abc.SameEntries) {
 			out.Agreed = false
 		}
 	})
@@ -296,26 +314,4 @@ func finishThroughput(out *ABCOutcome, totalEntries, n int) {
 	if out.Slots > 0 {
 		out.Occupancy = float64(totalEntries) / float64(out.Slots*n)
 	}
-}
-
-func sameLog(a, b [][]abc.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for s := range a {
-		if len(a[s]) != len(b[s]) {
-			return false
-		}
-		for j := range a[s] {
-			if a[s][j].Origin != b[s][j].Origin || len(a[s][j].Txs) != len(b[s][j].Txs) {
-				return false
-			}
-			for k := range a[s][j].Txs {
-				if !bytes.Equal(a[s][j].Txs[k], b[s][j].Txs[k]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

@@ -7,7 +7,8 @@
 // all go through Lookup, so adding a kind is one entry here.
 //
 // The streaming ledger is not a kind: it owns a mempool and stops in-band,
-// and keeps its own wiring (exp.LaunchABC, repro.Ledger, noded).
+// and keeps its own wiring: exp.LaunchABC in-process (repro.Ledger builds
+// on it) and noded for a single-party process.
 package kinds
 
 import (

@@ -1,16 +1,22 @@
 package repro
 
 // The streaming ledger: the public surface of the BKR parallel-broadcast
-// common-subset engine (internal/core/abc.Engine). One Ledger runs one
-// engine per honest party on the cluster; Submit feeds transactions into
-// per-party mempools with blocking backpressure, a single pump goroutine
-// drives the runtime and verifies that every honest party committed the
-// identical slot before emitting it, and Stop drains in-band: stopping
+// common-subset engine (internal/core/abc.Engine), one engine per honest
+// party wired by exp.LaunchABC. Submit feeds transactions into per-party
+// mempools with blocking backpressure; Stop drains in-band: stopping
 // parties flag their batches, and the first slot committing only flagged
 // batches ends the log identically everywhere.
+//
+// One goroutine per ledger, the owner (run), is the only code that launches
+// into the runtime or awaits it. Submit and Stop never touch the driver:
+// they post a message — a coalescing wake-up on mail — and the owner
+// applies it between Awaits: NotifyWork at the parties with queued
+// transactions, or, once Stop has begun, RequestStop at every party at
+// once. Because nothing else launches, an Await that fails while no slot is
+// in flight (a drained simulator queue, a live-runtime timeout) is an idle
+// ledger: the owner parks until the next message.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,15 +24,15 @@ import (
 
 	"repro/internal/core/abc"
 	"repro/internal/core/coin"
-	"repro/internal/sim"
+	"repro/internal/exp"
 )
 
 // ErrLedgerStopped is returned by Ledger.Submit once Stop has begun.
 var ErrLedgerStopped = errors.New("repro: ledger stopped")
 
-// ErrLedgerAbandoned is the terminal error recorded when the pump is
-// aborted because the consumer stopped draining Committed() and a Stop
-// caller's ctx expired waiting on the wedged drain.
+// ErrLedgerAbandoned is the terminal error recorded when the ledger's
+// owner goroutine is aborted because the consumer stopped draining
+// Committed() and a Stop caller's ctx expired waiting on the wedged drain.
 var ErrLedgerAbandoned = errors.New("repro: ledger commit stream abandoned (consumer stopped draining)")
 
 // LedgerOption tunes NewLedger.
@@ -67,33 +73,35 @@ type SlotCommit struct {
 
 // Ledger is a streaming atomic-broadcast log on a Cluster. Submit and Stop
 // are safe for concurrent use; Committed's channel must be drained by the
-// consumer (an undrained stream backpressures the pump, and Stop cannot
+// consumer (an undrained stream blocks the owner goroutine, and Stop cannot
 // complete). An abandoned stream is recoverable: when a Stop caller's ctx
-// expires against the wedged drain, the pump is aborted — the stream
-// closes and Err reports ErrLedgerAbandoned instead of the pump leaking.
+// expires against the wedged drain, the owner is aborted — the stream
+// closes and Err reports ErrLedgerAbandoned instead of the owner leaking.
 type Ledger struct {
-	c       *Cluster
-	tag     string
-	order   []int // honest parties, round-robin submit targets
-	pools   []*abc.Mempool
-	engines []*abc.Engine
-	out     chan SlotCommit
-	kick    chan struct{} // wakeup latch for the pump (buffered, size 1)
-	done    chan struct{} // closed when the pump exits (after out closes)
+	c     *Cluster
+	order []int // honest parties, round-robin submit targets
+	pools []*abc.Mempool
+	out   chan SlotCommit
+	mail  chan struct{} // coalescing wake-up for the owner (buffered, size 1)
+	done  chan struct{} // closed when the owner exits (after out closes)
 
-	abort     chan struct{} // closed to force the pump out of a wedged drain
-	abortOnce sync.Once
+	// abort cancels aborted, forcing the owner out of a wedged drain.
+	aborted context.Context
+	abort   context.CancelFunc
 
-	mu       sync.Mutex
-	logs     map[int][][]abc.Entry // per-party committed slots, in order
-	launched map[int]int           // per-party locally launched slot count
-	finished int                   // honest engines that delivered their final slot
-	stopped  bool                  // Stop has begun: Submit fails
-	draining bool                  // every engine has been handed its RequestStop (set after stopped)
-	owing    bool                  // work was owed when progress last looked (see wedged)
-	err      error
-	rr       int // round-robin cursor
-	emitted  int // slots emitted to out (pump-owned; under mu for readers)
+	mu      sync.Mutex
+	stopped bool // Stop has begun: Submit fails
+	err     error
+	rr      int // round-robin cursor
+
+	// Owned by the owner goroutine. logs, launched and finished are what the
+	// last Await predicate saw under the driver lock, per order index.
+	inst     *exp.ABCInstance
+	stopping bool // every engine has been handed RequestStop
+	emitted  int  // slots emitted to out
+	logs     [][][]abc.Entry
+	launched []int
+	finished bool
 }
 
 // NewLedger starts a streaming atomic-broadcast ledger under tag. The
@@ -108,55 +116,24 @@ func (c *Cluster) NewLedger(tag string, opts ...LedgerOption) (*Ledger, error) {
 		opt(&o)
 	}
 	l := &Ledger{
-		c:        c,
-		tag:      tag,
-		pools:    make([]*abc.Mempool, c.n),
-		engines:  make([]*abc.Engine, c.n),
-		out:      make(chan SlotCommit),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		abort:    make(chan struct{}),
-		logs:     make(map[int][][]abc.Entry),
-		launched: make(map[int]int),
+		c:     c,
+		pools: make([]*abc.Mempool, c.n),
+		out:   make(chan SlotCommit),
+		mail:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
-	hc := c.hc
-	hc.EachHonest(func(i int) {
+	l.aborted, l.abort = context.WithCancel(context.Background())
+	c.hc.EachHonest(func(i int) {
 		l.order = append(l.order, i)
 		l.pools[i] = abc.NewMempool(o.mempoolBytes)
 	})
-	hc.EachHonest(func(i int) {
-		cfg := abc.EngineConfig{
-			Coin:        coin.Config{GenesisNonce: c.genesis},
-			BatchBytes:  o.batchBytes,
-			MaxInFlight: o.maxInFlight,
-			OnLaunch: func(int) {
-				hc.Update(func() {
-					l.mu.Lock()
-					l.launched[i]++
-					l.mu.Unlock()
-				})
-			},
-		}
-		hc.Launch(i, func() {
-			l.engines[i] = abc.NewEngine(hc.Runtime(i), tag, hc.Keys[i], cfg, l.pools[i],
-				func(slot int, entries []abc.Entry) {
-					hc.Update(func() {
-						l.mu.Lock()
-						l.logs[i] = append(l.logs[i], entries)
-						l.mu.Unlock()
-					})
-				},
-				func(int) {
-					hc.Update(func() {
-						l.mu.Lock()
-						l.finished++
-						l.mu.Unlock()
-					})
-				})
-			l.engines[i].Start()
-		})
+	l.logs = make([][][]abc.Entry, len(l.order))
+	l.launched = make([]int, len(l.order))
+	go l.run(tag, abc.EngineConfig{
+		Coin:        coin.Config{GenesisNonce: c.genesis},
+		BatchBytes:  o.batchBytes,
+		MaxInFlight: o.maxInFlight,
 	})
-	go l.pump()
 	return l, nil
 }
 
@@ -178,10 +155,7 @@ func (l *Ledger) Submit(ctx context.Context, tx []byte) error {
 		}
 		return err
 	}
-	// The engine read is safe: the closure runs on party p's dispatch
-	// context, ordered after the construction launch that set engines[p].
-	l.c.hc.Launch(p, func() { l.engines[p].NotifyWork() })
-	l.kickPump()
+	l.post()
 	return nil
 }
 
@@ -190,7 +164,7 @@ func (l *Ledger) Submit(ctx context.Context, tx []byte) error {
 // the channel closes.
 func (l *Ledger) Committed() <-chan SlotCommit { return l.out }
 
-// Err reports the pump's terminal error, if any, once Committed's channel
+// Err reports the ledger's terminal error, if any, once Committed's channel
 // has closed. A non-nil value means the stream is incomplete (runtime
 // stall, timeout, or — indicating a bug — honest log divergence).
 func (l *Ledger) Err() error {
@@ -204,267 +178,182 @@ func (l *Ledger) Err() error {
 // the agreed final slot. Returns any leftover transactions that could not
 // be carried (queued after the final slot sealed — normally none). Stop is
 // idempotent; all callers block until the drain completes or their ctx
-// ends. A ctx that ends first aborts the pump — the usual cause is a
+// ends. A ctx that ends first aborts the owner — the usual cause is a
 // consumer that stopped draining Committed(), wedging the drain — so the
 // stream closes, Err reports ErrLedgerAbandoned, and Stop returns
-// ctx.Err() rather than leaking the pump forever.
+// ctx.Err() rather than leaking the owner forever.
 func (l *Ledger) Stop(ctx context.Context) ([][]byte, error) {
 	l.mu.Lock()
 	already := l.stopped
 	l.stopped = true
 	l.mu.Unlock()
 	if !already {
-		for _, p := range l.pools {
-			if p != nil {
-				p.Close()
-			}
+		for _, i := range l.order {
+			l.pools[i].Close()
 		}
-		hc := l.c.hc
-		hc.EachHonest(func(i int) {
-			hc.Launch(i, func() { l.engines[i].RequestStop() })
-		})
-		// Only now does the pump owe a stop drain, and only now may it drive
-		// again (see handingOutStopLocked).
-		l.mu.Lock()
-		l.draining = true
-		l.mu.Unlock()
-		l.kickPump()
+		l.post()
 	}
 	select {
 	case <-l.done:
 	case <-ctx.Done():
-		l.abortOnce.Do(func() { close(l.abort) })
+		l.abort()
 		return nil, ctx.Err()
 	}
 	if err := l.Err(); err != nil {
 		return nil, err
 	}
 	var leftover [][]byte
-	for _, p := range l.pools {
-		if p == nil {
-			continue
-		}
-		for !p.Empty() {
-			leftover = append(leftover, p.Take(1<<30)...)
+	for _, i := range l.order {
+		for !l.pools[i].Empty() {
+			leftover = append(leftover, l.pools[i].Take(1<<30)...)
 		}
 	}
 	return leftover, nil
 }
 
-func (l *Ledger) kickPump() {
+// post hands the owner a message: the coalescing wake-up, then an Update so
+// that a live-runtime Await re-evaluates its predicate.
+func (l *Ledger) post() {
 	select {
-	case l.kick <- struct{}{}:
+	case l.mail <- struct{}{}:
 	default:
 	}
+	l.c.hc.Update(func() {})
 }
 
-// pump is the single goroutine driving the runtime (on the simulator) and
-// relaying verified commits to the stream. It only engages the runtime
-// while progress is possible — otherwise it parks on the kick latch, so an
-// idle ledger leaves the network quiescent. Closing l.abort forces the
-// pump out of any blocking state (kick park, runtime await, stream send)
-// with ErrLedgerAbandoned as the terminal error.
-func (l *Ledger) pump() {
+// run is the owner: it launches one engine per honest party, drives them,
+// and records the terminal error before closing the stream. Cancelling
+// l.aborted forces it out of any blocking state (idle park, runtime await,
+// stream send) with ErrLedgerAbandoned as that error.
+func (l *Ledger) run(tag string, cfg abc.EngineConfig) {
 	defer close(l.done)
 	defer close(l.out)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-l.abort:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	for {
-		if !l.outstanding() {
-			select {
-			case <-l.kick:
-			case <-l.abort:
-				l.fail(ErrLedgerAbandoned)
-				return
-			}
-		}
-		err := l.c.hc.Await(ctx, l.progress)
-		if err != nil {
-			if l.aborted() {
-				l.fail(ErrLedgerAbandoned)
-				return
-			}
-			var stall *sim.StallError
-			if errors.As(err, &stall) && stall.Drained && !l.wedged() {
-				continue // idle quiesce between submissions; await the next kick
-			}
-			l.fail(err)
-			return
-		}
-		if !l.emitReady() {
-			return // divergence recorded by emitReady
-		}
-		if l.allFinished() {
-			return
-		}
+	l.inst = exp.LaunchABC(l.c.hc, tag, cfg, l.pools)
+	err := l.drive()
+	if l.aborted.Err() != nil {
+		err = ErrLedgerAbandoned
+	}
+	l.abort()
+	if err != nil {
+		l.mu.Lock()
+		l.err = fmt.Errorf("repro: ledger %q: %w", tag, err)
+		l.mu.Unlock()
 	}
 }
 
-// progress is the Await predicate: a new slot is emittable, every engine
-// has finished, or Stop wants the drive token. Runs under the driver lock on
-// the live runtime. It also records whether the ledger owed work at this
-// look (see wedged).
-func (l *Ledger) progress() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.owing = l.owedLocked()
-	return l.emittableLocked() || l.finished == len(l.order) || l.handingOutStopLocked()
+// drive alternates applying messages with awaiting the runtime and relays
+// verified commits to the stream, until every engine finished.
+func (l *Ledger) drive() error {
+	for idle := false; l.apply(idle); {
+		err := l.c.hc.Await(l.aborted, l.look)
+		switch {
+		case err != nil && !l.owes():
+			idle = true
+		case err != nil:
+			return err
+		default:
+			idle = false
+			if err := l.emit(); err != nil || l.finished {
+				return err
+			}
+		}
+	}
+	return nil // aborted while idle
 }
 
-// handingOutStopLocked reports the stretch of Stop between refusing Submits
-// and having handed RequestStop to every engine. The pump stays off the
-// drive token for its length — progress ends the Await in flight,
-// outstanding parks the pump until Stop's kick — because Stop's launches
-// wait for that token and a half-stopped ledger must not be driven. The
-// engines already stopping launch flagged slot after flagged slot, the
-// others join unflagged so none is final, and a newest-first scheduler fed
-// that endless stream starves a lagging party for good: no slot becomes
-// emittable, the Await never returns, the rest are never asked. And an
-// Await that merely drained the queue in that gap used to read "stopped,
-// engines unfinished, nothing to deliver" as a wedge.
-func (l *Ledger) handingOutStopLocked() bool { return l.stopped && !l.draining }
-
-func (l *Ledger) emittableLocked() bool {
-	for _, i := range l.order {
-		if len(l.logs[i]) <= l.emitted {
+// apply takes the pending message — waiting for one while the ledger is
+// idle — and hands it to the engines: RequestStop at every party once Stop
+// has begun, else NotifyWork at the parties with queued transactions. It
+// reports false when the ledger is aborted while idle.
+func (l *Ledger) apply(idle bool) bool {
+	if idle {
+		select {
+		case <-l.mail:
+		case <-l.aborted.Done():
 			return false
+		}
+	} else {
+		select {
+		case <-l.mail:
+		default:
+			return true
+		}
+	}
+	l.mu.Lock()
+	stop := l.stopped && !l.stopping
+	l.mu.Unlock()
+	l.stopping = l.stopping || stop
+	for _, i := range l.order {
+		switch {
+		case stop:
+			l.c.hc.Launch(i, func() { l.inst.Engine(i).RequestStop() })
+		case !l.pools[i].Empty():
+			l.c.hc.Launch(i, func() { l.inst.Engine(i).NotifyWork() })
 		}
 	}
 	return true
 }
 
-// outstanding reports whether runtime progress is possible without a new
-// kick: an emittable slot, slots in flight past the committed frontier,
-// queued transactions, or a pending stop drain — and never while Stop is
-// handing out RequestStops, which ends with a kick.
-func (l *Ledger) outstanding() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.handingOutStopLocked() {
-		return false
+// look is the owner's Await predicate, evaluated under the driver lock. It
+// records every honest party's log and launch count and whether all
+// engines finished, and holds when a slot is emittable, every engine
+// finished, or a message is waiting.
+func (l *Ledger) look() bool {
+	emittable := true
+	for k, i := range l.order {
+		l.logs[k], l.launched[k] = l.inst.Log(i), l.inst.Launched(i)
+		emittable = emittable && len(l.logs[k]) > l.emitted
 	}
-	if l.emittableLocked() || l.owedLocked() {
+	l.finished = l.inst.Finished()
+	return emittable || l.finished || len(l.mail) > 0
+}
+
+// owes reports whether the last look — for a failed Await, the state it
+// failed in — saw a slot launched past some party's log or an unfinished
+// stop drain.
+func (l *Ledger) owes() bool {
+	if l.stopping && !l.finished {
 		return true
 	}
-	for _, i := range l.order {
-		if !l.pools[i].Empty() {
+	for k, lg := range l.logs {
+		if l.launched[k] > len(lg) {
 			return true
 		}
 	}
 	return false
 }
 
-// owedLocked reports work the runtime still owes the ledger: a stop drain
-// every engine has been asked for, or slots in flight past a party's log.
-func (l *Ledger) owedLocked() bool {
-	if l.draining && l.finished < len(l.order) {
-		return true
-	}
-	for _, i := range l.order {
-		if l.launched[i] > len(l.logs[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// wedged reports whether a drained simulator stall is a genuine failure:
-// work was owed (owedLocked) yet the network had nothing left to deliver.
-// It answers from what progress recorded, not from
-// the state now: the simulator's Await looks at progress and at the empty
-// queue under one hold of the drive token, so the record is the state the
-// stall saw, whereas a Submit or Stop that gets the token after Await let
-// go launches a slot at once — and would turn an idle quiesce into a
-// "wedge" if the question were asked afresh.
-func (l *Ledger) wedged() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.owing
-}
-
-func (l *Ledger) allFinished() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.finished == len(l.order) && !l.emittableLocked()
-}
-
-// emitReady relays every fully committed slot to the stream, first
-// verifying the honest logs agree on it entry-by-entry. Returns false
-// after recording a terminal error: honest-log divergence (a
-// protocol-safety bug, not an operational condition) or an abort while
-// wedged against an abandoned stream.
-func (l *Ledger) emitReady() bool {
-	for {
-		l.mu.Lock()
-		if !l.emittableLocked() {
-			l.mu.Unlock()
-			return true
-		}
+// emit relays every slot all honest logs now hold to the stream, first
+// checking the logs agree on it entry by entry. It fails on honest-log
+// divergence (a protocol-safety bug, not an operational condition) or an
+// abort against an abandoned stream.
+func (l *Ledger) emit() error {
+	for ; ; l.emitted++ {
 		s := l.emitted
-		ref := l.logs[l.order[0]][s]
-		for _, i := range l.order[1:] {
-			if !sameEntries(ref, l.logs[i][s]) {
-				l.err = fmt.Errorf("repro: ledger %q slot %d diverged across honest parties (bug)", l.tag, s)
-				l.mu.Unlock()
-				return false
+		for _, lg := range l.logs {
+			if len(lg) <= s {
+				return nil
 			}
 		}
-		l.emitted++
-		l.mu.Unlock()
+		ref := l.logs[0][s]
+		for _, lg := range l.logs[1:] {
+			if !abc.SameEntries(ref, lg[s]) {
+				return fmt.Errorf("slot %d diverged across honest parties (bug)", s)
+			}
+		}
 		commit := SlotCommit{Slot: s}
 		for _, e := range ref {
 			if len(e.Txs) > 0 {
 				commit.Entries = append(commit.Entries, LedgerEntry{Origin: e.Origin, Txs: e.Txs})
 			}
 		}
-		if len(commit.Entries) > 0 {
-			select {
-			case l.out <- commit: // consumer backpressure; no locks held
-			case <-l.abort:
-				l.fail(ErrLedgerAbandoned)
-				return false
-			}
+		if len(commit.Entries) == 0 {
+			continue
+		}
+		select {
+		case l.out <- commit: // consumer backpressure; no locks held
+		case <-l.aborted.Done():
+			return l.aborted.Err()
 		}
 	}
-}
-
-func (l *Ledger) aborted() bool {
-	select {
-	case <-l.abort:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *Ledger) fail(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = fmt.Errorf("repro: ledger %q: %w", l.tag, err)
-	}
-}
-
-func sameEntries(a, b []abc.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for j := range a {
-		if a[j].Origin != b[j].Origin || len(a[j].Txs) != len(b[j].Txs) {
-			return false
-		}
-		for k := range a[j].Txs {
-			if !bytes.Equal(a[j].Txs[k], b[j].Txs[k]) {
-				return false
-			}
-		}
-	}
-	return true
 }
