@@ -20,6 +20,7 @@ import (
 	"repro/internal/core/vba"
 	"repro/internal/harness"
 	"repro/internal/kinds"
+	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -192,7 +193,7 @@ func (ci CoinInstance) Outcome() CoinOutcome {
 	ds := ci.Decisions()
 	out := CoinOutcome{Stats: ci.t.stats(), Agreed: ci.Agreed(), Bit: byte(ds[0].Bit), MaxIsSet: allMaxSet(ds)}
 	if c := ci.t.c; c.Net != nil {
-		out.PerPhase = map[string]sim.Tally{
+		out.PerPhase = map[string]proto.Tally{
 			"seeding":   c.Net.Metrics().ByPrefix(ci.t.tag + "/sd/"),
 			"avss":      c.Net.Metrics().ByPrefix(ci.t.tag + "/av/"),
 			"wcs":       c.Net.Metrics().ByPrefix(ci.t.tag + "/wcs"),

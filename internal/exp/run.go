@@ -33,6 +33,7 @@ import (
 	"repro/internal/crypto/rs"
 	"repro/internal/harness"
 	"repro/internal/kinds"
+	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -137,7 +138,7 @@ type CoinOutcome struct {
 	Agreed   bool // all honest parties output the same bit
 	Bit      byte // the (first party's) bit
 	MaxIsSet bool // the speculative max was non-⊥ everywhere
-	PerPhase map[string]sim.Tally
+	PerPhase map[string]proto.Tally
 }
 
 // RunCoin executes one common coin (Alg. 4) across a fresh cluster.

@@ -23,12 +23,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Tally is a (messages, bytes) cost pair, runtime-independent.
-type Tally struct {
-	Msgs  int64
-	Bytes int64
-}
-
 // Cluster is a keyed n-party network with per-instance cost accounting.
 // Exactly one of Net (simulator) or Live (live runtime) is non-nil;
 // runtime-agnostic code goes through the Driver methods below, while
@@ -187,23 +181,19 @@ func (c *Cluster) Close() {
 // InstanceTally reports the traffic of one instance tag (the tag's own path
 // plus every tag/… sub-path) — honest traffic on the simulator, all traffic
 // on the live runtime (which has no Byzantine senders).
-func (c *Cluster) InstanceTally(tag string) Tally {
+func (c *Cluster) InstanceTally(tag string) proto.Tally {
 	if c.Net != nil {
-		t := c.Net.Metrics().ByInstance(tag)
-		return Tally{Msgs: t.Msgs, Bytes: t.Bytes}
+		return c.Net.Metrics().ByInstance(tag)
 	}
-	t := c.Live.ByInstance(tag)
-	return Tally{Msgs: t.Msgs, Bytes: t.Bytes}
+	return c.Live.ByInstance(tag)
 }
 
 // TotalTally reports the cluster's cumulative traffic.
-func (c *Cluster) TotalTally() Tally {
+func (c *Cluster) TotalTally() proto.Tally {
 	if c.Net != nil {
-		m := c.Net.Metrics()
-		return Tally{Msgs: m.Honest.Msgs, Bytes: m.Honest.Bytes}
+		return c.Net.Metrics().Honest
 	}
-	t := c.Live.TotalTally()
-	return Tally{Msgs: t.Msgs, Bytes: t.Bytes}
+	return c.Live.TotalTally()
 }
 
 // TCPStats reports the live TCP transport's framing, reconnect, and
@@ -215,17 +205,11 @@ func (c *Cluster) TCPStats() livenet.TCPStats {
 	return c.Live.TCPStats()
 }
 
-// RecoveryStats reports WAL-backed crash-recovery counters. Neither
-// in-process runtime keeps a journal — the simulator restarts nothing and
-// the live mesh holds all state in memory — so both report zeros; the
-// counters become meaningful on the multi-process runtime (noded publishes
-// them per party via livenet.Party.SetRecoveryStats).
-func (c *Cluster) RecoveryStats() livenet.RecoveryStats {
-	if c.Live == nil {
-		return livenet.RecoveryStats{}
-	}
-	return c.Live.RecoveryStats()
-}
+// RecoveryStats reports WAL-backed crash-recovery counters: zero on both
+// in-process runtimes, which keep no journal. They become meaningful on
+// the multi-process runtime (noded publishes them per party via
+// livenet.Party.SetRecoveryStats).
+func (c *Cluster) RecoveryStats() livenet.RecoveryStats { return livenet.RecoveryStats{} }
 
 // Sever force-closes the live (from → to) TCP connection; the transport
 // redials with backoff and resends unacked frames. No-op off TCP. It

@@ -15,7 +15,7 @@ import (
 // genuine liveness failure into an error instead of a hang.
 const DefaultAwaitTimeout = 2 * time.Minute
 
-// Driver adapts a live Network to the proto.Driver session contract.
+// Driver adapts a live runtime to the proto.Driver session contract.
 //
 // Nodes run on their own dispatcher goroutines, so Launch schedules onto
 // the node's dispatcher (Node.Do), Update serializes collector mutations
@@ -23,8 +23,6 @@ const DefaultAwaitTimeout = 2 * time.Minute
 // network drives itself. Instances therefore run truly in parallel, while
 // the same launcher code interleaves them on the simulator.
 type Driver struct {
-	// Net is the in-process cluster; nil when driving a single Party.
-	Net *Network
 	// Timeout caps one Await; <= 0 selects DefaultAwaitTimeout.
 	Timeout time.Duration
 
@@ -36,23 +34,16 @@ type Driver struct {
 }
 
 // driverHost is the slice of a runtime the Driver needs: a Network hosts
-// all n parties in one process, a Party hosts exactly one (noded).
+// all n parties in one process, a Party hosts exactly one (noded), whose
+// Runtime and Launch accept only its own index.
 type driverHost interface {
 	Runtime(i int) proto.Runtime
 	Launch(i int, fn func())
 }
 
-// NewDriver wraps nw as a session driver.
-func NewDriver(nw *Network, timeout time.Duration) *Driver {
-	d := &Driver{Net: nw, host: nw, Timeout: timeout}
-	d.cond = sync.NewCond(&d.mu)
-	return d
-}
-
-// NewPartyDriver wraps a single-party runtime as a session driver; Runtime
-// and Launch accept only the party's own index.
-func NewPartyDriver(p *Party, timeout time.Duration) *Driver {
-	d := &Driver{host: p, Timeout: timeout}
+// NewDriver wraps a *Network or a *Party as a session driver.
+func NewDriver(host driverHost, timeout time.Duration) *Driver {
+	d := &Driver{host: host, Timeout: timeout}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }

@@ -6,6 +6,11 @@
 // deployment-shaped execution path, while internal/sim remains the
 // measurement and adversarial-testing path.
 //
+// One environment hosts a dispatcher: a Party (party.go) is one Node with
+// its traffic meter and its outbound link, a *Mesh on TCP or a chanLink on
+// the Channels transport. A noded process hosts one Party; the in-process
+// Network is n of them, wired on TCP exactly as n noded processes are.
+//
 // Concurrency contract: all protocol callbacks and handlers of one node run
 // on that node's dispatcher goroutine, preserving the single-threaded
 // protocol contract. External code interacts with a node only through
@@ -16,8 +21,7 @@
 // party's bulletin-PKI key, frames are sequence-numbered and retained until
 // acked so links survive connection drops (reconnect + exponential backoff
 // + resend), and per-link WAN emulation can replay wide-area latency
-// profiles. The same Mesh serves the out-of-process noded daemon, so the
-// in-process runtime and the real deployment share one wire layer.
+// profiles.
 package livenet
 
 import (
@@ -62,13 +66,6 @@ type Config struct {
 	// Jitter is the maximum random delivery delay for the Channels
 	// transport (0 = immediate). It creates real asynchrony.
 	Jitter time.Duration
-	// FlushEvery bounds how long a frame may sit in a TCP peer's
-	// coalescing buffer: a background timer flushes all pending buffers at
-	// this period, so frame latency stays bounded even when a dispatcher
-	// never goes idle and the 64 KiB overflow write-through never fires
-	// (sustained small-frame load). 0 selects defaultFlushEvery; ignored
-	// by the Channels transport.
-	FlushEvery time.Duration
 	// Auth supplies the handshake signing keys for the TCP transport
 	// (nil = deterministic keys derived from Seed).
 	Auth *Auth
@@ -77,68 +74,249 @@ type Config struct {
 	WAN *WANProfile
 }
 
-// defaultFlushEvery is the TCP max-frame-latency flush period when
-// Config.FlushEvery is zero.
-const defaultFlushEvery = 2 * time.Millisecond
-
-// Network is a running live cluster.
+// Network is a running live cluster: n Parties in one process.
 type Network struct {
-	n, f  int
-	nodes []*Node
-	tr    transport
-
-	jmu  sync.Mutex
-	jrng *rand.Rand
-
-	mmu     sync.Mutex
-	total   Tally
-	perInst map[string]*Tally
-
-	closeOnce sync.Once
+	parties []*Party
 }
 
-// Tally accumulates message and byte counts (the same accounting the
-// simulator keeps, so per-instance costs are comparable across runtimes).
-type Tally struct {
-	Msgs  int64
-	Bytes int64
-}
+// inProcBackoffMin/Max tune the redial backoff for loopback, where a peer
+// that refuses a dial is back within milliseconds, not seconds.
+const (
+	inProcBackoffMin = 5 * time.Millisecond
+	inProcBackoffMax = 500 * time.Millisecond
+)
 
-// envelopeOverhead mirrors sim's per-message framing estimate so byte
-// tallies line up across the two runtimes.
-const envelopeOverhead = 12
-
-// record books one sent message under its instance path.
-func (nw *Network) record(inst string, bodyLen int) {
-	cost := int64(bodyLen + len(inst) + envelopeOverhead)
-	nw.mmu.Lock()
-	defer nw.mmu.Unlock()
-	nw.total.Msgs++
-	nw.total.Bytes += cost
-	t := nw.perInst[inst]
-	if t == nil {
-		t = &Tally{}
-		nw.perInst[inst] = t
+// New starts a live network with running dispatchers.
+func New(cfg Config) (*Network, error) {
+	if cfg.N <= 0 {
+		return nil, errors.New("livenet: N must be positive")
 	}
-	t.Msgs++
-	t.Bytes += cost
+	nw := &Network{}
+	switch cfg.Transport {
+	case Channels:
+		nodes := make([]*Node, cfg.N)
+		for i := range nodes {
+			nodes[i] = newNode(i, cfg.N, cfg.F, cfg.Seed)
+		}
+		for i, nd := range nodes {
+			nw.parties = append(nw.parties, &Party{node: nd})
+			nd.start(&chanLink{
+				from: i, nodes: nodes, jitter: cfg.Jitter,
+				rng: rand.New(rand.NewSource(cfg.Seed ^ 0x11ff + int64(i))),
+			})
+		}
+	case TCP:
+		if err := nw.connectTCP(cfg); err != nil {
+			nw.Close()
+			return nil, fmt.Errorf("livenet: tcp transport: %w", err)
+		}
+	default:
+		return nil, fmt.Errorf("livenet: unknown transport %d", cfg.Transport)
+	}
+	return nw, nil
+}
+
+// connectTCP starts one mesh-backed Party per index and connects each to
+// every address, as a launcher connects n noded processes.
+func (nw *Network) connectTCP(cfg Config) error {
+	auth := cfg.Auth
+	if auth == nil {
+		var err error
+		if auth, err = DeriveAuth(cfg.N, cfg.Seed); err != nil {
+			return err
+		}
+	}
+	if len(auth.Keys) != cfg.N || len(auth.Board) != cfg.N {
+		return fmt.Errorf("auth keyset has %d/%d keys, want %d", len(auth.Keys), len(auth.Board), cfg.N)
+	}
+	addrs := make([]string, cfg.N)
+	for i := range addrs {
+		p, err := NewParty(PartyConfig{
+			Self: i, N: cfg.N, F: cfg.F,
+			Key: auth.Keys[i], Board: auth.Board,
+			Seed: cfg.Seed, WAN: cfg.WAN,
+			BackoffMin: inProcBackoffMin, BackoffMax: inProcBackoffMax,
+		})
+		if err != nil {
+			return err
+		}
+		nw.parties = append(nw.parties, p)
+		addrs[i] = p.Addr()
+	}
+	for _, p := range nw.parties {
+		if err := p.Connect(addrs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DeriveAuth builds a deterministic transport-auth keyset from a seed — the
+// stand-in used when no bulletin-PKI keys are supplied, so the handshake is
+// never unauthenticated.
+func DeriveAuth(n int, seed int64) (*Auth, error) {
+	rng := rand.New(rand.NewSource(seed ^ 0x6d657368)) // "mesh"
+	a := &Auth{Keys: make([]sig.PrivateKey, n), Board: make([]sig.PublicKey, n)}
+	for i := 0; i < n; i++ {
+		k, err := sig.GenerateKey(rng)
+		if err != nil {
+			return nil, err
+		}
+		a.Keys[i] = k
+		a.Board[i] = k.PK
+	}
+	return a, nil
+}
+
+// Node returns party i's runtime.
+func (nw *Network) Node(i int) *Node { return nw.parties[i].node }
+
+// Runtime returns party i's protocol-facing surface (driverHost).
+func (nw *Network) Runtime(i int) proto.Runtime { return nw.parties[i].node }
+
+// Launch schedules fn onto party i's dispatcher (driverHost).
+func (nw *Network) Launch(i int, fn func()) { nw.parties[i].node.Do(fn) }
+
+// Close stops every party's transport and dispatcher. It is idempotent.
+func (nw *Network) Close() {
+	var wg sync.WaitGroup
+	for _, p := range nw.parties {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Close()
+		}()
+	}
+	wg.Wait()
 }
 
 // TotalTally reports all traffic sent since the network started.
-func (nw *Network) TotalTally() Tally {
-	nw.mmu.Lock()
-	defer nw.mmu.Unlock()
-	return nw.total
+func (nw *Network) TotalTally() proto.Tally {
+	var out proto.Tally
+	for _, p := range nw.parties {
+		t := p.TotalTally()
+		out.Msgs += t.Msgs
+		out.Bytes += t.Bytes
+	}
+	return out
+}
+
+// ByInstance sums every party's traffic under instance path tag.
+func (nw *Network) ByInstance(tag string) proto.Tally {
+	var out proto.Tally
+	for _, p := range nw.parties {
+		t := p.ByInstance(tag)
+		out.Msgs += t.Msgs
+		out.Bytes += t.Bytes
+	}
+	return out
+}
+
+// TCPStats sums the parties' mesh counters; Frames/Syscalls is the achieved
+// write-coalescing factor. Zero on the Channels transport.
+func (nw *Network) TCPStats() TCPStats {
+	var s TCPStats
+	for _, p := range nw.parties {
+		s.add(p.TCPStats())
+	}
+	return s
+}
+
+// mesh returns party i's mesh endpoint, nil on Channels or out of range.
+func (nw *Network) mesh(i int) *Mesh {
+	if i < 0 || i >= len(nw.parties) {
+		return nil
+	}
+	return nw.parties[i].mesh
+}
+
+// PeerDrops reports the frames charged against the (from, to) link: frames
+// dropped to outbox overflow on the sender side, plus inbound handshakes at
+// `to` rejected while claiming identity `from` (an impostor posing as
+// `from` books its rejections here). Zero on the Channels transport and for
+// self-sends.
+func (nw *Network) PeerDrops(from, to int) int64 {
+	mf, mt := nw.mesh(from), nw.mesh(to)
+	if mf == nil || mt == nil {
+		return 0
+	}
+	return mf.LinkDrops(to) + mt.AuthRejects(from)
+}
+
+// Sever force-closes the current (from → to) TCP connection; the mesh
+// redials with backoff and resends unacked frames, so delivery resumes. It
+// reports whether a live connection was actually killed (false while the
+// link is still dialing, and always false on Channels).
+func (nw *Network) Sever(from, to int) bool {
+	m := nw.mesh(from)
+	return m != nil && m.Sever(to)
+}
+
+// MeshAddr returns party i's TCP data listen address ("" on Channels).
+func (nw *Network) MeshAddr(i int) string {
+	if m := nw.mesh(i); m != nil {
+		return m.Addr()
+	}
+	return ""
+}
+
+// Rejected reports the total malformed messages dropped across nodes.
+func (nw *Network) Rejected() int64 {
+	var t int64
+	for _, p := range nw.parties {
+		t += p.Rejected()
+	}
+	return t
+}
+
+// Equivocations reports the total conflicting-message evidence recorded
+// across nodes.
+func (nw *Network) Equivocations() int64 {
+	var t int64
+	for _, p := range nw.parties {
+		t += p.Equivocations()
+	}
+	return t
+}
+
+// meter books the traffic one node sends, charged as the simulator charges
+// it, in total and per instance path. The zero value is ready to use.
+type meter struct {
+	mu      sync.Mutex
+	total   proto.Tally
+	perInst map[string]*proto.Tally
+}
+
+func (m *meter) record(inst string, bodyLen int) {
+	cost := int64(bodyLen + len(inst) + proto.EnvelopeOverhead)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.total.Add(cost)
+	t := m.perInst[inst]
+	if t == nil {
+		if m.perInst == nil {
+			m.perInst = make(map[string]*proto.Tally)
+		}
+		t = &proto.Tally{}
+		m.perInst[inst] = t
+	}
+	t.Add(cost)
+}
+
+func (m *meter) TotalTally() proto.Tally {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.total
 }
 
 // ByInstance sums traffic whose instance path is tag itself or any
 // sub-path tag/… — one protocol instance's full footprint.
-func (nw *Network) ByInstance(tag string) Tally {
+func (m *meter) ByInstance(tag string) proto.Tally {
 	prefix := tag + "/"
-	var out Tally
-	nw.mmu.Lock()
-	defer nw.mmu.Unlock()
-	for inst, t := range nw.perInst {
+	var out proto.Tally
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for inst, t := range m.perInst {
 		if inst == tag || strings.HasPrefix(inst, prefix) {
 			out.Msgs += t.Msgs
 			out.Bytes += t.Bytes
@@ -147,28 +325,43 @@ func (nw *Network) ByInstance(tag string) Tally {
 	return out
 }
 
-type transport interface {
-	send(from, to int, inst string, body []byte)
-	// flush pushes any frames buffered on node `from`'s outbound
-	// connections to the wire. Dispatchers call it when their queue
-	// drains (flush-on-idle), which is what makes per-peer write
-	// coalescing safe: a node never blocks waiting for input while its
-	// own output sits in a buffer.
-	flush(from int)
-	close()
+// link is a node's outbound fabric: a *Mesh on TCP, a chanLink on
+// Channels. The dispatcher calls Flush when its queue drains
+// (flush-on-idle), which is what makes per-peer write coalescing safe: a
+// node never blocks waiting for input while its own output sits in a
+// buffer.
+type link interface {
+	Send(to int, inst string, body []byte)
+	Flush()
 }
 
-// nodeEnv is what a Node needs from its surroundings: cluster shape,
-// traffic accounting, and a transport. A full in-process Network provides
-// it for n nodes; a single-party Party (party.go) provides it for one, so
-// the same dispatcher runtime serves both deployment shapes.
-type nodeEnv interface {
-	partyCount() int
-	faultBound() int
-	record(inst string, bodyLen int)
-	transportSend(from, to int, inst string, body []byte)
-	transportFlush(from int)
+// chanLink is a node's link on the Channels transport: each message goes
+// straight onto the receiver's queue, after a random delay below jitter
+// when jitter is positive.
+type chanLink struct {
+	from   int
+	nodes  []*Node
+	jitter time.Duration
+
+	mu  sync.Mutex
+	rng *rand.Rand
 }
+
+func (c *chanLink) Send(to int, inst string, body []byte) {
+	b := append([]byte(nil), body...)
+	if c.jitter > 0 {
+		c.mu.Lock()
+		d := time.Duration(c.rng.Int63n(int64(c.jitter)))
+		c.mu.Unlock()
+		if d > 0 {
+			time.AfterFunc(d, func() { c.nodes[to].enqueue(c.from, 0, inst, b) })
+			return
+		}
+	}
+	c.nodes[to].enqueue(c.from, 0, inst, b)
+}
+
+func (c *chanLink) Flush() {}
 
 type task struct {
 	// Either a message…
@@ -180,10 +373,19 @@ type task struct {
 	fn func()
 }
 
+// capturedSelf is one self-send generated while replaying the journal; it
+// is matched against the journal's own self-frame records instead of being
+// re-enqueued, so replay consumes rather than re-creates them.
+type capturedSelf struct {
+	inst string
+	body []byte
+}
+
 // Node is one party's live runtime.
 type Node struct {
-	env nodeEnv
-	idx int
+	idx, n, f int
+	link      link
+	traffic   meter
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -193,12 +395,19 @@ type Node struct {
 	tombstones []string
 	closed     bool
 
-	// journal, when set (before the transport connects), observes every
+	// journal, when set (at construction), observes every
 	// message task at the moment it is processed — the write-ahead record a
 	// durable daemon appends before effects escape. Processing order, not
 	// arrival order: parked frames are journaled when their handler finally
 	// runs, which is the order a replay can reproduce.
 	journal func(from int, seq uint64, inst string, body []byte)
+
+	// Replay capture: written only on the dispatcher goroutine, inside a
+	// Party.Replay critical section (the mismatch counter is atomic so
+	// Stats RPCs can read it later).
+	replaying      bool
+	captured       []capturedSelf
+	selfMismatches atomic.Int64
 
 	rng           *rand.Rand // used only on the dispatcher goroutine
 	rejected      atomic.Int64
@@ -209,211 +418,32 @@ type Node struct {
 
 var _ proto.Runtime = (*Node)(nil)
 
-// New starts a live network with running dispatchers.
-func New(cfg Config) (*Network, error) {
-	if cfg.N <= 0 {
-		return nil, errors.New("livenet: N must be positive")
+// newNode builds party self's dispatcher; start runs it.
+func newNode(self, n, f int, seed int64) *Node {
+	nd := &Node{
+		idx: self, n: n, f: f,
+		insts:   make(map[string]proto.Handler),
+		pending: make(map[string][]task),
+		rng:     rand.New(rand.NewSource(seed*7_368_787 + int64(self))),
 	}
-	nw := &Network{
-		n:       cfg.N,
-		f:       cfg.F,
-		jrng:    rand.New(rand.NewSource(cfg.Seed ^ 0x11ff)),
-		perInst: make(map[string]*Tally),
-	}
-	for i := 0; i < cfg.N; i++ {
-		nd := &Node{
-			env:     nw,
-			idx:     i,
-			insts:   make(map[string]proto.Handler),
-			pending: make(map[string][]task),
-			rng:     rand.New(rand.NewSource(cfg.Seed*7_368_787 + int64(i))),
-		}
-		nd.cond = sync.NewCond(&nd.mu)
-		nw.nodes = append(nw.nodes, nd)
-	}
-	switch cfg.Transport {
-	case Channels:
-		nw.tr = &chanTransport{nw: nw, jitter: cfg.Jitter}
-	case TCP:
-		tr, err := newMeshTransport(nw, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("livenet: tcp transport: %w", err)
-		}
-		nw.tr = tr
-	default:
-		return nil, fmt.Errorf("livenet: unknown transport %d", cfg.Transport)
-	}
-	for _, nd := range nw.nodes {
-		nd.done.Add(1)
-		go nd.dispatch()
-	}
-	return nw, nil
+	nd.cond = sync.NewCond(&nd.mu)
+	return nd
 }
 
-// Node returns party i's runtime.
-func (nw *Network) Node(i int) *Node { return nw.nodes[i] }
-
-// Runtime returns party i's protocol-facing surface (driverHost).
-func (nw *Network) Runtime(i int) proto.Runtime { return nw.nodes[i] }
-
-// Launch schedules fn onto party i's dispatcher (driverHost).
-func (nw *Network) Launch(i int, fn func()) { nw.nodes[i].Do(fn) }
-
-// Close stops dispatchers and the transport. It is idempotent.
-func (nw *Network) Close() {
-	nw.closeOnce.Do(func() {
-		nw.tr.close()
-		for _, nd := range nw.nodes {
-			nd.mu.Lock()
-			nd.closed = true
-			nd.cond.Broadcast()
-			nd.mu.Unlock()
-		}
-		for _, nd := range nw.nodes {
-			nd.done.Wait()
-		}
-	})
-}
-
-// TCPStats aggregates the TCP transport's mesh counters across all
-// endpoints. Zero on the Channels transport.
-type TCPStats struct {
-	Frames   int64 // protocol frames handed to the transport
-	Syscalls int64 // data-path socket writes that carried them (coalesced flushes)
-	Dropped  int64 // frames lost to outbox overflow (peer gone too long)
-
-	Resends       int64 // frames rewritten while resyncing a reconnected link
-	Redials       int64 // connections re-established after a drop
-	BackoffResets int64 // exponential redial backoff returns to minimum
-	AuthRejects   int64 // inbound handshakes rejected (impostor/replay)
-	Dups          int64 // duplicate frames dropped by receiver seq dedup
-
-	WANDelays int64 // frames held by per-link WAN emulation
-	WANLosses int64 // emulated loss→retransmission latency events
-}
-
-// TCPStats reports the transport's framing counters; Frames/Syscalls is
-// the achieved write-coalescing factor.
-func (nw *Network) TCPStats() TCPStats {
-	mt, ok := nw.tr.(*meshTransport)
-	if !ok {
-		return TCPStats{}
-	}
-	var agg MeshStats
-	for _, m := range mt.meshes {
-		agg.add(m.Stats())
-	}
-	return TCPStats{
-		Frames:        agg.Frames,
-		Syscalls:      agg.Syscalls,
-		Dropped:       agg.Dropped,
-		Resends:       agg.Resends,
-		Redials:       agg.Redials,
-		BackoffResets: agg.BackoffResets,
-		AuthRejects:   agg.AuthRejects,
-		Dups:          agg.Dups,
-		WANDelays:     agg.WANDelays,
-		WANLosses:     agg.WANLosses,
-	}
-}
-
-// RecoveryStats counts one party's WAL-backed crash-recovery activity. It
-// is populated by a durable daemon (noded) after replaying its journal;
-// in-process runtimes, which keep no journal, report zeros.
-type RecoveryStats struct {
-	Restarts        int64 // recoveries from a non-empty journal (0 or 1 per process)
-	ReplayedRecords int64 // journal records replayed at startup
-	ReplayedFrames  int64 // …of which inbound/self message frames
-	ReplayedOps     int64 // …of which instance launches and drains
-	SelfMismatches  int64 // replay self-sends diverging from the journal
-	TruncatedBytes  int64 // torn journal tail dropped on open
-	WALAppends      int64 // records appended this process lifetime
-	WALSyncs        int64 // fsync batches committed
-	Compactions     int64 // snapshot+compaction cycles
-	SnapshotBytes   int64 // size of the live snapshot base
-}
-
-// RecoveryStats reports zeros: the in-process runtime keeps no journal
-// (crash recovery is a multi-process concern; see internal/noded).
-func (nw *Network) RecoveryStats() RecoveryStats { return RecoveryStats{} }
-
-// PeerDrops reports the frames charged against the (from, to) link: frames
-// dropped to outbox overflow on the sender side, plus inbound handshakes at
-// `to` rejected while claiming identity `from` (an impostor posing as
-// `from` books its rejections here). Zero on the Channels transport and for
-// self-sends.
-func (nw *Network) PeerDrops(from, to int) int64 {
-	mt, ok := nw.tr.(*meshTransport)
-	if !ok || from < 0 || from >= nw.n || to < 0 || to >= nw.n {
-		return 0
-	}
-	return mt.meshes[from].LinkDrops(to) + mt.meshes[to].AuthRejects(from)
-}
-
-// Sever force-closes the current (from → to) TCP connection; the mesh
-// redials with backoff and resends unacked frames, so delivery resumes.
-// No-op on the Channels transport — the crash/recovery test hook. It
-// reports whether a live connection was actually killed (false while the
-// link is still dialing, and always false on Channels).
-func (nw *Network) Sever(from, to int) bool {
-	if mt, ok := nw.tr.(*meshTransport); ok && from >= 0 && from < nw.n {
-		return mt.meshes[from].Sever(to)
-	}
-	return false
-}
-
-// MeshAddr returns party i's TCP data listen address ("" on Channels).
-func (nw *Network) MeshAddr(i int) string {
-	if mt, ok := nw.tr.(*meshTransport); ok && i >= 0 && i < nw.n {
-		return mt.meshes[i].Addr()
-	}
-	return ""
-}
-
-// Rejected reports the total malformed messages dropped across nodes.
-func (nw *Network) Rejected() int64 {
-	var t int64
-	for _, nd := range nw.nodes {
-		t += nd.rejected.Load()
-	}
-	return t
-}
-
-// Equivocations reports the total conflicting-message evidence recorded
-// across nodes.
-func (nw *Network) Equivocations() int64 {
-	var t int64
-	for _, nd := range nw.nodes {
-		t += nd.equivocations.Load()
-	}
-	return t
-}
-
-// Network's nodeEnv implementation (Node runs against either a full
-// Network or a single-party Party).
-func (nw *Network) partyCount() int { return nw.n }
-func (nw *Network) faultBound() int { return nw.f }
-func (nw *Network) transportSend(from, to int, inst string, body []byte) {
-	nw.tr.send(from, to, inst, body)
-}
-func (nw *Network) transportFlush(from int) { nw.tr.flush(from) }
-
-func (nw *Network) jitterDelay(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	nw.jmu.Lock()
-	defer nw.jmu.Unlock()
-	return time.Duration(nw.jrng.Int63n(int64(max)))
+// start attaches the outbound link and launches the dispatcher.
+func (nd *Node) start(l link) {
+	nd.link = l
+	nd.done.Add(1)
+	go nd.dispatch()
 }
 
 // --- Node: proto.Runtime ---
 
 // N returns the party count.
-func (nd *Node) N() int { return nd.env.partyCount() }
+func (nd *Node) N() int { return nd.n }
 
 // F returns the corruption bound.
-func (nd *Node) F() int { return nd.env.faultBound() }
+func (nd *Node) F() int { return nd.f }
 
 // Self returns this node's index.
 func (nd *Node) Self() int { return nd.idx }
@@ -447,16 +477,25 @@ func (nd *Node) Register(inst string, h proto.Handler) {
 
 // Send routes a message to the same instance on node `to`.
 func (nd *Node) Send(inst string, to int, body []byte) {
-	if to < 0 || to >= nd.env.partyCount() {
+	if to < 0 || to >= nd.n {
 		return
 	}
-	nd.env.record(inst, len(body))
-	nd.env.transportSend(nd.idx, to, inst, body)
+	nd.traffic.record(inst, len(body))
+	if nd.replaying && to == nd.idx {
+		// Replayed handlers regenerate their self-sends; looping them back
+		// through the queue would re-process (and re-journal) work the WAL
+		// already accounts for. Capture instead: ConsumeSelf matches them
+		// against the journal and FlushCapturedSelf re-enqueues only the
+		// unprocessed surplus.
+		nd.captured = append(nd.captured, capturedSelf{inst: inst, body: append([]byte(nil), body...)})
+		return
+	}
+	nd.link.Send(to, inst, body)
 }
 
 // Multicast sends to all parties, self included.
 func (nd *Node) Multicast(inst string, body []byte) {
-	for to := 0; to < nd.env.partyCount(); to++ {
+	for to := 0; to < nd.n; to++ {
 		nd.Send(inst, to, body)
 	}
 }
@@ -482,12 +521,6 @@ func (nd *Node) enqueue(from int, seq uint64, inst string, body []byte) {
 	}
 	nd.queue = append(nd.queue, task{from: from, seq: seq, inst: inst, body: body})
 	nd.cond.Broadcast()
-}
-
-// SetJournal installs the write-ahead observer. It must be set before the
-// transport connects (the hook is read on the dispatcher without a lock).
-func (nd *Node) SetJournal(fn func(from int, seq uint64, inst string, body []byte)) {
-	nd.journal = fn
 }
 
 // Tombstone marks an instance path prefix as retired by a compaction
@@ -555,7 +588,7 @@ func (nd *Node) dispatch() {
 			// a syscall; the re-check below catches anything that raced
 			// in meanwhile.
 			nd.mu.Unlock()
-			nd.env.transportFlush(nd.idx)
+			nd.link.Flush()
 			nd.mu.Lock()
 		}
 		for len(nd.queue) == 0 && !nd.closed {
@@ -595,118 +628,6 @@ func (nd *Node) dispatch() {
 			h.Handle(t.from, t.body)
 		}
 	}
-}
-
-// --- channel transport ---
-
-type chanTransport struct {
-	nw     *Network
-	jitter time.Duration
-}
-
-func (c *chanTransport) send(from, to int, inst string, body []byte) {
-	b := append([]byte(nil), body...)
-	if d := c.nw.jitterDelay(c.jitter); d > 0 {
-		time.AfterFunc(d, func() { c.nw.nodes[to].enqueue(from, 0, inst, b) })
-		return
-	}
-	c.nw.nodes[to].enqueue(from, 0, inst, b)
-}
-
-func (c *chanTransport) flush(int) {}
-
-func (c *chanTransport) close() {}
-
-// --- TCP transport: n in-process Mesh endpoints on loopback ---
-
-// inProcBackoffMin/Max tune the redial backoff for loopback, where a peer
-// that refuses a dial is back within milliseconds, not seconds.
-const (
-	inProcBackoffMin = 5 * time.Millisecond
-	inProcBackoffMax = 500 * time.Millisecond
-)
-
-// DeriveAuth builds a deterministic transport-auth keyset from a seed — the
-// stand-in used when no bulletin-PKI keys are supplied, so the handshake is
-// never unauthenticated.
-func DeriveAuth(n int, seed int64) (*Auth, error) {
-	rng := rand.New(rand.NewSource(seed ^ 0x6d657368)) // "mesh"
-	a := &Auth{Keys: make([]sig.PrivateKey, n), Board: make([]sig.PublicKey, n)}
-	for i := 0; i < n; i++ {
-		k, err := sig.GenerateKey(rng)
-		if err != nil {
-			return nil, err
-		}
-		a.Keys[i] = k
-		a.Board[i] = k.PK
-	}
-	return a, nil
-}
-
-type meshTransport struct {
-	nw     *Network
-	meshes []*Mesh
-}
-
-func newMeshTransport(nw *Network, cfg Config) (*meshTransport, error) {
-	auth := cfg.Auth
-	if auth == nil {
-		var err error
-		if auth, err = DeriveAuth(nw.n, cfg.Seed); err != nil {
-			return nil, err
-		}
-	}
-	if len(auth.Keys) != nw.n || len(auth.Board) != nw.n {
-		return nil, fmt.Errorf("auth keyset has %d/%d keys, want %d", len(auth.Keys), len(auth.Board), nw.n)
-	}
-	mt := &meshTransport{nw: nw}
-	addrs := make([]string, nw.n)
-	for i := 0; i < nw.n; i++ {
-		node := nw.nodes[i]
-		m, err := NewMesh(MeshConfig{
-			Self:       i,
-			N:          nw.n,
-			Key:        auth.Keys[i],
-			Board:      auth.Board,
-			Deliver:    node.enqueue,
-			WAN:        cfg.WAN,
-			Seed:       cfg.Seed,
-			FlushEvery: cfg.FlushEvery,
-			BackoffMin: inProcBackoffMin,
-			BackoffMax: inProcBackoffMax,
-		})
-		if err != nil {
-			mt.close()
-			return nil, err
-		}
-		mt.meshes = append(mt.meshes, m)
-		addrs[i] = m.Addr()
-	}
-	for _, m := range mt.meshes {
-		if err := m.Connect(addrs); err != nil {
-			mt.close()
-			return nil, err
-		}
-	}
-	return mt, nil
-}
-
-func (mt *meshTransport) send(from, to int, inst string, body []byte) {
-	mt.meshes[from].Send(to, inst, body)
-}
-
-func (mt *meshTransport) flush(from int) { mt.meshes[from].Flush() }
-
-func (mt *meshTransport) close() {
-	var wg sync.WaitGroup
-	for _, m := range mt.meshes {
-		wg.Add(1)
-		go func(m *Mesh) {
-			defer wg.Done()
-			m.Close()
-		}(m)
-	}
-	wg.Wait()
 }
 
 // Crash makes the node drop all future deliveries and jobs — a

@@ -334,7 +334,7 @@ func TestChannelsTransportReportsZeroTCPStats(t *testing.T) {
 // total far under the 64 KiB overflow threshold still gets every frame to
 // the wire, because the background timer sweeps pending buffers each period.
 func TestTCPTimerFlushBoundsFrameLatency(t *testing.T) {
-	nw, err := New(Config{N: 2, F: 0, Seed: 8, Transport: TCP, FlushEvery: 2 * time.Millisecond})
+	nw, err := New(Config{N: 2, F: 0, Seed: 8, Transport: TCP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,6 +134,11 @@ type MeshConfig struct {
 }
 
 const (
+	// defaultFlushEvery bounds how long a frame may sit in a coalescing
+	// buffer: the timer flushes pending buffers at this period, so frame
+	// latency stays bounded even when a dispatcher never goes idle and the
+	// overflow write-through never fires (sustained small-frame load).
+	defaultFlushEvery   = 2 * time.Millisecond
 	defaultBackoffMin   = 25 * time.Millisecond
 	defaultBackoffMax   = 1 * time.Second
 	defaultOutboxFrames = 1 << 16
@@ -858,8 +863,9 @@ func (m *Mesh) Settled() bool {
 
 // --- stats, shutdown ---
 
-// MeshStats aggregates one endpoint's transport counters.
-type MeshStats struct {
+// TCPStats aggregates mesh transport counters: one endpoint's, or summed
+// over a Network's parties.
+type TCPStats struct {
 	Frames   int64 // data frames accepted for sending (excludes resends)
 	Syscalls int64 // data-path socket writes (coalesced flushes)
 	Dropped  int64 // frames dropped to outbox overflow
@@ -874,7 +880,7 @@ type MeshStats struct {
 	WANLosses int64 // loss→retransmit latency events injected
 }
 
-func (s *MeshStats) add(o MeshStats) {
+func (s *TCPStats) add(o TCPStats) {
 	s.Frames += o.Frames
 	s.Syscalls += o.Syscalls
 	s.Dropped += o.Dropped
@@ -888,8 +894,8 @@ func (s *MeshStats) add(o MeshStats) {
 }
 
 // Stats snapshots this endpoint's counters.
-func (m *Mesh) Stats() MeshStats {
-	var st MeshStats
+func (m *Mesh) Stats() TCPStats {
+	var st TCPStats
 	for _, l := range m.out {
 		if l == nil {
 			continue

@@ -1,19 +1,16 @@
 package livenet
 
-// Party is the single-party deployment runtime: one Node (dispatcher) wired
-// to one Mesh endpoint, where the in-process Network wires n of each. It is
-// what a noded OS process hosts — the other n-1 parties live in other
-// processes (or machines) and are reached through the authenticated TCP
-// mesh. Party implements the same nodeEnv contract as Network, so the exact
-// dispatcher code runs in both deployment shapes.
+// Party is the one environment a Node runs in: the dispatcher plus its
+// outbound link. NewParty wires it to a Mesh endpoint — what a noded OS
+// process hosts, the other n-1 parties living in other processes (or
+// machines) reached through the authenticated TCP mesh. The in-process
+// Network is n Parties: on TCP built by NewParty and Connect exactly like n
+// processes, on Channels sharing in-process queues.
 
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/crypto/sig"
@@ -45,7 +42,7 @@ type PartyConfig struct {
 	OutboxFrames int
 
 	// Journal, when set, observes every message the dispatcher processes
-	// (the daemon's write-ahead hook; see Node.SetJournal).
+	// in processing order (the daemon's write-ahead hook).
 	Journal func(from int, seq uint64, inst string, body []byte)
 	// GateAcks caps mesh acks at the journaled cursor (see MeshConfig).
 	GateAcks bool
@@ -59,33 +56,28 @@ type PartyConfig struct {
 	Hold bool
 }
 
-// capturedSelf is one self-send generated while replaying the journal; it
-// is matched against the journal's own self-frame records instead of being
-// re-enqueued, so replay consumes rather than re-creates them.
-type capturedSelf struct {
-	inst string
-	body []byte
+// RecoveryStats counts one party's WAL-backed crash-recovery activity. It
+// is populated by a durable daemon (noded) after replaying its journal.
+type RecoveryStats struct {
+	Restarts        int64 // recoveries from a non-empty journal (0 or 1 per process)
+	ReplayedRecords int64 // journal records replayed at startup
+	ReplayedFrames  int64 // …of which inbound/self message frames
+	ReplayedOps     int64 // …of which instance launches and drains
+	SelfMismatches  int64 // replay self-sends diverging from the journal
+	TruncatedBytes  int64 // torn journal tail dropped on open
+	WALAppends      int64 // records appended this process lifetime
+	WALSyncs        int64 // fsync batches committed
+	Compactions     int64 // snapshot+compaction cycles
+	SnapshotBytes   int64 // size of the live snapshot base
 }
 
 // Party is a running single-party runtime.
 type Party struct {
-	self, n, f int
-	node       *Node
-	mesh       *Mesh
-
-	mmu     sync.Mutex
-	total   Tally
-	perInst map[string]*Tally
+	node *Node
+	mesh *Mesh // nil on the Channels transport
 
 	gate        chan struct{} // nil unless Hold; closed by Release
 	releaseOnce sync.Once
-
-	// Replay state: written only on the dispatcher goroutine, inside the
-	// Replay critical section (the mismatch counter is atomic so Stats
-	// RPCs can read it later).
-	replaying      bool
-	selfCaptured   []capturedSelf
-	selfMismatches atomic.Int64
 
 	rmu      sync.Mutex
 	recovery RecoveryStats
@@ -100,26 +92,9 @@ func NewParty(cfg PartyConfig) (*Party, error) {
 	if cfg.N <= 0 || cfg.Self < 0 || cfg.Self >= cfg.N {
 		return nil, fmt.Errorf("livenet: party %d of %d out of range", cfg.Self, cfg.N)
 	}
-	p := &Party{
-		self:    cfg.Self,
-		n:       cfg.N,
-		f:       cfg.F,
-		perInst: make(map[string]*Tally),
-	}
-	nd := &Node{
-		env:     p,
-		idx:     cfg.Self,
-		insts:   make(map[string]proto.Handler),
-		pending: make(map[string][]task),
-		// Same derivation as Network's per-node RNG so runs seeded alike
-		// draw alike regardless of deployment shape.
-		rng: rand.New(rand.NewSource(cfg.Seed*7_368_787 + int64(cfg.Self))),
-	}
-	nd.cond = sync.NewCond(&nd.mu)
-	if cfg.Journal != nil {
-		nd.SetJournal(cfg.Journal)
-	}
-	p.node = nd
+	nd := newNode(cfg.Self, cfg.N, cfg.F, cfg.Seed)
+	nd.journal = cfg.Journal
+	p := &Party{node: nd}
 	deliver := nd.enqueue
 	if cfg.Hold {
 		p.gate = make(chan struct{})
@@ -153,8 +128,7 @@ func NewParty(cfg PartyConfig) (*Party, error) {
 		return nil, fmt.Errorf("livenet: party %d mesh: %w", cfg.Self, err)
 	}
 	p.mesh = m
-	nd.done.Add(1)
-	go nd.dispatch()
+	nd.start(m)
 	return p, nil
 }
 
@@ -163,15 +137,10 @@ func (p *Party) Addr() string { return p.mesh.Addr() }
 
 // Connect supplies all peer data addresses (length N; own slot ignored) and
 // starts the outbound dial loops.
-func (p *Party) Connect(peers []string) error {
-	if len(peers) != p.n {
-		return fmt.Errorf("livenet: party %d: %d peer addrs, want %d", p.self, len(peers), p.n)
-	}
-	return p.mesh.Connect(peers)
-}
+func (p *Party) Connect(peers []string) error { return p.mesh.Connect(peers) }
 
 // Self returns this party's index.
-func (p *Party) Self() int { return p.self }
+func (p *Party) Self() int { return p.node.idx }
 
 // Node returns the party's protocol runtime.
 func (p *Party) Node() *Node { return p.node }
@@ -179,16 +148,16 @@ func (p *Party) Node() *Node { return p.node }
 // Runtime returns the protocol-facing surface (driverHost). Only the
 // party's own index is hosted here.
 func (p *Party) Runtime(i int) proto.Runtime {
-	if i != p.self {
-		panic(fmt.Sprintf("livenet: party %d asked for runtime %d (other parties live in other processes)", p.self, i))
+	if i != p.node.idx {
+		panic(fmt.Sprintf("livenet: party %d asked for runtime %d (other parties live in other processes)", p.node.idx, i))
 	}
 	return p.node
 }
 
 // Launch schedules fn onto the dispatcher goroutine (driverHost).
 func (p *Party) Launch(i int, fn func()) {
-	if i != p.self {
-		panic(fmt.Sprintf("livenet: party %d asked to launch on %d", p.self, i))
+	if i != p.node.idx {
+		panic(fmt.Sprintf("livenet: party %d asked to launch on %d", p.node.idx, i))
 	}
 	p.node.Do(fn)
 }
@@ -199,17 +168,18 @@ func (p *Party) Do(fn func()) { p.node.Do(fn) }
 
 // Replay runs fn on the dispatcher goroutine and blocks until it returns —
 // the recovery critical section. Inside fn the caller re-processes journal
-// records via Node.Replay and ConsumeSelf; any self-send a replayed handler
-// generates is captured (matched against the journal) instead of looping
-// back, because the journal — not re-execution — is the authority on which
-// self-sends were processed before the crash. Call before Connect, with
-// the delivery gate still held.
+// records via Node.Replay and Node.ConsumeSelf; any self-send a replayed
+// handler generates is captured (matched against the journal) instead of
+// looping back, because the journal — not re-execution — is the authority
+// on which self-sends were processed before the crash. Call before
+// Connect, with the delivery gate still held.
 func (p *Party) Replay(fn func()) {
 	done := make(chan struct{})
-	p.node.Do(func() {
-		p.replaying = true
+	nd := p.node
+	nd.Do(func() {
+		nd.replaying = true
 		fn()
-		p.replaying = false
+		nd.replaying = false
 		close(done)
 	})
 	<-done
@@ -219,16 +189,17 @@ func (p *Party) Replay(fn func()) {
 // captured replay self-send. A match consumes the capture and reports
 // true; a divergence (exhausted captures or differing content) counts a
 // mismatch and reports false — the journal record still replays, keeping
-// the durable order authoritative. Dispatcher context only (inside Replay).
-func (p *Party) ConsumeSelf(inst string, body []byte) bool {
-	if len(p.selfCaptured) == 0 {
-		p.selfMismatches.Add(1)
+// the durable order authoritative. Dispatcher context only (inside
+// Party.Replay).
+func (nd *Node) ConsumeSelf(inst string, body []byte) bool {
+	if len(nd.captured) == 0 {
+		nd.selfMismatches.Add(1)
 		return false
 	}
-	c := p.selfCaptured[0]
-	p.selfCaptured = p.selfCaptured[1:]
+	c := nd.captured[0]
+	nd.captured = nd.captured[1:]
 	if c.inst != inst || !bytes.Equal(c.body, body) {
-		p.selfMismatches.Add(1)
+		nd.selfMismatches.Add(1)
 		return false
 	}
 	return true
@@ -238,19 +209,19 @@ func (p *Party) ConsumeSelf(inst string, body []byte) bool {
 // by replayed handlers but never processed (hence never journaled) before
 // the crash — as fresh live tasks, preserving their generation order. They
 // will be journaled normally when dispatched. Dispatcher context only
-// (call at the end of the Replay fn).
-func (p *Party) FlushCapturedSelf() int {
-	n := len(p.selfCaptured)
-	for _, c := range p.selfCaptured {
-		p.node.enqueue(p.self, 0, c.inst, c.body)
+// (call at the end of the Party.Replay fn).
+func (nd *Node) FlushCapturedSelf() int {
+	n := len(nd.captured)
+	for _, c := range nd.captured {
+		nd.enqueue(nd.idx, 0, c.inst, c.body)
 	}
-	p.selfCaptured = nil
+	nd.captured = nil
 	return n
 }
 
 // SelfMismatches reports replay self-sends that diverged from the journal
 // (always zero for a faithful deterministic replay).
-func (p *Party) SelfMismatches() int64 { return p.selfMismatches.Load() }
+func (nd *Node) SelfMismatches() int64 { return nd.selfMismatches.Load() }
 
 // Release opens the delivery gate held by PartyConfig.Hold: buffered and
 // future peer frames start flowing to the dispatcher. Idempotent; no-op
@@ -286,7 +257,7 @@ func (p *Party) RecoveryStats() RecoveryStats {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
 	rs := p.recovery
-	rs.SelfMismatches = p.selfMismatches.Load()
+	rs.SelfMismatches = p.node.SelfMismatches()
 	return rs
 }
 
@@ -297,43 +268,18 @@ func (p *Party) RecoveryStats() RecoveryStats {
 func (p *Party) Sever(to int) bool { return p.mesh.Sever(to) }
 
 // TotalTally reports all traffic this party sent since start.
-func (p *Party) TotalTally() Tally {
-	p.mmu.Lock()
-	defer p.mmu.Unlock()
-	return p.total
-}
+func (p *Party) TotalTally() proto.Tally { return p.node.traffic.TotalTally() }
 
 // ByInstance sums this party's traffic under instance path tag (tag itself
 // or any tag/… sub-path).
-func (p *Party) ByInstance(tag string) Tally {
-	prefix := tag + "/"
-	var out Tally
-	p.mmu.Lock()
-	defer p.mmu.Unlock()
-	for inst, t := range p.perInst {
-		if inst == tag || strings.HasPrefix(inst, prefix) {
-			out.Msgs += t.Msgs
-			out.Bytes += t.Bytes
-		}
-	}
-	return out
-}
+func (p *Party) ByInstance(tag string) proto.Tally { return p.node.traffic.ByInstance(tag) }
 
-// TCPStats reports this endpoint's mesh counters.
+// TCPStats reports this endpoint's mesh counters (zero on Channels).
 func (p *Party) TCPStats() TCPStats {
-	s := p.mesh.Stats()
-	return TCPStats{
-		Frames:        s.Frames,
-		Syscalls:      s.Syscalls,
-		Dropped:       s.Dropped,
-		Resends:       s.Resends,
-		Redials:       s.Redials,
-		BackoffResets: s.BackoffResets,
-		AuthRejects:   s.AuthRejects,
-		Dups:          s.Dups,
-		WANDelays:     s.WANDelays,
-		WANLosses:     s.WANLosses,
+	if p.mesh == nil {
+		return TCPStats{}
 	}
+	return p.mesh.Stats()
 }
 
 // Rejected reports malformed messages dropped by the protocol layer.
@@ -347,14 +293,16 @@ func (p *Party) Equivocations() int64 { return p.node.equivocations.Load() }
 // shutdown, so peers receive everything sent before exit.
 func (p *Party) Flush() { p.mesh.Flush() }
 
-// Close flushes and tears down the mesh, then stops the dispatcher. It is
-// idempotent.
+// Close flushes and tears down the transport, then stops the dispatcher.
+// It is idempotent.
 func (p *Party) Close() {
 	p.closeOnce.Do(func() {
 		// Unblock transport goroutines parked on the delivery gate, or
 		// mesh.Close's goroutine sweep would wait on them forever.
 		p.Release()
-		p.mesh.Close()
+		if p.mesh != nil {
+			p.mesh.Close()
+		}
 		nd := p.node
 		nd.mu.Lock()
 		nd.closed = true
@@ -363,40 +311,3 @@ func (p *Party) Close() {
 		nd.done.Wait()
 	})
 }
-
-// Party's nodeEnv implementation.
-func (p *Party) partyCount() int { return p.n }
-func (p *Party) faultBound() int { return p.f }
-
-func (p *Party) record(inst string, bodyLen int) {
-	cost := int64(bodyLen + len(inst) + envelopeOverhead)
-	p.mmu.Lock()
-	defer p.mmu.Unlock()
-	p.total.Msgs++
-	p.total.Bytes += cost
-	t := p.perInst[inst]
-	if t == nil {
-		t = &Tally{}
-		p.perInst[inst] = t
-	}
-	t.Msgs++
-	t.Bytes += cost
-}
-
-func (p *Party) transportSend(from, to int, inst string, body []byte) {
-	if from != p.self {
-		panic(fmt.Sprintf("livenet: party %d sending as %d", p.self, from))
-	}
-	if p.replaying && to == p.self {
-		// Replayed handlers regenerate their self-sends; looping them back
-		// through the queue would re-process (and re-journal) work the WAL
-		// already accounts for. Capture instead: ConsumeSelf matches them
-		// against the journal and FlushCapturedSelf re-enqueues only the
-		// unprocessed surplus. (Dispatcher goroutine: no lock needed.)
-		p.selfCaptured = append(p.selfCaptured, capturedSelf{inst: inst, body: append([]byte(nil), body...)})
-		return
-	}
-	p.mesh.Send(to, inst, body)
-}
-
-func (p *Party) transportFlush(int) { p.mesh.Flush() }

@@ -141,7 +141,7 @@ func New(cfg *Config) (*Daemon, error) {
 		self:      ring.Self,
 		ring:      ring,
 		party:     party,
-		drv:       livenet.NewPartyDriver(party, cfg.awaitTimeout()),
+		drv:       livenet.NewDriver(party, cfg.awaitTimeout()),
 		jn:        jn,
 		insts:     make(map[string]*instance),
 		leftovers: make(map[string][][]byte),

@@ -61,7 +61,7 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 					// Matched against the self-send the replayed handlers
 					// regenerated; divergence is counted, the journal record
 					// still replays (the WAL is the authority).
-					d.party.ConsumeSelf(fr.inst, fr.body)
+					d.party.Node().ConsumeSelf(fr.inst, fr.body)
 				}
 				d.party.Node().Replay(fr.from, fr.seq, fr.inst, fr.body)
 				frames++
@@ -93,7 +93,7 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 		}
 		// Self-sends regenerated by replay but never processed before the
 		// crash become fresh live tasks, preserving generation order.
-		d.party.FlushCapturedSelf()
+		d.party.Node().FlushCapturedSelf()
 	})
 	if rerr != nil {
 		return rerr
@@ -105,7 +105,7 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 		ReplayedRecords: wst.RecoveredRecords,
 		ReplayedFrames:  frames,
 		ReplayedOps:     ops,
-		SelfMismatches:  d.party.SelfMismatches(),
+		SelfMismatches:  d.party.Node().SelfMismatches(),
 		TruncatedBytes:  wst.TruncatedBytes,
 		SnapshotBytes:   wst.SnapshotBytes,
 	}

@@ -9,10 +9,11 @@ package nodenet
 //     kind).
 //   - Sim: the decision is reproducible from the seed alone, so it must
 //     also equal an in-process simulator run of the same protocol. Only
-//     validity-pinned workloads qualify: an election's VRF-pinned leader,
-//     a unanimous ABA, a VBA whose proposals all agree. Timing-dependent
-//     outcomes (distinct-proposal VBA, weak coins, ADKG's contributor set)
-//     are compared across processes only.
+//     validity-pinned workloads qualify: a unanimous ABA, a VBA whose
+//     proposals all agree. Timing-dependent outcomes (the election's
+//     leader, which depends on which coin shares aggregate first,
+//     distinct-proposal VBA, weak coins, ADKG's contributor set) are
+//     compared across processes only.
 
 import (
 	"context"
@@ -56,7 +57,7 @@ type Workload struct {
 
 // Workloads is the registry, in run order.
 var Workloads = []Workload{
-	{Name: "election", Kind: "election", Genesis: "wl/e", Agreement: true, Sim: true},
+	{Name: "election", Kind: "election", Genesis: "wl/e", Agreement: true},
 	{Name: "vba-pinned", Kind: "vba", Genesis: "wl/v",
 		Input:     func(int) []byte { return []byte("ok:pinned") },
 		Predicate: "prefix:ok:", Agreement: true, Sim: true},

@@ -61,6 +61,24 @@ type Runtime interface {
 	Equivocation()
 }
 
+// EnvelopeOverhead approximates the per-message framing a networked
+// deployment adds (length, sender, instance-path length).
+const EnvelopeOverhead = 12
+
+// Tally is a (messages, bytes) traffic count. Both runtimes charge a
+// message len(body) + len(inst) + EnvelopeOverhead bytes, so a tally means
+// the same thing whichever runtime produced it.
+type Tally struct {
+	Msgs  int64
+	Bytes int64
+}
+
+// Add books one message of the given cost.
+func (t *Tally) Add(bytes int64) {
+	t.Msgs++
+	t.Bytes += bytes
+}
+
 // Driver is the session-level contract over a runtime: it is what lets one
 // long-lived cluster serve many concurrent protocol instances, identically
 // on the simulator and on the live runtime. Instance launchers use it in a

@@ -28,10 +28,6 @@ import (
 	"repro/internal/proto"
 )
 
-// envelopeOverhead approximates the per-message framing a networked
-// deployment would add (length, sender, instance-path length).
-const envelopeOverhead = 12
-
 // Handler is the per-instance message consumer (alias of proto.Handler).
 type Handler = proto.Handler
 
@@ -106,23 +102,12 @@ func (d DelayScheduler) Pick(r *rand.Rand, q []*Envelope) int {
 	return r.Intn(len(q))
 }
 
-// Tally accumulates message and byte counts.
-type Tally struct {
-	Msgs  int64
-	Bytes int64
-}
-
-func (t *Tally) add(bytes int64) {
-	t.Msgs++
-	t.Bytes += bytes
-}
-
 // Metrics is the per-run accounting snapshot.
 type Metrics struct {
-	Honest   Tally             // messages sent by honest parties (the paper's metrics)
-	Byz      Tally             // messages sent by corrupted parties (not part of the paper's cost)
-	PerInst  map[string]*Tally // honest traffic keyed by instance path
-	Rejected int64             // malformed/mis-attributed messages dropped by handlers
+	Honest   proto.Tally             // messages sent by honest parties (the paper's metrics)
+	Byz      proto.Tally             // messages sent by corrupted parties (not part of the paper's cost)
+	PerInst  map[string]*proto.Tally // honest traffic keyed by instance path
+	Rejected int64                   // malformed/mis-attributed messages dropped by handlers
 	// Equivocations counts conflicting-message evidence recorded by
 	// handlers — proof of a Byzantine sender, as opposed to Rejected's
 	// unattributable garbage.
@@ -133,7 +118,7 @@ type Metrics struct {
 // ByInstance sums honest traffic whose instance path is tag itself or any
 // sub-path tag/… — one protocol instance's full footprint on a shared
 // cluster. (ByPrefix would conflate tags sharing a textual prefix.)
-func (m *Metrics) ByInstance(tag string) Tally {
+func (m *Metrics) ByInstance(tag string) proto.Tally {
 	t := m.ByPrefix(tag + "/")
 	if own := m.PerInst[tag]; own != nil {
 		t.Msgs += own.Msgs
@@ -143,8 +128,8 @@ func (m *Metrics) ByInstance(tag string) Tally {
 }
 
 // ByPrefix sums honest traffic over instance paths with the given prefix.
-func (m *Metrics) ByPrefix(prefix string) Tally {
-	var t Tally
+func (m *Metrics) ByPrefix(prefix string) proto.Tally {
+	var t proto.Tally
 	for _, inst := range order.SortedKeys(m.PerInst) {
 		if strings.HasPrefix(inst, prefix) {
 			t.Msgs += m.PerInst[inst].Msgs
@@ -191,7 +176,7 @@ func New(cfg Config) *Network {
 		sched: sched,
 		byz:   cfg.Byzantine,
 	}
-	nw.metrics.PerInst = make(map[string]*Tally)
+	nw.metrics.PerInst = make(map[string]*proto.Tally)
 	for i := 0; i < cfg.N; i++ {
 		nw.nodes = append(nw.nodes, &Node{
 			nw:      nw,
@@ -232,18 +217,18 @@ func (nw *Network) enqueue(from, to int, inst string, body []byte, depth int) {
 	nw.seq++
 	env := &Envelope{From: from, To: to, Inst: inst, Body: body, Depth: depth, Seq: nw.seq}
 	nw.queue = append(nw.queue, env)
-	cost := int64(len(body) + len(inst) + envelopeOverhead)
+	cost := int64(len(body) + len(inst) + proto.EnvelopeOverhead)
 	if nw.byz[from] {
-		nw.metrics.Byz.add(cost)
+		nw.metrics.Byz.Add(cost)
 		return
 	}
-	nw.metrics.Honest.add(cost)
+	nw.metrics.Honest.Add(cost)
 	t := nw.metrics.PerInst[inst]
 	if t == nil {
-		t = &Tally{}
+		t = &proto.Tally{}
 		nw.metrics.PerInst[inst] = t
 	}
-	t.add(cost)
+	t.Add(cost)
 }
 
 // Step delivers one message (plus any replayed buffered messages it
