@@ -1,5 +1,9 @@
-// The Engine in this file is the throughput-oriented successor of the
-// slot-serial ABC: a BKR/HoneyBadger-style asynchronous common subset per
+// Package abc implements asynchronous atomic broadcast — the BFT
+// state-machine-replication application class the paper's introduction
+// motivates (§1.3, citing HoneyBadger/Dumbo) — on the private-setup-free
+// stack: bulletin PKI only.
+//
+// The Engine is a BKR/HoneyBadger-style asynchronous common subset per
 // slot. Each party AVID-broadcasts its pending batch (n parallel
 // erasure-coded RBCs on the cached-basis RS codec) and n concurrent ABAs
 // decide which broadcasts enter the slot's committed set — a party inputs 1

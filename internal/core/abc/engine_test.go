@@ -574,34 +574,3 @@ func TestMempoolLeftoverCycleSurvivesStopRestart(t *testing.T) {
 		}
 	}
 }
-
-// --- satellite regression tests for the old slot-serial ABC ---
-
-// TestCommittedSnapshotIsDeepCopy: mutating a returned batch must not
-// corrupt the live log (the old Committed shared the inner slices).
-func TestCommittedSnapshotIsDeepCopy(t *testing.T) {
-	l := New(nil, "log", nil, nil, Config{Slots: 2}, nil, func(int, []byte) {})
-	l.slot, l.committed = 1, [][]byte{[]byte("batch0")}
-	snap := l.Committed()
-	snap[0][0] = 'X'
-	if string(l.committed[0]) != "batch0" {
-		t.Fatalf("snapshot aliases the live log: %q", l.committed[0])
-	}
-}
-
-// TestOnCommitIdempotentUnderDuplicateSignals: a replayed VBA completion
-// for an already-committed slot must not append, re-deliver, or advance.
-func TestOnCommitIdempotentUnderDuplicateSignals(t *testing.T) {
-	delivered := 0
-	l := New(nil, "log", nil, nil, Config{Slots: 1}, nil, func(int, []byte) { delivered++ })
-	l.started = true // keep runSlot from wiring a real VBA on the nil runtime
-	l.onCommit(0, []byte("b0"))
-	l.onCommit(0, []byte("b0-dup"))
-	if delivered != 1 || len(l.committed) != 1 || l.slot != 1 {
-		t.Fatalf("duplicate commit signal re-applied: delivered=%d len=%d slot=%d",
-			delivered, len(l.committed), l.slot)
-	}
-	if string(l.committed[0]) != "b0" {
-		t.Fatalf("duplicate overwrote the committed batch: %q", l.committed[0])
-	}
-}

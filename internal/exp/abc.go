@@ -1,34 +1,30 @@
 package exp
 
-// Atomic-broadcast throughput runners: the BKR parallel-broadcast
-// common-subset engine (abc.Engine) and the slot-serial VBA ledger it
-// replaces, measured under one workload shape so the pipelining gain is a
-// like-for-like ratio. All throughput metrics are deterministic functions of
-// the seeded run — transactions per 1000 simulator deliveries, transactions
-// per causal round, and per-slot commit latency in causal rounds (committing
-// party's depth at commit minus depth at slot launch, maximized over honest
-// parties) — so the committed BENCH_abc.json artifact is diff-gateable.
+// Atomic-broadcast throughput runners for the BKR parallel-broadcast
+// common-subset engine (abc.Engine). All throughput metrics are
+// deterministic functions of the seeded run — transactions per 1000
+// simulator deliveries, transactions per causal round, and per-slot commit
+// latency in causal rounds (committing party's depth at commit minus depth
+// at slot launch, maximized over honest parties) — so the committed
+// BENCH_abc.json artifact is diff-gateable.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/core/abc"
-	"repro/internal/core/vba"
 	"repro/internal/harness"
 )
 
 // ABCConfig shapes one atomic-broadcast throughput run.
 type ABCConfig struct {
-	Slots       int  // fixed slot horizon (≥ 1)
-	BatchBytes  int  // per-batch byte bound drawn from the mempool
-	TxBytes     int  // size of each synthetic transaction
-	TxPerParty  int  // transactions preloaded per honest party
-	MaxInFlight int  // pipeline depth (≤ 0 = engine default)
-	Serial      bool // run the slot-serial VBA baseline instead of the engine
+	Slots       int // fixed slot horizon (≥ 1)
+	BatchBytes  int // per-batch byte bound drawn from the mempool
+	TxBytes     int // size of each synthetic transaction
+	TxPerParty  int // transactions preloaded per honest party
+	MaxInFlight int // pipeline depth (≤ 0 = engine default)
 }
 
 // ABCOutcome is the result of RunABC.
@@ -49,7 +45,7 @@ type ABCOutcome struct {
 	LatMeanRounds float64
 	LatP95Rounds  float64
 	// Occupancy is the mean committed-set size per slot over n — ≥ (n−f)/n
-	// for the engine by the BKR vote rule, 1/n for the serial baseline.
+	// by the BKR vote rule.
 	Occupancy float64
 }
 
@@ -148,9 +144,6 @@ func (ai *ABCInstance) Outcome() ABCOutcome {
 // over a fresh cluster, each honest party preloaded with cfg.TxPerParty
 // synthetic transactions.
 func RunABC(spec RunSpec, cfg ABCConfig) (ABCOutcome, error) {
-	if cfg.Serial {
-		return runABCSerial(spec, cfg)
-	}
 	c, err := spec.cluster()
 	if err != nil {
 		return ABCOutcome{}, err
@@ -166,88 +159,6 @@ func RunABC(spec RunSpec, cfg ABCConfig) (ABCOutcome, error) {
 		return ABCOutcome{}, fmt.Errorf("abc run: %w", err)
 	}
 	return inst.Outcome(), nil
-}
-
-// runABCSerial is the slot-serial baseline under the engine's workload
-// shape: one VBA per slot picks a single party's batch; losers requeue. It
-// shares the ABCOutcome metrics so the pipelining gain reads directly off
-// tx-per-kstep.
-func runABCSerial(spec RunSpec, cfg ABCConfig) (ABCOutcome, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return ABCOutcome{}, err
-	}
-	pools := preloadPools(c, cfg)
-	type ownBatch struct {
-		enc []byte
-		txs [][]byte
-	}
-	t := newTracker(c, "abc")
-	logs := make(map[int][][]byte)
-	launchD := make(map[int][]int)
-	commitD := make(map[int][]int)
-	own := make(map[int][]ownBatch)
-	valid := func(v []byte) bool { _, _, derr := abc.DecodeBatch(v); return derr == nil }
-	c.EachHonest(func(i int) {
-		c.Launch(i, func() {
-			l := abc.New(c.Runtime(i), "abc", c.Keys[i], valid,
-				abc.Config{VBA: vba.Config{Coin: spec.coinCfg()}, Slots: cfg.Slots},
-				func(int) []byte {
-					txs := pools[i].Take(cfg.BatchBytes)
-					enc := abc.EncodeBatch(txs, false)
-					c.Update(func() {
-						own[i] = append(own[i], ownBatch{enc: enc, txs: txs})
-						launchD[i] = append(launchD[i], c.Depth(i))
-					})
-					return enc
-				},
-				func(slot int, batch []byte) {
-					c.Update(func() {
-						logs[i] = append(logs[i], batch)
-						commitD[i] = append(commitD[i], c.Depth(i))
-						if slot < len(own[i]) && !bytes.Equal(batch, own[i][slot].enc) {
-							pools[i].Requeue(own[i][slot].txs)
-						}
-						t.bump(i)
-						if len(logs[i]) == cfg.Slots {
-							t.report(i)
-						}
-					})
-				})
-			l.Start()
-		})
-	})
-	if err := t.wait(context.Background()); err != nil {
-		return ABCOutcome{}, fmt.Errorf("abc serial run: %w", err)
-	}
-	out := ABCOutcome{Agreed: true}
-	var ref [][]byte
-	haveRef := false
-	c.EachHonest(func(i int) {
-		if !haveRef {
-			ref, haveRef = logs[i], true
-			return
-		}
-		if len(logs[i]) != len(ref) {
-			out.Agreed = false
-			return
-		}
-		for s := range ref {
-			if !bytes.Equal(logs[i][s], ref[s]) {
-				out.Agreed = false
-			}
-		}
-	})
-	out.Slots = len(ref)
-	for _, batch := range ref {
-		if txs, _, derr := abc.DecodeBatch(batch); derr == nil {
-			out.Txs += len(txs)
-		}
-	}
-	out.LatMeanRounds, out.LatP95Rounds = latencySummary(c, launchD, commitD, out.Slots)
-	out.Stats = t.stats()
-	finishThroughput(&out, out.Slots, c.N) // one committed batch per slot
-	return out, nil
 }
 
 // preloadPools builds each honest party's mempool and fills it with

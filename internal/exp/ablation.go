@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core/rbc"
+	"repro/internal/harness"
 	"repro/internal/wire"
 )
 
@@ -17,56 +18,34 @@ import (
 // broadcasts: ~n³ messages and twice the rounds collapse to ~n² messages
 // and 3 rounds.
 func RunRBCGather(spec RunSpec) (Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return Stats{}, err
-	}
-	type state struct {
-		wave1, wave2 int
-		sent2        bool
-	}
-	states := make([]*state, c.N)
-	done := make(map[int]bool)
-	rounds := 0
-	wave2 := make([][]*rbc.RBC, c.N)
-
+	quorum := spec.N - spec.faults()
 	set := map[int]bool{}
-	for j := 0; j < c.N-c.F; j++ {
+	for j := 0; j < quorum; j++ {
 		set[j] = true
 	}
 	var w wire.Writer
-	w.BitSet(set, c.N)
+	w.BitSet(set, spec.N)
 	payload := w.Bytes()
 
-	wave1 := make([][]*rbc.RBC, c.N)
-	c.EachHonest(func(i int) {
-		states[i] = &state{}
-		wave1[i] = make([]*rbc.RBC, c.N)
-		wave2[i] = make([]*rbc.RBC, c.N)
+	c, t, err := runParties(spec, "g", func(c *harness.Cluster, t *tracker, i int) func() {
+		wave1, wave2 := make([]*rbc.RBC, c.N), make([]*rbc.RBC, c.N)
+		got1, got2 := 0, 0
 		for j := 0; j < c.N; j++ {
-			wave1[i][j] = rbc.New(c.Net.Node(i), fmt.Sprintf("g1/%d", j), j, func([]byte) {
-				st := states[i]
-				st.wave1++
-				if st.wave1 >= c.N-c.F && !st.sent2 {
-					st.sent2 = true
-					wave2[i][i].Start(payload)
+			wave1[j] = rbc.New(c.Runtime(i), fmt.Sprintf("g1/%d", j), j, func([]byte) {
+				if got1++; got1 == quorum {
+					wave2[i].Start(payload)
 				}
 			})
-			wave2[i][j] = rbc.New(c.Net.Node(i), fmt.Sprintf("g2/%d", j), j, func([]byte) {
-				st := states[i]
-				st.wave2++
-				if st.wave2 >= c.N-c.F && !done[i] {
-					done[i] = true
-					if d := c.Net.Node(i).Depth(); d > rounds {
-						rounds = d
-					}
+			wave2[j] = rbc.New(c.Runtime(i), fmt.Sprintf("g2/%d", j), j, func([]byte) {
+				if got2++; got2 == quorum {
+					t.report(i)
 				}
 			})
 		}
+		return func() { wave1[i].Start(payload) }
 	})
-	c.EachHonest(func(i int) { wave1[i][i].Start(payload) })
-	if err := c.Net.Run(spec.steps(), func() bool { return len(done) == c.Honest() }); err != nil {
+	if err != nil {
 		return Stats{}, fmt.Errorf("rbc gather: %w", err)
 	}
-	return collectStats(c, rounds), nil
+	return collectStats(c, t.rounds), nil
 }

@@ -109,7 +109,7 @@ func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, 
 	h := fnv.New32a()
 	h.Write([]byte(decision))
 	return ByzOutcome{
-		Stats:    collectStats(c, maxHonestDepth(c)),
+		Stats:    collectStats(c, inst.t.rounds),
 		Agreed:   agreed,
 		Decision: decision,
 		Digest:   h.Sum32(),
@@ -136,16 +136,6 @@ func byzSummary(ds []*kinds.Decision, agreed bool) string {
 	default:
 		return fmt.Sprintf("%+v", *d.Canonical())
 	}
-}
-
-func maxHonestDepth(c *harness.Cluster) int {
-	d := 0
-	c.EachHonest(func(i int) {
-		if x := c.Depth(i); x > d {
-			d = x
-		}
-	})
-	return d
 }
 
 // repeat fills a behavior-name slice with k copies of the names, cycling —

@@ -4,8 +4,9 @@ package exp
 // protocol per honest party onto a long-lived harness.Cluster under a
 // caller-chosen instance tag, tracks per-party completion and collects the
 // decisions; the typed views below report them as instance-scoped outcomes.
-// Every session-level surface goes through it — the one-shot Run* functions,
-// the concurrent-instance family (mux.go), the Byzantine runner (byz.go),
+// Every session-level surface goes through it or its tracker — the one-shot
+// Run* functions (the hand-wired ones via runParties), the
+// concurrent-instance family (mux.go), the Byzantine runner (byz.go),
 // nodenet's simulator reference and the public repro.Cluster — and it is
 // runtime-agnostic: the same launcher drives the deterministic simulator and
 // the live runtime, through the proto.Driver contract.

@@ -115,6 +115,36 @@ func collectStats(c *harness.Cluster, rounds int) Stats {
 	return s
 }
 
+// partyBuild constructs party i's instance in its dispatch context, wires its
+// output to t.report(i), and returns the party's start (nil = none).
+type partyBuild func(c *harness.Cluster, t *tracker, i int) func()
+
+// runParties builds spec's cluster and runs one hand-wired instance per
+// honest party under tag to completion (see launchParties).
+func runParties(spec RunSpec, tag string, build partyBuild) (*harness.Cluster, *tracker, error) {
+	c, err := spec.cluster()
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := launchParties(c, tag, build)
+	return c, t, err
+}
+
+// launchParties builds every honest party's instance before it starts any,
+// both in party order — the enqueue order the simulator's trajectories pin —
+// and waits until every honest party reported.
+func launchParties(c *harness.Cluster, tag string, build partyBuild) (*tracker, error) {
+	t := newTracker(c, tag)
+	starts := make([]func(), c.N)
+	c.EachHonest(func(i int) { c.Launch(i, func() { starts[i] = build(c, t, i) }) })
+	c.EachHonest(func(i int) {
+		if starts[i] != nil {
+			c.Launch(i, starts[i])
+		}
+	})
+	return t, t.wait(context.Background())
+}
+
 // run executes one instance of the named kind under tag on a fresh cluster
 // and returns it once every honest party decided.
 func run(spec RunSpec, name, tag string, in func(i int) kinds.Input) (*Instance, error) {
@@ -272,79 +302,46 @@ func RunBeacon(spec RunSpec, epochs int) (BeaconOutcome, error) {
 	return BeaconInstance{inst}.Outcome(), nil
 }
 
-// SubprotocolStats measures one AVSS, WCS or Seeding instance (E9–E11).
+// RunAVSS measures one AVSS instance dealt by party 0 (E9).
 func RunAVSS(spec RunSpec, payload int) (Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return Stats{}, err
-	}
-	done := make(map[int]bool)
-	rounds := 0
-	insts := make([]*avss.AVSS, c.N)
-	c.EachHonest(func(i int) {
-		insts[i] = avss.New(c.Net.Node(i), "avss", c.Keys[i], 0, func(avss.ShareOutput) {
-			done[i] = true
-			if d := c.Net.Node(i).Depth(); d > rounds {
-				rounds = d
-			}
-		}, nil)
+	c, t, err := runParties(spec, "avss", func(c *harness.Cluster, t *tracker, i int) func() {
+		a := avss.New(c.Runtime(i), "avss", c.Keys[i], 0, func(avss.ShareOutput) { t.report(i) }, nil)
+		if i != 0 {
+			return nil
+		}
+		return func() { a.StartDealer(make([]byte, payload)) }
 	})
-	insts[0].StartDealer(make([]byte, payload))
-	if err := c.Net.Run(spec.steps(), func() bool { return len(done) == c.Honest() }); err != nil {
+	if err != nil {
 		return Stats{}, fmt.Errorf("avss run: %w", err)
 	}
-	return collectStats(c, rounds), nil
+	return collectStats(c, t.rounds), nil
 }
 
 // RunWCS measures one weak core-set selection (E10).
 func RunWCS(spec RunSpec) (Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return Stats{}, err
-	}
-	done := make(map[int]bool)
-	rounds := 0
-	insts := make([]*wcs.WCS, c.N)
-	c.EachHonest(func(i int) {
-		insts[i] = wcs.New(c.Net.Node(i), "wcs", c.Keys[i], func(map[int]bool) {
-			done[i] = true
-			if d := c.Net.Node(i).Depth(); d > rounds {
-				rounds = d
+	c, t, err := runParties(spec, "wcs", func(c *harness.Cluster, t *tracker, i int) func() {
+		w := wcs.New(c.Runtime(i), "wcs", c.Keys[i], func(map[int]bool) { t.report(i) })
+		return func() {
+			for j := 0; j < c.N-c.F; j++ {
+				w.Add(j)
 			}
-		})
-	})
-	c.EachHonest(func(i int) {
-		for j := 0; j < c.N-c.F; j++ {
-			insts[i].Add(j)
 		}
 	})
-	if err := c.Net.Run(spec.steps(), func() bool { return len(done) == c.Honest() }); err != nil {
+	if err != nil {
 		return Stats{}, fmt.Errorf("wcs run: %w", err)
 	}
-	return collectStats(c, rounds), nil
+	return collectStats(c, t.rounds), nil
 }
 
 // RunSeeding measures one Seeding instance (E11).
 func RunSeeding(spec RunSpec) (Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return Stats{}, err
-	}
-	done := make(map[int]bool)
-	rounds := 0
-	c.EachHonest(func(i int) {
-		s := seeding.New(c.Net.Node(i), "sd", c.Keys[i], 0, func([seeding.SeedSize]byte) {
-			done[i] = true
-			if d := c.Net.Node(i).Depth(); d > rounds {
-				rounds = d
-			}
-		})
-		s.Start()
+	c, t, err := runParties(spec, "sd", func(c *harness.Cluster, t *tracker, i int) func() {
+		return seeding.New(c.Runtime(i), "sd", c.Keys[i], 0, func([seeding.SeedSize]byte) { t.report(i) }).Start
 	})
-	if err := c.Net.Run(spec.steps(), func() bool { return len(done) == c.Honest() }); err != nil {
+	if err != nil {
 		return Stats{}, fmt.Errorf("seeding run: %w", err)
 	}
-	return collectStats(c, rounds), nil
+	return collectStats(c, t.rounds), nil
 }
 
 // RunRBC measures the AVID erasure-coded broadcast data plane under the
@@ -363,44 +360,27 @@ func RunRBC(spec RunSpec, payload int) (Stats, error) {
 // decodes, how many decodes hit the zero-field-work concatenation path, and
 // the field multiplications the parity rows cost.
 func RunRBCOps(spec RunSpec, payload int) (Stats, rs.Stats, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return Stats{}, rs.Stats{}, err
-	}
-	delivered := make(map[int]int)
-	rounds := 0
-	honest := c.Honest()
-	insts := make([][]*rbc.AVID, c.N)
-	c.EachHonest(func(i int) {
-		insts[i] = make([]*rbc.AVID, c.N)
-		for j := 0; j < c.N; j++ {
-			insts[i][j] = rbc.NewAVID(c.Net.Node(i), fmt.Sprintf("rb/%d", j), j, func([]byte) {
-				delivered[i]++
-				if d := c.Net.Node(i).Depth(); d > rounds {
-					rounds = d
+	c, t, err := runParties(spec, "rb", func(c *harness.Cluster, t *tracker, i int) func() {
+		delivered := 0
+		insts := make([]*rbc.AVID, c.N)
+		for j := range insts {
+			insts[j] = rbc.NewAVID(c.Runtime(i), fmt.Sprintf("rb/%d", j), j, func([]byte) {
+				t.bump(i)
+				if delivered++; delivered == c.Honest() {
+					t.report(i)
 				}
 			})
 		}
-	})
-	c.EachHonest(func(j int) {
 		value := make([]byte, payload)
 		for m := range value {
-			value[m] = byte(31*j + m)
+			value[m] = byte(31*i + m)
 		}
-		insts[j][j].Start(value)
-	})
-	err = c.Net.Run(spec.steps(), func() bool {
-		for i, got := range delivered {
-			if c.Byz[i] || got < honest {
-				return false
-			}
-		}
-		return len(delivered) == honest
+		return func() { insts[i].Start(value) }
 	})
 	if err != nil {
 		return Stats{}, rs.Stats{}, fmt.Errorf("rbc run: %w", err)
 	}
-	return collectStats(c, rounds), c.RSStats(), nil
+	return collectStats(c, t.rounds), c.RSStats(), nil
 }
 
 // RunElectionBots models corruption beyond what honest coin runs can
@@ -442,36 +422,29 @@ const (
 
 // RunBaselineCoin executes one baseline coin and reports its cost.
 func RunBaselineCoin(spec RunSpec, kind BaselineKind) (Stats, error) {
-	c, err := spec.cluster()
+	var setup *threshcoin.Setup
+	var shares []field.Scalar
+	if kind == BaselineThresh {
+		var err error
+		if setup, shares, err = threshcoin.Deal(spec.N, spec.faults(), rand.New(rand.NewSource(spec.Seed^0x7ea1))); err != nil {
+			return Stats{}, err
+		}
+	}
+	c, t, err := runParties(spec, "bl", func(c *harness.Cluster, t *tracker, i int) func() {
+		report := func(byte) { t.report(i) }
+		switch kind {
+		case BaselineCKLS02:
+			return ckls02.New(c.Runtime(i), "bl", c.Keys[i], report).Start
+		case BaselineAJM21:
+			return ajm21.New(c.Runtime(i), "bl", c.Keys[i], report).Start
+		default:
+			return threshcoin.New(c.Runtime(i), "bl", setup, shares[i], report).Start
+		}
+	})
 	if err != nil {
-		return Stats{}, err
-	}
-	bits := make(map[int]byte)
-	rounds := 0
-	record := func(i int) func(byte) {
-		return func(b byte) {
-			bits[i] = b
-			if d := c.Net.Node(i).Depth(); d > rounds {
-				rounds = d
-			}
-		}
-	}
-	switch kind {
-	case BaselineCKLS02:
-		c.EachHonest(func(i int) { ckls02.New(c.Net.Node(i), "bl", c.Keys[i], record(i)).Start() })
-	case BaselineAJM21:
-		c.EachHonest(func(i int) { ajm21.New(c.Net.Node(i), "bl", c.Keys[i], record(i)).Start() })
-	case BaselineThresh:
-		setup, shares, derr := threshcoin.Deal(c.N, c.F, rand.New(rand.NewSource(spec.Seed^0x7ea1)))
-		if derr != nil {
-			return Stats{}, derr
-		}
-		c.EachHonest(func(i int) { threshcoin.New(c.Net.Node(i), "bl", setup, shares[i], record(i)).Start() })
-	}
-	if err := c.Net.Run(spec.steps(), func() bool { return len(bits) == c.Honest() }); err != nil {
 		return Stats{}, fmt.Errorf("baseline coin run: %w", err)
 	}
-	return collectStats(c, rounds), nil
+	return collectStats(c, t.rounds), nil
 }
 
 // KMS20Outcome reports the two-phase KMS20 facsimile costs.
@@ -482,34 +455,23 @@ type KMS20Outcome struct {
 
 // RunKMS20 measures the bootstrap and one subsequent coin.
 func RunKMS20(spec RunSpec) (KMS20Outcome, error) {
-	c, err := spec.cluster()
-	if err != nil {
-		return KMS20Outcome{}, err
-	}
-	keys := make(map[int]kms20.Key)
-	rounds := 0
-	c.EachHonest(func(i int) {
-		b := kms20.NewBootstrap(c.Net.Node(i), "km", c.Keys[i], func(k kms20.Key) {
+	keys := make([]kms20.Key, spec.N)
+	c, t, err := runParties(spec, "km", func(c *harness.Cluster, t *tracker, i int) func() {
+		return kms20.NewBootstrap(c.Runtime(i), "km", c.Keys[i], func(k kms20.Key) {
 			keys[i] = k
-			if d := c.Net.Node(i).Depth(); d > rounds {
-				rounds = d
-			}
-		})
-		b.Start()
+			t.report(i)
+		}).Start
 	})
-	if err := c.Net.Run(spec.steps(), func() bool { return len(keys) == c.Honest() }); err != nil {
+	if err != nil {
 		return KMS20Outcome{}, fmt.Errorf("kms20 bootstrap: %w", err)
 	}
-	out := KMS20Outcome{Bootstrap: collectStats(c, rounds)}
-	preMsgs, preBytes := out.Bootstrap.Msgs, out.Bootstrap.Bytes
-	bits := make(map[int]byte)
-	c.EachHonest(func(i int) {
-		kms20.NewCoin(c.Net.Node(i), "km/c0", keys[i], func(b byte) { bits[i] = b }).Start()
-	})
-	if err := c.Net.Run(spec.steps(), func() bool { return len(bits) == c.Honest() }); err != nil {
+	out := KMS20Outcome{Bootstrap: collectStats(c, t.rounds)}
+	if _, err := launchParties(c, "km/c0", func(c *harness.Cluster, t *tracker, i int) func() {
+		return kms20.NewCoin(c.Runtime(i), "km/c0", keys[i], func(byte) { t.report(i) }).Start
+	}); err != nil {
 		return KMS20Outcome{}, fmt.Errorf("kms20 coin: %w", err)
 	}
-	m := c.Net.Metrics()
-	out.PerCoin = Stats{N: c.N, F: c.F, Msgs: m.Honest.Msgs - preMsgs, Bytes: m.Honest.Bytes - preBytes, Rounds: 1}
+	tl := c.TotalTally()
+	out.PerCoin = Stats{N: c.N, F: c.F, Msgs: tl.Msgs - out.Bootstrap.Msgs, Bytes: tl.Bytes - out.Bootstrap.Bytes, Rounds: 1}
 	return out, nil
 }

@@ -7,6 +7,7 @@ package exp
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -136,6 +137,23 @@ func TestStallErrorNamesMissingParties(t *testing.T) {
 	}
 	if len(stall.Missing) != 4 {
 		t.Fatalf("all 4 parties should be missing, got %v", stall.Missing)
+	}
+}
+
+// TestSubprotocolStallNamesMissingParties: the hand-wired sub-protocol
+// runners go through the same tracker, so their stalls name the missing
+// parties too.
+func TestSubprotocolStallNamesMissingParties(t *testing.T) {
+	avss := func(s RunSpec) (Stats, error) { return RunAVSS(s, 32) }
+	for i, run := range []func(RunSpec) (Stats, error){avss, RunWCS, RunSeeding, RunRBCGather} {
+		_, err := run(RunSpec{N: 4, F: -1, Seed: 3, Steps: 5})
+		var stall *sim.StallError
+		if !errors.As(err, &stall) {
+			t.Fatalf("runner %d: want *sim.StallError, got %T: %v", i, err, err)
+		}
+		if !slices.Equal(stall.Missing, []int{0, 1, 2, 3}) {
+			t.Fatalf("runner %d: want all 4 parties missing, got %v", i, stall.Missing)
+		}
 	}
 }
 

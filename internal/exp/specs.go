@@ -447,11 +447,9 @@ func init() {
 	})
 
 	// Atomic broadcast throughput: the BKR parallel-broadcast common-subset
-	// engine vs the slot-serial VBA ledger, one workload shape (64-byte
-	// transactions, fixed slot horizon) swept over two batch sizes. The
-	// serial baseline commits one batch per slot by construction, so the
-	// engine's tx-per-kstep advantage is the headline; abc/saturate keeps
-	// every slot of an n=16 run full at pipeline depth 3.
+	// engine on one workload shape (64-byte transactions, fixed slot horizon)
+	// swept over two batch sizes; abc/saturate keeps every slot of an n=16
+	// run full at pipeline depth 3.
 	Register(Spec{
 		Name: "abc/pipe-b256", Group: "abc", Tags: []string{"ledger"},
 		Title: "ACS engine, 256 B batches", Claim: "≥ n−f batches/slot",
@@ -463,12 +461,6 @@ func init() {
 		Title: "ACS engine, 1 KiB batches", Claim: "≥ n−f batches/slot",
 		Ns: []int{4, 7, 16}, Trials: 2, Genesis: []byte("abc"),
 		Run: abcRun(ABCConfig{Slots: 4, BatchBytes: 1024, TxBytes: 64, TxPerParty: 64}),
-	})
-	Register(Spec{
-		Name: "abc/serial-b256", Group: "abc", Tags: []string{"ledger"},
-		Title: "slot-serial VBA ledger, 256 B batches", Claim: "1 batch/slot",
-		Ns: smallNs, Trials: 2, Genesis: []byte("abc"),
-		Run: abcRun(ABCConfig{Slots: 4, BatchBytes: 256, TxBytes: 64, TxPerParty: 16, Serial: true}),
 	})
 	Register(Spec{
 		Name: "abc/saturate", Group: "abc", Tags: []string{"ledger"},

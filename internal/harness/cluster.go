@@ -205,12 +205,6 @@ func (c *Cluster) TCPStats() livenet.TCPStats {
 	return c.Live.TCPStats()
 }
 
-// RecoveryStats reports WAL-backed crash-recovery counters: zero on both
-// in-process runtimes, which keep no journal. They become meaningful on
-// the multi-process runtime (noded publishes them per party via
-// livenet.Party.SetRecoveryStats).
-func (c *Cluster) RecoveryStats() livenet.RecoveryStats { return livenet.RecoveryStats{} }
-
 // Sever force-closes the live (from → to) TCP connection; the transport
 // redials with backoff and resends unacked frames. No-op off TCP. It
 // reports whether a live connection was actually killed, so callers that

@@ -56,21 +56,6 @@ type PartyConfig struct {
 	Hold bool
 }
 
-// RecoveryStats counts one party's WAL-backed crash-recovery activity. It
-// is populated by a durable daemon (noded) after replaying its journal.
-type RecoveryStats struct {
-	Restarts        int64 // recoveries from a non-empty journal (0 or 1 per process)
-	ReplayedRecords int64 // journal records replayed at startup
-	ReplayedFrames  int64 // …of which inbound/self message frames
-	ReplayedOps     int64 // …of which instance launches and drains
-	SelfMismatches  int64 // replay self-sends diverging from the journal
-	TruncatedBytes  int64 // torn journal tail dropped on open
-	WALAppends      int64 // records appended this process lifetime
-	WALSyncs        int64 // fsync batches committed
-	Compactions     int64 // snapshot+compaction cycles
-	SnapshotBytes   int64 // size of the live snapshot base
-}
-
 // Party is a running single-party runtime.
 type Party struct {
 	node *Node
@@ -78,9 +63,6 @@ type Party struct {
 
 	gate        chan struct{} // nil unless Hold; closed by Release
 	releaseOnce sync.Once
-
-	rmu      sync.Mutex
-	recovery RecoveryStats
 
 	closeOnce sync.Once
 }
@@ -244,22 +226,6 @@ func (p *Party) SendCursors() []uint64 { return p.mesh.SendCursors() }
 // TransportSettled reports whether the mesh holds no unacked or
 // out-of-order state a compaction snapshot would miss.
 func (p *Party) TransportSettled() bool { return p.mesh.Settled() }
-
-// SetRecoveryStats records the daemon's recovery counters for Stats RPCs.
-func (p *Party) SetRecoveryStats(rs RecoveryStats) {
-	p.rmu.Lock()
-	p.recovery = rs
-	p.rmu.Unlock()
-}
-
-// RecoveryStats reports the recovery counters published by the daemon.
-func (p *Party) RecoveryStats() RecoveryStats {
-	p.rmu.Lock()
-	defer p.rmu.Unlock()
-	rs := p.recovery
-	rs.SelfMismatches = p.node.SelfMismatches()
-	return rs
-}
 
 // Sever force-closes the current outbound connection to peer `to`; the
 // mesh redials with backoff and resends unacked frames — the fault-

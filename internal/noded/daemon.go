@@ -41,9 +41,10 @@ type Daemon struct {
 	conns     map[net.Conn]struct{} // accepted control conns, closed on shutdown
 	ctlClosed bool                  // set (under mu) once Shutdown has swept conns
 
-	// recovery is fixed at New (one process observes at most one restart)
-	// and merged with live WAL counters in stats().
-	recovery livenet.RecoveryStats
+	// recovery holds the journal-replay counters of Stats, fixed at New
+	// (one process observes at most one restart) and merged with live WAL
+	// counters in stats().
+	recovery Stats
 
 	draining atomic.Bool
 	ctl      net.Listener
@@ -436,14 +437,13 @@ func (d *Daemon) stats() *Stats {
 		ControlWriteErrs: d.ctlWriteErrs.Load(),
 	}
 	if d.jn != nil {
-		rs := d.party.RecoveryStats()
 		wst := d.jn.log.Stats()
-		st.Restarts = rs.Restarts
-		st.ReplayedRecords = rs.ReplayedRecords
-		st.ReplayedFrames = rs.ReplayedFrames
-		st.ReplayedOps = rs.ReplayedOps
-		st.SelfMismatches = rs.SelfMismatches
-		st.WALTruncatedBytes = rs.TruncatedBytes
+		st.Restarts = d.recovery.Restarts
+		st.ReplayedRecords = d.recovery.ReplayedRecords
+		st.ReplayedFrames = d.recovery.ReplayedFrames
+		st.ReplayedOps = d.recovery.ReplayedOps
+		st.SelfMismatches = d.party.Node().SelfMismatches()
+		st.WALTruncatedBytes = d.recovery.WALTruncatedBytes
 		st.WALAppends = wst.Appends
 		st.WALSyncs = wst.Syncs
 		st.WALCompactions = wst.Compactions

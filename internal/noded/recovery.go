@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"log"
 	"time"
-
-	"repro/internal/livenet"
 )
 
 // walSyncEvery paces the background fsync + cursor publish. It bounds ack
@@ -100,16 +98,13 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 	}
 
 	wst := d.jn.log.Stats()
-	d.recovery = livenet.RecoveryStats{
-		Restarts:        1,
-		ReplayedRecords: wst.RecoveredRecords,
-		ReplayedFrames:  frames,
-		ReplayedOps:     ops,
-		SelfMismatches:  d.party.Node().SelfMismatches(),
-		TruncatedBytes:  wst.TruncatedBytes,
-		SnapshotBytes:   wst.SnapshotBytes,
+	d.recovery = Stats{
+		Restarts:          1,
+		ReplayedRecords:   wst.RecoveredRecords,
+		ReplayedFrames:    frames,
+		ReplayedOps:       ops,
+		WALTruncatedBytes: wst.TruncatedBytes,
 	}
-	d.party.SetRecoveryStats(d.recovery)
 	return nil
 }
 

@@ -239,10 +239,9 @@ func (c *Cluster) Close() {
 // sum back to this total.
 func (c *Cluster) Stats() Stats {
 	s := stats(exp.ClusterStats(c.hc))
-	// The public mirrors are field for field the livenet structs; these
-	// conversions stop compiling the moment either side drifts.
+	// The public mirror is field for field livenet.TCPStats; this
+	// conversion stops compiling the moment either side drifts.
 	s.Transport = TransportStats(c.hc.TCPStats())
-	s.Recovery = RecoveryStats(c.hc.RecoveryStats())
 	return s
 }
 
@@ -313,27 +312,6 @@ type Stats struct {
 	// WAN-emulation counters. All zero on the simulator and channels
 	// runtimes; cluster-cumulative on TCP.
 	Transport TransportStats
-	// Recovery carries WAL-backed crash-recovery counters. Always zero on
-	// the in-process runtimes — no journal exists to recover from; the
-	// multi-process daemon (internal/noded, launched via internal/nodenet)
-	// populates the equivalent counters in its control-RPC stats.
-	Recovery RecoveryStats
-}
-
-// RecoveryStats mirrors livenet.RecoveryStats into the public stats
-// surface: journal replay at restart, write-ahead activity, and
-// snapshot+compaction cycles.
-type RecoveryStats struct {
-	Restarts        int64 // recoveries from a non-empty journal
-	ReplayedRecords int64 // journal records replayed at startup
-	ReplayedFrames  int64 // …of which inbound/self message frames
-	ReplayedOps     int64 // …of which instance launches and drains
-	SelfMismatches  int64 // replay self-sends diverging from the journal
-	TruncatedBytes  int64 // torn journal tail dropped on open
-	WALAppends      int64 // records appended this process lifetime
-	WALSyncs        int64 // fsync batches committed
-	Compactions     int64 // snapshot+compaction cycles
-	SnapshotBytes   int64 // size of the live snapshot base
 }
 
 // TransportStats mirrors the TCP mesh counters (livenet.TCPStats) into the
