@@ -123,6 +123,7 @@ func (r *runtime) Reject()                { r.inner.Reject() }
 func (r *runtime) Equivocation()          { r.inner.Equivocation() }
 
 func (r *runtime) Register(inst string, h proto.Handler) { r.inner.Register(inst, h) }
+func (r *runtime) Retire(prefix string)                  { r.inner.Retire(prefix) }
 
 func (r *runtime) Send(inst string, to int, body []byte) {
 	for _, b := range r.mut(&r.env, inst, to, body) {

@@ -102,7 +102,7 @@ func TestGenesisNonceMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Seeding traffic at all.
-	if got := fx.c.Net.Metrics().ByPrefix("c/sd/"); got.Msgs != 0 {
+	if got := fx.c.Net.Metrics().Honest.ByPrefix("c/sd/"); got.Msgs != 0 {
 		t.Fatalf("genesis mode sent %d seeding messages", got.Msgs)
 	}
 }

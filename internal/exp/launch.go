@@ -194,12 +194,13 @@ func (ci CoinInstance) Outcome() CoinOutcome {
 	ds := ci.Decisions()
 	out := CoinOutcome{Stats: ci.t.stats(), Agreed: ci.Agreed(), Bit: byte(ds[0].Bit), MaxIsSet: allMaxSet(ds)}
 	if c := ci.t.c; c.Net != nil {
+		m := &c.Net.Metrics().Honest
 		out.PerPhase = map[string]proto.Tally{
-			"seeding":   c.Net.Metrics().ByPrefix(ci.t.tag + "/sd/"),
-			"avss":      c.Net.Metrics().ByPrefix(ci.t.tag + "/av/"),
-			"wcs":       c.Net.Metrics().ByPrefix(ci.t.tag + "/wcs"),
-			"recreq":    c.Net.Metrics().ByPrefix(ci.t.tag + "/rr"),
-			"candidate": c.Net.Metrics().ByPrefix(ci.t.tag + "/cd"),
+			"seeding":   m.ByPrefix(ci.t.tag + "/sd/"),
+			"avss":      m.ByPrefix(ci.t.tag + "/av/"),
+			"wcs":       m.ByPrefix(ci.t.tag + "/wcs"),
+			"recreq":    m.ByPrefix(ci.t.tag + "/rr"),
+			"candidate": m.ByPrefix(ci.t.tag + "/cd"),
 		}
 	}
 	return out

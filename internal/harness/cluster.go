@@ -183,7 +183,7 @@ func (c *Cluster) Close() {
 // on the live runtime (which has no Byzantine senders).
 func (c *Cluster) InstanceTally(tag string) proto.Tally {
 	if c.Net != nil {
-		return c.Net.Metrics().ByInstance(tag)
+		return c.Net.Metrics().Honest.ByInstance(tag)
 	}
 	return c.Live.ByInstance(tag)
 }
@@ -191,7 +191,7 @@ func (c *Cluster) InstanceTally(tag string) proto.Tally {
 // TotalTally reports the cluster's cumulative traffic.
 func (c *Cluster) TotalTally() proto.Tally {
 	if c.Net != nil {
-		return c.Net.Metrics().Honest
+		return c.Net.Metrics().Honest.Tally
 	}
 	return c.Live.TotalTally()
 }

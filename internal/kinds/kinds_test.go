@@ -173,13 +173,13 @@ func TestABAInputCoinsReplacePaperCoins(t *testing.T) {
 	if decs := runKind(t, c, "aba", "own", split(aba.TestCoins("kinds"))); !Agree(decs) {
 		t.Fatalf("test-coin aba disagreed: %+v", decs)
 	}
-	if tl := c.Net.Metrics().ByPrefix("own/c"); tl.Msgs != 0 {
+	if tl := c.Net.Metrics().Honest.ByPrefix("own/c"); tl.Msgs != 0 {
 		t.Fatalf("Input.Coins set, yet %d paper-coin messages under own/c", tl.Msgs)
 	}
 	if decs := runKind(t, c, "aba", "paper", split(nil)); !Agree(decs) {
 		t.Fatalf("paper-coin aba disagreed: %+v", decs)
 	}
-	if tl := c.Net.Metrics().ByPrefix("paper/c"); tl.Msgs == 0 {
+	if tl := c.Net.Metrics().Honest.ByPrefix("paper/c"); tl.Msgs == 0 {
 		t.Fatal("nil Input.Coins, yet no paper-coin traffic under paper/c")
 	}
 }

@@ -27,6 +27,7 @@ var MapOrder = &Analyzer{
 	Doc:  "range over a map with an order-sensitive body breaks seed-replay determinism",
 	AppliesTo: ScopeUnder(
 		"repro/internal/core",
+		"repro/internal/proto",
 		"repro/internal/sim",
 		"repro/internal/pki",
 		"repro/internal/crypto",

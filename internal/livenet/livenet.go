@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,9 +193,7 @@ func (nw *Network) Close() {
 func (nw *Network) TotalTally() proto.Tally {
 	var out proto.Tally
 	for _, p := range nw.parties {
-		t := p.TotalTally()
-		out.Msgs += t.Msgs
-		out.Bytes += t.Bytes
+		out = out.Plus(p.TotalTally())
 	}
 	return out
 }
@@ -205,9 +202,7 @@ func (nw *Network) TotalTally() proto.Tally {
 func (nw *Network) ByInstance(tag string) proto.Tally {
 	var out proto.Tally
 	for _, p := range nw.parties {
-		t := p.ByInstance(tag)
-		out.Msgs += t.Msgs
-		out.Bytes += t.Bytes
+		out = out.Plus(p.ByInstance(tag))
 	}
 	return out
 }
@@ -279,52 +274,6 @@ func (nw *Network) Equivocations() int64 {
 	return t
 }
 
-// meter books the traffic one node sends, charged as the simulator charges
-// it, in total and per instance path. The zero value is ready to use.
-type meter struct {
-	mu      sync.Mutex
-	total   proto.Tally
-	perInst map[string]*proto.Tally
-}
-
-func (m *meter) record(inst string, bodyLen int) {
-	cost := int64(bodyLen + len(inst) + proto.EnvelopeOverhead)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.total.Add(cost)
-	t := m.perInst[inst]
-	if t == nil {
-		if m.perInst == nil {
-			m.perInst = make(map[string]*proto.Tally)
-		}
-		t = &proto.Tally{}
-		m.perInst[inst] = t
-	}
-	t.Add(cost)
-}
-
-func (m *meter) TotalTally() proto.Tally {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
-
-// ByInstance sums traffic whose instance path is tag itself or any
-// sub-path tag/… — one protocol instance's full footprint.
-func (m *meter) ByInstance(tag string) proto.Tally {
-	prefix := tag + "/"
-	var out proto.Tally
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for inst, t := range m.perInst {
-		if inst == tag || strings.HasPrefix(inst, prefix) {
-			out.Msgs += t.Msgs
-			out.Bytes += t.Bytes
-		}
-	}
-	return out
-}
-
 // link is a node's outbound fabric: a *Mesh on TCP, a chanLink on
 // Channels. The dispatcher calls Flush when its queue drains
 // (flush-on-idle), which is what makes per-peer write coalescing safe: a
@@ -385,15 +334,15 @@ type capturedSelf struct {
 type Node struct {
 	idx, n, f int
 	link      link
-	traffic   meter
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []task
-	insts      map[string]proto.Handler
-	pending    map[string][]task
-	tombstones []string
-	closed     bool
+	tmu     sync.Mutex // guards traffic: the dispatcher books, stats readers sum
+	traffic proto.Meter
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []task
+	routes proto.Table[task]
+	closed bool
 
 	// journal, when set (at construction), observes every
 	// message task at the moment it is processed — the write-ahead record a
@@ -422,9 +371,7 @@ var _ proto.Runtime = (*Node)(nil)
 func newNode(self, n, f int, seed int64) *Node {
 	nd := &Node{
 		idx: self, n: n, f: f,
-		insts:   make(map[string]proto.Handler),
-		pending: make(map[string][]task),
-		rng:     rand.New(rand.NewSource(seed*7_368_787 + int64(self))),
+		rng: rand.New(rand.NewSource(seed*7_368_787 + int64(self))),
 	}
 	nd.cond = sync.NewCond(&nd.mu)
 	return nd
@@ -464,15 +411,21 @@ func (nd *Node) Equivocation() { nd.equivocations.Add(1) }
 func (nd *Node) Register(inst string, h proto.Handler) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if _, dup := nd.insts[inst]; dup {
-		panic(fmt.Sprintf("livenet: node %d: duplicate instance %q", nd.idx, inst))
-	}
-	nd.insts[inst] = h
-	if buf := nd.pending[inst]; len(buf) > 0 {
+	if buf := nd.routes.Register(inst, h); len(buf) > 0 {
 		nd.queue = append(nd.queue, buf...)
-		delete(nd.pending, inst)
 		nd.cond.Broadcast()
 	}
+}
+
+// Retire removes the handlers under an instance path prefix and drops every
+// message for them from now on. Frames already parked under the prefix are
+// re-queued, so the dispatcher drops them the way it drops a late frame:
+// journaled, so its sequence advances the recv cursor and can be acked.
+func (nd *Node) Retire(prefix string) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	nd.queue = append(nd.queue, nd.routes.Retire(prefix)...)
+	nd.cond.Broadcast()
 }
 
 // Send routes a message to the same instance on node `to`.
@@ -480,7 +433,9 @@ func (nd *Node) Send(inst string, to int, body []byte) {
 	if to < 0 || to >= nd.n {
 		return
 	}
-	nd.traffic.record(inst, len(body))
+	nd.tmu.Lock()
+	nd.traffic.Record(inst, len(body))
+	nd.tmu.Unlock()
 	if nd.replaying && to == nd.idx {
 		// Replayed handlers regenerate their self-sends; looping them back
 		// through the queue would re-process (and re-journal) work the WAL
@@ -523,55 +478,20 @@ func (nd *Node) enqueue(from int, seq uint64, inst string, body []byte) {
 	nd.cond.Broadcast()
 }
 
-// Tombstone marks an instance path prefix as retired by a compaction
-// snapshot: straggler frames for it (or any sub-path) are journaled — so
-// the recv cursor advances past them and they can be acked — and dropped
-// instead of parking forever waiting for a handler that will never
-// re-register.
-func (nd *Node) Tombstone(prefix string) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.tombstones = append(nd.tombstones, prefix)
-	// Frames already parked under the prefix are retired the same way on
-	// their next dispatch; re-queue them so that happens promptly.
-	for inst, buf := range nd.pending {
-		if inst == prefix || strings.HasPrefix(inst, prefix+"/") {
-			nd.queue = append(nd.queue, buf...)
-			delete(nd.pending, inst)
-		}
-	}
-	nd.cond.Broadcast()
-}
-
-// tombstonedLocked reports whether inst falls under a retired prefix.
-func (nd *Node) tombstonedLocked(inst string) bool {
-	for _, p := range nd.tombstones {
-		if inst == p || strings.HasPrefix(inst, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // Replay re-processes one journaled message on the dispatcher goroutine —
 // the recovery path's direct-injection hook, called only from inside a
 // Party.Replay critical section. It bypasses the queue, the journal hook
 // (the record is already durable) and transport dedup (the WAL is the
 // authority on what was processed). A record whose handler is not yet
-// registered parks like a live frame and reports false.
+// registered parks like a live frame, one under a retired path is dropped;
+// both report false.
 func (nd *Node) Replay(from int, seq uint64, inst string, body []byte) bool {
 	nd.mu.Lock()
-	if nd.tombstonedLocked(inst) {
-		nd.mu.Unlock()
-		return false
-	}
-	h, ok := nd.insts[inst]
-	if !ok {
-		nd.pending[inst] = append(nd.pending[inst], task{from: from, seq: seq, inst: inst, body: body})
-		nd.mu.Unlock()
-		return false
-	}
+	h, _ := nd.routes.Route(inst, task{from: from, seq: seq, inst: inst, body: body})
 	nd.mu.Unlock()
+	if h == nil {
+		return false
+	}
 	h.Handle(from, body)
 	return true
 }
@@ -601,16 +521,11 @@ func (nd *Node) dispatch() {
 		t := nd.queue[0]
 		nd.queue = nd.queue[1:]
 		var h proto.Handler
-		tombstoned := false
 		if t.fn == nil {
-			if tombstoned = nd.tombstonedLocked(t.inst); !tombstoned {
-				var ok bool
-				h, ok = nd.insts[t.inst]
-				if !ok {
-					nd.pending[t.inst] = append(nd.pending[t.inst], t)
-					nd.mu.Unlock()
-					continue
-				}
+			var retired bool
+			if h, retired = nd.routes.Route(t.inst, t); h == nil && !retired {
+				nd.mu.Unlock() // parked until its handler registers
+				continue
 			}
 		}
 		nd.mu.Unlock()
@@ -619,12 +534,12 @@ func (nd *Node) dispatch() {
 			continue
 		}
 		// Journal at processing time: this is the order a replay can
-		// reproduce (parking reorders arrival), and a tombstoned straggler
-		// is journaled too so its sequence becomes ackable.
+		// reproduce (parking reorders arrival), and a retired straggler is
+		// journaled too so its sequence becomes ackable.
 		if nd.journal != nil {
 			nd.journal(t.from, t.seq, t.inst, t.body)
 		}
-		if !tombstoned {
+		if h != nil {
 			h.Handle(t.from, t.body)
 		}
 	}
@@ -636,7 +551,6 @@ func (nd *Node) Crash() {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	nd.queue = nil
-	nd.insts = make(map[string]proto.Handler)
-	nd.pending = make(map[string][]task)
+	nd.routes = proto.Table[task]{}
 	nd.crashed = true
 }

@@ -234,11 +234,19 @@ func (p *Party) TransportSettled() bool { return p.mesh.Settled() }
 func (p *Party) Sever(to int) bool { return p.mesh.Sever(to) }
 
 // TotalTally reports all traffic this party sent since start.
-func (p *Party) TotalTally() proto.Tally { return p.node.traffic.TotalTally() }
+func (p *Party) TotalTally() proto.Tally {
+	p.node.tmu.Lock()
+	defer p.node.tmu.Unlock()
+	return p.node.traffic.Tally
+}
 
 // ByInstance sums this party's traffic under instance path tag (tag itself
 // or any tag/… sub-path).
-func (p *Party) ByInstance(tag string) proto.Tally { return p.node.traffic.ByInstance(tag) }
+func (p *Party) ByInstance(tag string) proto.Tally {
+	p.node.tmu.Lock()
+	defer p.node.tmu.Unlock()
+	return p.node.traffic.ByInstance(tag)
+}
 
 // TCPStats reports this endpoint's mesh counters (zero on Channels).
 func (p *Party) TCPStats() TCPStats {

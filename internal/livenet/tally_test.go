@@ -49,7 +49,7 @@ func TestTallyMatchesAcrossEnvironments(t *testing.T) {
 	if err := snw.RunAll(sim.DefaultDeliveryBudget); err != nil {
 		t.Fatal(err)
 	}
-	want := tallies{snw.Metrics().ByInstance(tag), snw.Metrics().Honest}
+	want := tallies{snw.Metrics().Honest.ByInstance(tag), snw.Metrics().Honest.Tally}
 	if want.inst.Msgs != 2*n*n+n {
 		t.Fatalf("simulator booked %d messages, want %d", want.inst.Msgs, 2*n*n+n)
 	}

@@ -68,7 +68,7 @@ type instance struct {
 	dec       *Decision
 	eng       *abc.Engine  // ledger only: drain hook
 	pool      *abc.Mempool // ledger only: leftover harvest at compaction
-	retired   bool         // absorbed into a WAL snapshot and tombstoned
+	retired   bool         // absorbed into a WAL snapshot and retired from the runtime
 }
 
 // New builds the daemon: decodes the keyring (validating it against the

@@ -160,7 +160,7 @@ func newJournal(log *wal.Log, n, self int) *journal {
 
 // appendFrame is the livenet journal hook: called on the dispatcher
 // goroutine immediately before a frame's handler runs (or before a
-// tombstoned frame is dropped). Peer frames advance the recv tracker;
+// frame for a retired instance is dropped). Peer frames advance the recv tracker;
 // self-frames (seq 0) are order-only records.
 func (j *journal) appendFrame(from int, seq uint64, inst string, body []byte) {
 	j.append(recFrame, encodeFrame(from, seq, inst, body))

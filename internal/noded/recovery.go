@@ -28,7 +28,7 @@ import (
 const walSyncEvery = 5 * time.Millisecond
 
 // recoverFromJournal rebuilds dispatcher state from the folded WAL: restore
-// snapshot instances (tombstoned — their traffic is fully absorbed), then
+// snapshot instances (retired — their traffic is fully absorbed), then
 // replay the record tail in order.
 func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error {
 	if snap != nil {
@@ -40,7 +40,7 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 			}
 			inst := &instance{kind: si.Kind, tag: si.Tag, dec: si.Decision, retired: true}
 			d.insts[si.Tag] = inst
-			d.party.Node().Tombstone(si.Tag)
+			d.party.Node().Retire(si.Tag)
 		}
 		for tag, txs := range snap.Leftovers {
 			d.leftovers[tag] = txs
@@ -212,7 +212,7 @@ func (d *Daemon) tryCompact() {
 	for _, in := range insts {
 		if !in.retired {
 			in.retired = true
-			d.party.Node().Tombstone(in.tag)
+			d.party.Node().Retire(in.tag)
 		}
 	}
 	d.mu.Unlock()

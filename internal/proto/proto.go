@@ -9,13 +9,18 @@
 //
 // Protocol state machines are single-threaded by contract: a runtime must
 // deliver all messages of one node sequentially, so protocol code never
-// locks. Handlers must tolerate messages arriving before local activation —
-// runtimes buffer deliveries for instance paths that are not yet registered.
+// locks. Handlers must tolerate messages arriving before local activation:
+// both runtimes route through one Table, which parks messages for instance
+// paths that are not yet registered and drops those for retired ones, and
+// both book what they send on one Meter.
 package proto
 
 import (
 	"context"
 	"math/rand"
+	"strings"
+
+	"repro/internal/order"
 )
 
 // Handler consumes messages addressed to one protocol instance on one node.
@@ -47,6 +52,10 @@ type Runtime interface {
 	// Register installs the handler for an instance path and replays any
 	// buffered messages addressed to it.
 	Register(inst string, h Handler)
+	// Retire removes the handlers under an instance path prefix (the path
+	// and every prefix/… sub-path) and drops every message for them from
+	// then on, parked or late: how a finished instance gives back its state.
+	Retire(prefix string)
 	// Send routes a message to the same instance path on party `to`.
 	Send(inst string, to int, body []byte)
 	// Multicast sends to all n parties, self included.
@@ -65,9 +74,7 @@ type Runtime interface {
 // deployment adds (length, sender, instance-path length).
 const EnvelopeOverhead = 12
 
-// Tally is a (messages, bytes) traffic count. Both runtimes charge a
-// message len(body) + len(inst) + EnvelopeOverhead bytes, so a tally means
-// the same thing whichever runtime produced it.
+// Tally is a (messages, bytes) traffic count.
 type Tally struct {
 	Msgs  int64
 	Bytes int64
@@ -77,6 +84,56 @@ type Tally struct {
 func (t *Tally) Add(bytes int64) {
 	t.Msgs++
 	t.Bytes += bytes
+}
+
+// Plus returns the sum of two tallies.
+func (t Tally) Plus(o Tally) Tally { return Tally{t.Msgs + o.Msgs, t.Bytes + o.Bytes} }
+
+// Meter books the messages one sender puts on the wire, in total (the
+// embedded Tally) and per instance path. Both runtimes meter through it, so
+// a tally means the same thing whichever runtime produced it. The zero value
+// is ready to use; a Meter does no locking.
+type Meter struct {
+	Tally
+	perInst map[string]*Tally
+}
+
+// Record books one message on instance path inst, charged len(body) +
+// len(inst) + EnvelopeOverhead bytes.
+func (m *Meter) Record(inst string, bodyLen int) {
+	cost := int64(bodyLen + len(inst) + EnvelopeOverhead)
+	m.Add(cost)
+	t := m.perInst[inst]
+	if t == nil {
+		if m.perInst == nil {
+			m.perInst = make(map[string]*Tally)
+		}
+		t = &Tally{}
+		m.perInst[inst] = t
+	}
+	t.Add(cost)
+}
+
+// ByPrefix sums the traffic over instance paths with the given prefix.
+func (m *Meter) ByPrefix(prefix string) Tally {
+	var t Tally
+	for _, inst := range order.SortedKeys(m.perInst) {
+		if strings.HasPrefix(inst, prefix) {
+			t = t.Plus(*m.perInst[inst])
+		}
+	}
+	return t
+}
+
+// ByInstance sums the traffic of path tag itself and of every sub-path
+// tag/… — one protocol instance's full footprint. (ByPrefix(tag) would also
+// count a sibling tag that has tag as a textual prefix.)
+func (m *Meter) ByInstance(tag string) Tally {
+	t := m.ByPrefix(tag + "/")
+	if own := m.perInst[tag]; own != nil {
+		t = t.Plus(*own)
+	}
+	return t
 }
 
 // Driver is the session-level contract over a runtime: it is what lets one

@@ -58,26 +58,7 @@ func (d *Driver) Update(fn func()) { fn() }
 // between deliveries; a stalled or budget-exhausted run returns the
 // network's *StallError.
 func (d *Driver) Await(ctx context.Context, done func() bool) error {
-	budget := d.Budget
-	if budget <= 0 {
-		budget = DefaultDeliveryBudget
-	}
 	d.lock()
 	defer d.unlock()
-	for s := int64(0); ; s++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		d.Net.drainReplays()
-		if done() {
-			return nil
-		}
-		if d.Net.Pending() == 0 {
-			return d.Net.stall(true, budget)
-		}
-		if s >= budget {
-			return d.Net.stall(false, budget)
-		}
-		d.Net.Step()
-	}
+	return d.Net.drive(ctx, d.Budget, done)
 }

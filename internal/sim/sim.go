@@ -13,18 +13,19 @@
 //   - asynchronous rounds: causal depth, per §3's virtual-round definition —
 //     a message sent while processing a depth-d delivery has depth d+1.
 //
-// Messages addressed to instances that are not yet registered are buffered
-// and replayed on registration; in an asynchronous network, arrival before
-// local activation is the norm, not an error.
+// Each node routes through a proto.Table, as the live runtime does: messages
+// addressed to instances that are not yet registered are parked and replayed
+// on registration (in an asynchronous network, arrival before local
+// activation is the norm, not an error), and messages for retired instances
+// are dropped.
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
-	"repro/internal/order"
 	"repro/internal/proto"
 )
 
@@ -104,39 +105,14 @@ func (d DelayScheduler) Pick(r *rand.Rand, q []*Envelope) int {
 
 // Metrics is the per-run accounting snapshot.
 type Metrics struct {
-	Honest   proto.Tally             // messages sent by honest parties (the paper's metrics)
-	Byz      proto.Tally             // messages sent by corrupted parties (not part of the paper's cost)
-	PerInst  map[string]*proto.Tally // honest traffic keyed by instance path
-	Rejected int64                   // malformed/mis-attributed messages dropped by handlers
+	Honest   proto.Meter // messages sent by honest parties (the paper's metrics)
+	Byz      proto.Meter // messages sent by corrupted parties (not part of the paper's cost)
+	Rejected int64       // malformed/mis-attributed messages dropped by handlers
 	// Equivocations counts conflicting-message evidence recorded by
 	// handlers — proof of a Byzantine sender, as opposed to Rejected's
 	// unattributable garbage.
 	Equivocations int64
 	MaxDepth      int // largest causal depth processed
-}
-
-// ByInstance sums honest traffic whose instance path is tag itself or any
-// sub-path tag/… — one protocol instance's full footprint on a shared
-// cluster. (ByPrefix would conflate tags sharing a textual prefix.)
-func (m *Metrics) ByInstance(tag string) proto.Tally {
-	t := m.ByPrefix(tag + "/")
-	if own := m.PerInst[tag]; own != nil {
-		t.Msgs += own.Msgs
-		t.Bytes += own.Bytes
-	}
-	return t
-}
-
-// ByPrefix sums honest traffic over instance paths with the given prefix.
-func (m *Metrics) ByPrefix(prefix string) proto.Tally {
-	var t proto.Tally
-	for _, inst := range order.SortedKeys(m.PerInst) {
-		if strings.HasPrefix(inst, prefix) {
-			t.Msgs += m.PerInst[inst].Msgs
-			t.Bytes += m.PerInst[inst].Bytes
-		}
-	}
-	return t
 }
 
 // Config describes a simulated network.
@@ -176,14 +152,11 @@ func New(cfg Config) *Network {
 		sched: sched,
 		byz:   cfg.Byzantine,
 	}
-	nw.metrics.PerInst = make(map[string]*proto.Tally)
 	for i := 0; i < cfg.N; i++ {
 		nw.nodes = append(nw.nodes, &Node{
-			nw:      nw,
-			idx:     i,
-			insts:   make(map[string]Handler),
-			pending: make(map[string][]pend),
-			rng:     rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i))),
+			nw:  nw,
+			idx: i,
+			rng: rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i))),
 		})
 	}
 	return nw
@@ -217,18 +190,11 @@ func (nw *Network) enqueue(from, to int, inst string, body []byte, depth int) {
 	nw.seq++
 	env := &Envelope{From: from, To: to, Inst: inst, Body: body, Depth: depth, Seq: nw.seq}
 	nw.queue = append(nw.queue, env)
-	cost := int64(len(body) + len(inst) + proto.EnvelopeOverhead)
+	m := &nw.metrics.Honest
 	if nw.byz[from] {
-		nw.metrics.Byz.Add(cost)
-		return
+		m = &nw.metrics.Byz
 	}
-	nw.metrics.Honest.Add(cost)
-	t := nw.metrics.PerInst[inst]
-	if t == nil {
-		t = &proto.Tally{}
-		nw.metrics.PerInst[inst] = t
-	}
-	t.Add(cost)
+	m.Record(inst, len(body))
 }
 
 // Step delivers one message (plus any replayed buffered messages it
@@ -258,9 +224,9 @@ func (nw *Network) drainReplays() bool {
 		progress = false
 		for _, nd := range nw.nodes {
 			for len(nd.replay) > 0 {
-				p := nd.replay[0]
+				env := nd.replay[0]
 				nd.replay = nd.replay[1:]
-				nw.dispatch(nd, p.env)
+				nw.deliver(env)
 				progress, any = true, true
 			}
 		}
@@ -268,30 +234,17 @@ func (nw *Network) drainReplays() bool {
 	return any
 }
 
+// deliver runs env's handler at depth env.Depth, or leaves env to the
+// receiver's table to park or drop.
 func (nw *Network) deliver(env *Envelope) {
 	nd := nw.nodes[env.To]
 	if nd.crashed {
 		return
 	}
-	if h, ok := nd.insts[env.Inst]; ok {
-		nw.run(nd, env, h)
+	h, _ := nd.routes.Route(env.Inst, env)
+	if h == nil {
 		return
 	}
-	nd.pending[env.Inst] = append(nd.pending[env.Inst], pend{env: env})
-}
-
-func (nw *Network) dispatch(nd *Node, env *Envelope) {
-	if nd.crashed {
-		return
-	}
-	if h, ok := nd.insts[env.Inst]; ok {
-		nw.run(nd, env, h)
-	} else {
-		nd.pending[env.Inst] = append(nd.pending[env.Inst], pend{env: env})
-	}
-}
-
-func (nw *Network) run(nd *Node, env *Envelope, h Handler) {
 	prev := nd.depth
 	nd.depth = env.Depth
 	if env.Depth > nw.metrics.MaxDepth {
@@ -353,8 +306,8 @@ func (nw *Network) stall(drained bool, budget int64) *StallError {
 	}
 	seen := map[string]bool{}
 	for _, nd := range nw.nodes {
-		for inst, buf := range nd.pending {
-			if len(buf) > 0 && !seen[inst] {
+		for _, inst := range nd.routes.Parked() {
+			if !seen[inst] {
 				seen[inst] = true
 				e.Pending = append(e.Pending, inst)
 			}
@@ -371,33 +324,34 @@ func (nw *Network) stall(drained bool, budget int64) *StallError {
 // tests). A nil done means "run until quiescent", exactly like RunAll;
 // done() is consulted at most once per delivery.
 func (nw *Network) Run(maxSteps int64, done func() bool) error {
-	if maxSteps <= 0 {
-		maxSteps = DefaultDeliveryBudget
-	}
-	if done == nil {
-		return nw.RunAll(maxSteps)
-	}
-	for s := int64(0); ; s++ {
-		nw.drainReplays()
-		if done() {
-			return nil
-		}
-		if len(nw.queue) == 0 {
-			return nw.stall(true, maxSteps)
-		}
-		if s >= maxSteps {
-			return nw.stall(false, maxSteps)
-		}
-		nw.Step()
-	}
+	return nw.drive(context.Background(), maxSteps, done)
 }
 
 // RunAll delivers every message until the network is quiescent.
 func (nw *Network) RunAll(maxSteps int64) error {
+	return nw.drive(context.Background(), maxSteps, nil)
+}
+
+// drive is the one delivery loop under Run, RunAll and Driver.Await: it
+// steps the network until done() holds (a nil done: until the queue
+// drains), ctx is cancelled, or maxSteps deliveries have happened.
+func (nw *Network) drive(ctx context.Context, maxSteps int64, done func() bool) error {
+	if maxSteps <= 0 {
+		maxSteps = DefaultDeliveryBudget
+	}
 	for s := int64(0); ; s++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		nw.drainReplays()
-		if len(nw.queue) == 0 {
+		if done != nil && done() {
 			return nil
+		}
+		if len(nw.queue) == 0 {
+			if done == nil {
+				return nil
+			}
+			return nw.stall(true, maxSteps)
 		}
 		if s >= maxSteps {
 			return nw.stall(false, maxSteps)
@@ -412,18 +366,13 @@ func (nw *Network) Reject() { nw.metrics.Rejected++ }
 // Equivocation records conflicting-message evidence found by a handler.
 func (nw *Network) Equivocation() { nw.metrics.Equivocations++ }
 
-type pend struct {
-	env *Envelope
-}
-
 // Node is one party's runtime: protocol instances register here, and the
 // node is the Runtime handed to protocol constructors.
 type Node struct {
 	nw      *Network
 	idx     int
-	insts   map[string]Handler
-	pending map[string][]pend
-	replay  []pend
+	routes  proto.Table[*Envelope]
+	replay  []*Envelope // parked messages a Register released, delivered before the next step
 	depth   int
 	rng     *rand.Rand
 	crashed bool
@@ -451,21 +400,12 @@ func (nd *Node) Crash() { nd.crashed = true }
 // Register installs the handler for an instance path and schedules replay of
 // any buffered messages for it.
 func (nd *Node) Register(inst string, h Handler) {
-	if _, dup := nd.insts[inst]; dup {
-		panic(fmt.Sprintf("sim: node %d: duplicate instance %q", nd.idx, inst))
-	}
-	nd.insts[inst] = h
-	if buf := nd.pending[inst]; len(buf) > 0 {
-		nd.replay = append(nd.replay, buf...)
-		delete(nd.pending, inst)
-	}
+	nd.replay = append(nd.replay, nd.routes.Register(inst, h)...)
 }
 
-// Registered reports whether the instance path has a handler.
-func (nd *Node) Registered(inst string) bool {
-	_, ok := nd.insts[inst]
-	return ok
-}
+// Retire removes the handlers under an instance path prefix and drops every
+// message for them, parked or late.
+func (nd *Node) Retire(prefix string) { nd.routes.Retire(prefix) }
 
 // Send routes a message to the same instance path on node `to`. The message
 // inherits causal depth current+1.

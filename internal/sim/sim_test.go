@@ -134,10 +134,10 @@ func TestByPrefixAggregation(t *testing.T) {
 	if err := nw.RunAll(100); err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.Metrics().ByPrefix("p/").Msgs; got != 2 {
+	if got := nw.Metrics().Honest.ByPrefix("p/").Msgs; got != 2 {
 		t.Fatalf("prefix p/ msgs = %d, want 2", got)
 	}
-	if got := nw.Metrics().ByPrefix("q").Msgs; got != 1 {
+	if got := nw.Metrics().Honest.ByPrefix("q").Msgs; got != 1 {
 		t.Fatalf("prefix q msgs = %d, want 1", got)
 	}
 }
