@@ -1,7 +1,8 @@
 // Command nodenet stands up a multi-process cluster — n noded OS processes
 // on loopback — and replays named workloads against it over the control
-// RPC, checking cross-process agreement and (where the outcome is pinned
-// by the seed) equality with the in-process simulator.
+// RPC, checking cross-process agreement, a ledger's exactly-once delivery,
+// and (where the outcome is pinned by the seed) equality with the
+// in-process simulator.
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 //	nodenet -bench BENCH_wan.json                 # WAN matrix artifact
 //	nodenet -bench BENCH_wan.json -check          # regenerate + diff-gate
 //	nodenet -n 4 -chaos                           # seeded kill/restart sweep
-//	nodenet -n 7 -chaos -kills 2 -chaos-bench BENCH_chaos.json -check
+//	nodenet -n 7 -chaos -bench BENCH_chaos.json -check   # f kills, diff-gated
 //
 // Exit status is nonzero on any agreement violation, sim mismatch, failed
 // workload, or (under -check) artifact drift.
@@ -36,35 +37,32 @@ func main() {
 	seed := flag.Int64("seed", 1, "cluster seed (keys, WAN replay)")
 	bin := flag.String("bin", "", "noded binary (empty builds ./cmd/noded)")
 	workloads := flag.String("workloads", "election,vba-pinned,ledger", "comma-separated workload names, or 'all'")
-	noSim := flag.Bool("no-sim", false, "skip simulator cross-checks")
 	wanDelay := flag.Duration("wan-delay", 0, "uniform WAN one-way delay (0 = no emulation)")
 	wanJitter := flag.Duration("wan-jitter", 0, "uniform WAN jitter")
 	wanLoss := flag.Float64("wan-loss", 0, "uniform WAN loss probability [0,1)")
 	sever := flag.String("sever", "", "kill one mesh connection mid-run, as from:to")
 	wal := flag.Bool("wal", false, "enable per-party write-ahead logs (crash recovery)")
 	restart := flag.Int("restart", -1, "SIGKILL this party mid-run and restart it from its WAL (needs -wal)")
-	chaos := flag.Bool("chaos", false, "run the seeded chaos kill/restart sweep instead of workloads")
-	kills := flag.Int("kills", 0, "with -chaos: kill/restart cycles (0 selects f)")
-	bench := flag.String("bench", "", "run the WAN benchmark matrix and write this artifact")
-	chaosBench := flag.String("chaos-bench", "", "with -chaos: write the chaos artifact here")
-	check := flag.Bool("check", false, "with a bench artifact: fail if gated fields drift from the committed one")
+	chaos := flag.Bool("chaos", false, "run the seeded chaos sweep (f kill/restart cycles) instead of workloads")
+	bench := flag.String("bench", "", "write this artifact: the WAN benchmark matrix, or with -chaos the chaos sweep")
+	check := flag.Bool("check", false, "with -bench: fail if gated fields drift from the committed artifact")
 	flag.Parse()
 
+	chaosOpts := nodenet.ChaosOptions{N: *n, F: *f, Seed: *seed, BinPath: *bin}
 	if *bench != "" {
-		if err := nodenet.RunWANBench(*bench, *bin, *check); err != nil {
+		var err error
+		if *chaos {
+			err = nodenet.RunChaosBench(*bench, chaosOpts, *check)
+		} else {
+			err = nodenet.RunWANBench(*bench, *bin, *check)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *chaos {
-		opts := nodenet.ChaosOptions{N: *n, F: *f, Seed: *seed, BinPath: *bin, Kills: *kills}
-		if *chaosBench != "" {
-			if err := nodenet.RunChaosBench(*chaosBench, opts, *check); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		doc, err := nodenet.RunChaos(opts)
+		doc, err := nodenet.RunChaos(chaosOpts)
 		if err != nil {
 			fatal(err)
 		}
@@ -100,9 +98,6 @@ func main() {
 		w, err := nodenet.WorkloadByName(name)
 		if err != nil {
 			fatal(err)
-		}
-		if *noSim {
-			w.Sim = false
 		}
 		if *sever != "" {
 			from, to, err := parseSever(*sever)

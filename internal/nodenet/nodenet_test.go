@@ -84,29 +84,15 @@ func TestProcessClusterMatchesSim(t *testing.T) {
 // exactly once.
 func TestProcessClusterSurvivesConnectionKill(t *testing.T) {
 	cl := launchCluster(t, 22)
-	const tag = "wl/killtest"
-	if _, err := cl.CallAll(func(i int) *noded.Request {
-		return &noded.Request{
-			Op: noded.OpLaunch, Kind: "ledger", Tag: tag, Genesis: []byte("kill"),
-			TxCount: 48, TxBytes: 96,
-		}
-	}, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Kill a live inter-node connection mid-run, from both test interest
-	// directions: outbound of party 1 to party 2.
-	if err := cl.Sever(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.CallAll(func(int) *noded.Request {
-		return &noded.Request{Op: noded.OpDrain, Tag: tag}
-	}, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	decs, err := cl.AwaitAll(tag)
+	// Kill a live inter-node connection mid-run: outbound of party 1 to
+	// party 2.
+	w := Workload{Name: "killtest", Kind: "ledger", Genesis: "kill", TxCount: 48, TxBytes: 96,
+		Agreement: true, Mid: func() error { return cl.Sever(1, 2) }}
+	res, err := w.Run(cl)
 	if err != nil {
-		t.Fatalf("await after sever: %v\n%s", err, cl.Logs())
+		t.Fatalf("ledger after sever: %v\n%s", err, cl.Logs())
 	}
+	decs := res.Decisions
 	for i, d := range decs {
 		if d.Txs != 4*48 {
 			t.Fatalf("party %d delivered %d txs, want %d", i, d.Txs, 4*48)
@@ -237,32 +223,20 @@ func TestProcessClusterSurvivesKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	const tag = "wl/krtest"
-	if _, err := cl.CallAll(func(int) *noded.Request {
-		return &noded.Request{
-			Op: noded.OpLaunch, Kind: "ledger", Tag: tag, Genesis: []byte("kr"),
-			TxCount: txCount, TxBytes: txBytes,
-		}
-	}, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
 	const victim = 2
-	if err := cl.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Restart(victim); err != nil {
-		t.Fatalf("restart after SIGKILL: %v\n%s", err, cl.Logs())
-	}
-	if _, err := cl.CallAll(func(int) *noded.Request {
-		return &noded.Request{Op: noded.OpDrain, Tag: tag}
-	}, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	decs, err := cl.AwaitAll(tag)
+	w := Workload{Name: "krtest", Kind: "ledger", Genesis: "kr", TxCount: txCount, TxBytes: txBytes,
+		Agreement: true, Mid: func() error {
+			time.Sleep(100 * time.Millisecond)
+			if err := cl.Kill(victim); err != nil {
+				return err
+			}
+			return cl.Restart(victim)
+		}}
+	res, err := w.Run(cl)
 	if err != nil {
-		t.Fatalf("await after kill/restart: %v\n%s", err, cl.Logs())
+		t.Fatalf("ledger after kill/restart: %v\n%s", err, cl.Logs())
 	}
+	decs := res.Decisions
 	wantSet := noded.ExpectedTxSet(n, txCount, txBytes)
 	for i, d := range decs {
 		if d.Txs != n*txCount {
@@ -300,14 +274,14 @@ func TestProcessClusterSurvivesKillRestart(t *testing.T) {
 	}
 }
 
-// TestChaosRunSmoke runs the full seeded chaos harness at n=4 — reference
-// run, then f kill/restart cycles against WAL-backed processes — and
-// checks the gated artifact surface it would commit.
+// TestChaosRunSmoke runs the full seeded chaos harness at n=4 — f
+// kill/restart cycles against WAL-backed processes across the ledger
+// rounds — and checks the gated artifact surface it would commit.
 func TestChaosRunSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process chaos test; skipped under -short")
 	}
-	doc, err := RunChaos(ChaosOptions{N: 4, Seed: 7, BinPath: sharedBinary(t)})
+	doc, err := RunChaos(ChaosOptions{N: 4, F: -1, Seed: 7, BinPath: sharedBinary(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +296,51 @@ func TestChaosRunSmoke(t *testing.T) {
 	}
 	if doc.Restarts == 0 {
 		t.Fatal("chaos run recorded no WAL recoveries")
+	}
+}
+
+// TestWorkloadCheck pins the decision-only invariants Run enforces:
+// agreement where declared, and a ledger's exactly-once delivery.
+func TestWorkloadCheck(t *testing.T) {
+	const n = 4
+	byName := func(name string) Workload {
+		w, err := WorkloadByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	ledger := byName("ledger")
+	wantTxs, wantSet := n*ledger.TxCount, noded.ExpectedTxSet(n, ledger.TxCount, ledger.TxBytes)
+	bits := func(bs ...int) []*noded.Decision {
+		decs := make([]*noded.Decision, len(bs))
+		for i, b := range bs {
+			decs[i] = &noded.Decision{Kind: "aba", Bit: b}
+		}
+		return decs
+	}
+	logs := func(txs int, set string) []*noded.Decision {
+		decs := make([]*noded.Decision, n)
+		for i := range decs {
+			decs[i] = &noded.Decision{Kind: "ledger", Value: "log", FinalSlot: 2, Txs: txs, TxSet: set}
+		}
+		return decs
+	}
+	for _, tc := range []struct {
+		name string
+		w    Workload
+		decs []*noded.Decision
+		ok   bool
+	}{
+		{"agreeing", byName("aba-unanimous"), bits(1, 1, 1, 1), true},
+		{"disagreeing", byName("aba-unanimous"), bits(1, 1, 0, 1), false},
+		{"disagreeing weak coin", byName("coin"), bits(1, 1, 0, 1), true},
+		{"ledger exactly once", ledger, logs(wantTxs, wantSet), true},
+		{"ledger one tx short", ledger, logs(wantTxs-1, wantSet), false},
+		{"ledger wrong tx set", ledger, logs(wantTxs, noded.ExpectedTxSet(n, ledger.TxCount, ledger.TxBytes+1)), false},
+	} {
+		if err := tc.w.check(tc.decs, n); (err == nil) != tc.ok {
+			t.Errorf("%s: check = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

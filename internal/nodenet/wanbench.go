@@ -49,6 +49,18 @@ type WANBenchDoc struct {
 	Rows []WANBenchRow `json:"rows"`
 }
 
+// gated is the part of the document a regeneration must reproduce: the
+// config, each row's identity and agreement, and the gated decisions.
+func (d *WANBenchDoc) gated() any {
+	g := *d
+	g.Rows = make([]WANBenchRow, len(d.Rows))
+	for i, r := range d.Rows {
+		g.Rows[i] = WANBenchRow{Profile: r.Profile, Workload: r.Workload,
+			Gated: r.Gated, Agreed: r.Agreed, Decision: r.Decision}
+	}
+	return g
+}
+
 type benchProfile struct {
 	name string
 	wan  *livenet.WANProfile
@@ -81,97 +93,50 @@ func benchProfiles(n int) []benchProfile {
 	}
 }
 
-// benchWorkloads are the matrix columns; the bool marks gated rows. Only
-// validity-forced decisions gate: the pinned VBA value and the unanimous
-// ABA bit are fixed by the protocol regardless of message timing. The
+// benchWorkloads are the matrix columns. Only the validity-pinned ones
+// (Workload.Sim: the pinned VBA value, the unanimous ABA bit) gate their
+// decision, which the protocol fixes regardless of message timing. The
 // election leader depends on which coin shares aggregate first, so under
 // WAN reordering it varies run to run (agreement across processes still
 // holds and is still enforced) — informational, like the ledger's
 // timing-dependent slot layout.
-var benchWorkloads = []struct {
-	name  string
-	gated bool
-}{
-	{"election", false},
-	{"vba-pinned", true},
-	{"aba-unanimous", true},
-	{"ledger", false},
-}
+var benchWorkloads = []string{"election", "vba-pinned", "aba-unanimous", "ledger"}
 
 // RunWANBench regenerates the WAN matrix artifact at outPath. With check
-// set, it first loads the committed artifact and fails on any drift in the
-// gated fields (config, agreement, gated decisions) — informational fields
-// are expected to move.
+// set, it fails on any drift in the gated part of the committed artifact
+// — informational fields are expected to move.
 func RunWANBench(outPath, binPath string, check bool) error {
 	const n, f = 4, 1
 	const seed int64 = 1
-
-	var prev *WANBenchDoc
-	if check {
-		raw, err := os.ReadFile(outPath)
-		if err != nil {
-			return fmt.Errorf("nodenet: -check needs a committed artifact: %w", err)
+	return regenerate(outPath, binPath, check, func(bin string) (*WANBenchDoc, error) {
+		doc := &WANBenchDoc{N: n, F: f, Seed: seed}
+		for _, p := range benchProfiles(n) {
+			cl, err := Launch(Options{N: n, F: f, Seed: seed, BinPath: bin, WAN: p.wan})
+			if err != nil {
+				return nil, fmt.Errorf("nodenet: launch %s cluster: %w", p.name, err)
+			}
+			rows, err := runBenchProfile(cl, p.name)
+			stopErr := cl.Stop(60 * time.Second)
+			cl.Close()
+			if err == nil {
+				err = stopErr
+			}
+			if err != nil {
+				return nil, fmt.Errorf("nodenet: profile %s: %w", p.name, err)
+			}
+			doc.Rows = append(doc.Rows, rows...)
 		}
-		prev = &WANBenchDoc{}
-		if err := json.Unmarshal(raw, prev); err != nil {
-			return fmt.Errorf("nodenet: parse committed %s: %w", outPath, err)
-		}
-	}
-
-	dir, err := os.MkdirTemp("", "wanbench-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	if binPath == "" {
-		if binPath, err = BuildNoded(dir); err != nil {
-			return err
-		}
-	}
-
-	doc := &WANBenchDoc{N: n, F: f, Seed: seed}
-	for _, p := range benchProfiles(n) {
-		cl, err := Launch(Options{N: n, F: f, Seed: seed, BinPath: binPath, WAN: p.wan})
-		if err != nil {
-			return fmt.Errorf("nodenet: launch %s cluster: %w", p.name, err)
-		}
-		rows, err := runBenchProfile(cl, p.name)
-		stopErr := cl.Stop(60 * time.Second)
-		cl.Close()
-		if err == nil {
-			err = stopErr
-		}
-		if err != nil {
-			return fmt.Errorf("nodenet: profile %s: %w", p.name, err)
-		}
-		doc.Rows = append(doc.Rows, rows...)
-	}
-
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d rows)\n", outPath, len(doc.Rows))
-	if check {
-		if err := diffWANBench(prev, doc); err != nil {
-			return err
-		}
-		fmt.Println("gated fields match the committed artifact")
-	}
-	return nil
+		return doc, nil
+	})
 }
 
 func runBenchProfile(cl *Cluster, profile string) ([]WANBenchRow, error) {
 	var rows []WANBenchRow
-	for _, bw := range benchWorkloads {
-		w, err := WorkloadByName(bw.name)
+	for _, name := range benchWorkloads {
+		w, err := WorkloadByName(name)
 		if err != nil {
 			return nil, err
 		}
-		w.Sim = false // agreement + gating carry the check; sim runs in CI smoke
 		before, err := cl.StatsAll()
 		if err != nil {
 			return nil, err
@@ -185,8 +150,8 @@ func runBenchProfile(cl *Cluster, profile string) ([]WANBenchRow, error) {
 			return nil, err
 		}
 		row := WANBenchRow{
-			Profile: profile, Workload: bw.name,
-			Gated: bw.gated, Agreed: res.Agreed,
+			Profile: profile, Workload: name,
+			Gated: w.Sim, Agreed: res.Agreed,
 			ElapsedMS: res.ElapsedMS,
 		}
 		for i := range after {
@@ -195,7 +160,7 @@ func runBenchProfile(cl *Cluster, profile string) ([]WANBenchRow, error) {
 			row.WANDelays += after[i].WANDelays - before[i].WANDelays
 			row.WANLosses += after[i].WANLosses - before[i].WANLosses
 		}
-		if bw.gated {
+		if w.Sim {
 			row.Decision = res.Decisions[0].Canonical()
 		}
 		rows = append(rows, row)
@@ -203,35 +168,51 @@ func runBenchProfile(cl *Cluster, profile string) ([]WANBenchRow, error) {
 	return rows, nil
 }
 
-// diffWANBench compares the gated surface of two artifacts.
-func diffWANBench(prev, next *WANBenchDoc) error {
-	if prev.N != next.N || prev.F != next.F || prev.Seed != next.Seed {
-		return fmt.Errorf("nodenet: config drifted: committed n=%d f=%d seed=%d, regenerated n=%d f=%d seed=%d",
-			prev.N, prev.F, prev.Seed, next.N, next.F, next.Seed)
-	}
-	if len(prev.Rows) != len(next.Rows) {
-		return fmt.Errorf("nodenet: row count drifted: %d committed, %d regenerated", len(prev.Rows), len(next.Rows))
-	}
-	for i := range next.Rows {
-		a, b := prev.Rows[i], next.Rows[i]
-		id := fmt.Sprintf("%s/%s", b.Profile, b.Workload)
-		if a.Profile != b.Profile || a.Workload != b.Workload || a.Gated != b.Gated {
-			return fmt.Errorf("nodenet: row %d identity drifted: committed %s/%s, regenerated %s",
-				i, a.Profile, a.Workload, id)
+// regenerate rewrites one committed artifact: under check it first reads
+// the committed document, then builds noded (when bin is empty), runs,
+// writes the new document, and fails unless both gated parts marshal to
+// the same bytes.
+func regenerate[D interface{ gated() any }](outPath, bin string, check bool, run func(bin string) (D, error)) error {
+	var prev D
+	if check {
+		raw, err := os.ReadFile(outPath)
+		if err != nil {
+			return fmt.Errorf("nodenet: -check needs a committed artifact: %w", err)
 		}
-		if !b.Agreed {
-			return fmt.Errorf("nodenet: %s: processes disagreed", id)
-		}
-		if a.Agreed != b.Agreed {
-			return fmt.Errorf("nodenet: %s: agreement drifted", id)
-		}
-		if b.Gated {
-			if a.Decision == nil || b.Decision == nil || !a.Decision.Same(b.Decision) ||
-				a.Decision.Tag != b.Decision.Tag {
-				return fmt.Errorf("nodenet: %s: gated decision drifted:\ncommitted   %+v\nregenerated %+v",
-					id, a.Decision, b.Decision)
-			}
+		if err := json.Unmarshal(raw, &prev); err != nil {
+			return fmt.Errorf("nodenet: parse committed %s: %w", outPath, err)
 		}
 	}
+	if bin == "" {
+		dir, err := os.MkdirTemp("", "nodenet-bench-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		if bin, err = BuildNoded(dir); err != nil {
+			return err
+		}
+	}
+	doc, err := run(bin)
+	if err != nil {
+		return err
+	}
+	raw, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", outPath)
+	if !check {
+		return nil
+	}
+	want, _ := json.Marshal(prev.gated())
+	got, _ := json.Marshal(doc.gated())
+	if string(want) != string(got) {
+		return fmt.Errorf("nodenet: gated fields of %s drifted:\ncommitted   %s\nregenerated %s", outPath, want, got)
+	}
+	fmt.Println("gated fields match the committed artifact")
 	return nil
 }

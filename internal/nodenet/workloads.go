@@ -7,6 +7,8 @@ package nodenet
 //   - Agreement: every process must report an identical decision (the
 //     protocol's agreement property — gated for every deterministic-output
 //     kind).
+//   - A ledger must also deliver every party's TxCount transactions exactly
+//     once: Txs == n·TxCount and TxSet == noded.ExpectedTxSet.
 //   - Sim: the decision is reproducible from the seed alone, so it must
 //     also equal an in-process simulator run of the same protocol. Only
 //     validity-pinned workloads qualify: a unanimous ABA, a VBA whose
@@ -134,8 +136,8 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 		Agreed:    kinds.Agree(decs),
 		ElapsedMS: time.Since(start).Milliseconds(),
 	}
-	if w.Agreement && !res.Agreed {
-		return res, fmt.Errorf("workload %s: processes disagree: %+v", w.Name, decs)
+	if err := w.check(decs, cl.N); err != nil {
+		return res, err
 	}
 	if w.Byz != "" {
 		stats, err := cl.StatsAll()
@@ -164,6 +166,25 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// check evaluates the decision-only invariants: agreement where declared,
+// and a ledger's exactly-once delivery of every party's transactions.
+func (w Workload) check(decs []*noded.Decision, n int) error {
+	if w.Agreement && !kinds.Agree(decs) {
+		return fmt.Errorf("workload %s: processes disagree: %+v", w.Name, decs)
+	}
+	if w.Kind != "ledger" {
+		return nil
+	}
+	wantSet := noded.ExpectedTxSet(n, w.TxCount, w.TxBytes)
+	for i, d := range decs {
+		if d.Txs != n*w.TxCount || d.TxSet != wantSet {
+			return fmt.Errorf("workload %s: party %d delivered txs=%d set=%s, want exactly-once txs=%d set=%s",
+				w.Name, i, d.Txs, d.TxSet, n*w.TxCount, wantSet)
+		}
+	}
+	return nil
 }
 
 // request is party i's launch request for the workload under tag, before
