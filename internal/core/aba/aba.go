@@ -25,9 +25,10 @@
 // disagreement harmless to safety and leaves α to govern only the expected
 // round count (≈ 2/α).
 //
-// A Bracha-style FINISH gadget lets parties halt: deciders keep
-// participating until 2f+1 FINISH votes accumulate, preserving liveness
-// for lagging parties.
+// A FINISH gadget lets parties halt: deciders keep participating until
+// 2f+1 FINISH votes accumulate, preserving liveness for lagging parties.
+// FINISH is the READY of rbc.Bracha keyed by the bit: f+1 votes make a
+// party relay FINISH, 2f+1 halt it.
 package aba
 
 import (
@@ -35,6 +36,7 @@ import (
 	"fmt"
 
 	"repro/internal/core/coin"
+	"repro/internal/core/rbc"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -140,7 +142,7 @@ type ABA struct {
 
 	decided    *byte
 	finishSent bool
-	finishRecv [2]map[int]bool
+	finish     rbc.Bracha[byte]
 	halted     bool
 
 	// DecidedRound is the round in which this party first decided (0 until
@@ -151,12 +153,12 @@ type ABA struct {
 // New registers an ABA instance. Call Start with the input bit.
 func New(rt proto.Runtime, inst string, coins CoinFactory, out Output) *ABA {
 	a := &ABA{
-		rt:         rt,
-		inst:       inst,
-		coins:      coins,
-		out:        out,
-		rounds:     make(map[int]*roundState),
-		finishRecv: [2]map[int]bool{make(map[int]bool), make(map[int]bool)},
+		rt:     rt,
+		inst:   inst,
+		coins:  coins,
+		out:    out,
+		rounds: make(map[int]*roundState),
+		finish: rbc.NewBracha[byte](rt.F()),
 	}
 	rt.Register(inst, a)
 	return a
@@ -444,20 +446,20 @@ func (a *ABA) resolveRound(r int) {
 }
 
 func (a *ABA) onFinish(v byte, from int) {
-	if a.finishRecv[v][from] {
+	if a.finish.Readied(v, from) {
 		return
 	}
 	// Honest parties FINISH exactly one value; a FINISH for the other bit
 	// from the same sender is proof of a double vote.
-	if a.finishRecv[1-v][from] {
+	if a.finish.Readied(1-v, from) {
 		a.rt.Equivocation()
 		return
 	}
-	a.finishRecv[v][from] = true
-	if len(a.finishRecv[v]) >= a.rt.F()+1 {
+	relay, halt := a.finish.Ready(from, v)
+	if relay {
 		a.sendFINISH(v)
 	}
-	if len(a.finishRecv[v]) >= 2*a.rt.F()+1 {
+	if halt {
 		a.halted = true
 		if a.decided == nil {
 			d := v

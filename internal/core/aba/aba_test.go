@@ -277,3 +277,25 @@ func TestMalformedMessagesRejected(t *testing.T) {
 }
 
 func coinConfig() coin.Config { return coin.Config{} }
+
+func TestFinishEquivocationNotBooked(t *testing.T) {
+	// Party 3 FINISHes 0 and then 1: the second vote is one piece of
+	// equivocation evidence and must not count toward FINISH(1), or one
+	// more FINISH(1) would reach f+1 and make party 0 relay it.
+	const n, f = 4, 1
+	fx := setup(t, n, f, 1, harness.Options{Byzantine: map[int]bool{3: true}}, testCoins("finish"))
+	a := fx.insts[0]
+	a.Handle(3, []byte{msgFINISH, 0})
+	a.Handle(3, []byte{msgFINISH, 0}) // a same-bit repeat is silent
+	a.Handle(3, []byte{msgFINISH, 1})
+	if got := fx.c.Net.Metrics().Equivocations; got != 1 {
+		t.Fatalf("%d equivocations, want 1", got)
+	}
+	if a.finish.Readied(1, 3) || !a.finish.Readied(0, 3) {
+		t.Fatal("FINISH(1) booked after FINISH(0) from the same sender")
+	}
+	a.Handle(2, []byte{msgFINISH, 1})
+	if a.finishSent {
+		t.Fatal("relayed FINISH(1) on one honest vote plus an equivocation")
+	}
+}

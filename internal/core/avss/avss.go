@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"sort"
 
+	"repro/internal/core/rbc"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pedersen"
 	"repro/internal/crypto/poly"
@@ -70,15 +71,13 @@ type AVSS struct {
 	cipherSnt bool
 
 	// Party sharing state.
-	shA, shB  field.Scalar
-	cmt       pedersen.Commitment
-	hasShare  bool
-	pendingC  *cipherMsg // Cipher waiting for a KeyShare (Alg. 1 line 17)
-	echoed    bool
-	readySent bool
-	echoes    map[string]map[int]bool
-	readies   map[string]map[int]bool
-	shared    *ShareOutput
+	shA, shB field.Scalar
+	cmt      pedersen.Commitment
+	hasShare bool
+	pendingC *cipherMsg // Cipher waiting for a KeyShare (Alg. 1 line 17)
+	echoed   bool
+	bracha   rbc.Bracha[string] // keyed by the ciphertext
+	shared   *ShareOutput
 
 	keyShareHook func()
 
@@ -114,8 +113,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, dealer int, onShare f
 		dealer:   dealer,
 		onShare:  onShare,
 		onRec:    onRec,
-		echoes:   make(map[string]map[int]bool),
-		readies:  make(map[string]map[int]bool),
+		bracha:   rbc.NewBracha[string](rt.F()),
 		phi:      make(map[int]keyShare),
 		keyVotes: make(map[string]map[int]bool),
 		keyVals:  make(map[string]field.Scalar),
@@ -349,17 +347,7 @@ func (a *AVSS) onEcho(from int, rd *wire.Reader) {
 		a.rt.Reject()
 		return
 	}
-	k := string(cipher)
-	set := a.echoes[k]
-	if set == nil {
-		set = make(map[int]bool)
-		a.echoes[k] = set
-	}
-	if set[from] {
-		return
-	}
-	set[from] = true
-	if len(set) >= 2*a.rt.F()+1 {
+	if a.bracha.Echo(from, string(cipher)) {
 		a.sendReady(cipher)
 	}
 }
@@ -370,20 +358,11 @@ func (a *AVSS) onReady(from int, rd *wire.Reader) {
 		a.rt.Reject()
 		return
 	}
-	k := string(cipher)
-	set := a.readies[k]
-	if set == nil {
-		set = make(map[int]bool)
-		a.readies[k] = set
-	}
-	if set[from] {
-		return
-	}
-	set[from] = true
-	if len(set) >= a.rt.F()+1 {
+	ready, deliver := a.bracha.Ready(from, string(cipher))
+	if ready {
 		a.sendReady(cipher)
 	}
-	if len(set) >= 2*a.rt.F()+1 && a.shared == nil {
+	if deliver {
 		out := ShareOutput{
 			Cipher:   cipher,
 			ShA:      a.shA,
@@ -402,10 +381,6 @@ func (a *AVSS) onReady(from int, rd *wire.Reader) {
 }
 
 func (a *AVSS) sendReady(cipher []byte) {
-	if a.readySent {
-		return
-	}
-	a.readySent = true
 	var w wire.Writer
 	w.Byte(msgReady)
 	w.Blob(cipher)

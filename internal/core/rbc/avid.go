@@ -27,10 +27,9 @@ type AVID struct {
 	k          int       // reconstruction threshold = f+1
 	codec      *rs.Codec // cached-basis (k, n) codec shared process-wide
 	echoSent   bool
-	readySent  bool
-	delivered  bool
+	delivered  bool                           // decoded and root-checked, on top of the READY quorum
 	rootEchoes map[merkle.Root]map[int][]byte // root -> party -> chunk (from Echo)
-	readies    map[merkle.Root]map[int]bool
+	bracha     Bracha[merkle.Root]
 	myChunk    []byte
 	myProof    merkle.Proof
 	myRoot     merkle.Root
@@ -52,7 +51,7 @@ func NewAVID(rt proto.Runtime, inst string, sender int, out Output) *AVID {
 		out:        out,
 		k:          rt.F() + 1,
 		rootEchoes: make(map[merkle.Root]map[int][]byte),
-		readies:    make(map[merkle.Root]map[int]bool),
+		bracha:     NewBracha[merkle.Root](rt.F()),
 	}
 	// k = f+1 ≤ n always holds, so the codec lookup cannot fail; the nil
 	// guard below keeps Start/maybeDeliver fail-silent like every other
@@ -167,7 +166,7 @@ func (a *AVID) Handle(from int, body []byte) {
 			return
 		}
 		set[from] = chunk
-		if len(set) >= 2*a.rt.F()+1 {
+		if a.bracha.Echo(from, root) {
 			a.sendReady(root)
 		}
 		a.maybeDeliver(root)
@@ -179,16 +178,13 @@ func (a *AVID) Handle(from int, body []byte) {
 		}
 		var root merkle.Root
 		copy(root[:], rootB)
-		set := a.readies[root]
-		if set == nil {
-			set = make(map[int]bool)
-			a.readies[root] = set
-		}
-		if set[from] {
+		// A repeated READY must not re-run the decode. Delivery waits on
+		// decoding as well, so maybeDeliver asks for the READY quorum
+		// itself rather than taking Ready's one-shot report.
+		if a.bracha.Readied(root, from) {
 			return
 		}
-		set[from] = true
-		if len(set) >= a.rt.F()+1 {
+		if ready, _ := a.bracha.Ready(from, root); ready {
 			a.sendReady(root)
 		}
 		a.maybeDeliver(root)
@@ -198,10 +194,6 @@ func (a *AVID) Handle(from int, body []byte) {
 }
 
 func (a *AVID) sendReady(root merkle.Root) {
-	if a.readySent {
-		return
-	}
-	a.readySent = true
 	var w wire.Writer
 	w.Byte(avidReady)
 	w.Raw(root[:])
@@ -212,7 +204,7 @@ func (a *AVID) maybeDeliver(root merkle.Root) {
 	if a.delivered {
 		return
 	}
-	if len(a.readies[root]) < 2*a.rt.F()+1 || len(a.rootEchoes[root]) < a.k || a.codec == nil {
+	if !a.bracha.Quorum(root) || len(a.rootEchoes[root]) < a.k || a.codec == nil {
 		return
 	}
 	// With the systematic codec the echo-reconstruction path reuses the

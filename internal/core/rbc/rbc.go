@@ -2,6 +2,12 @@
 // summarized in §4 of the paper): a designated sender disseminates one value
 // with Agreement, Totality and Validity under n ≥ 3f+1.
 //
+// bracha.go holds the echo/ready quorum rule itself, the one copy of its
+// f+1 and 2f+1 thresholds. Six protocols count on it: RBC here (keyed by
+// the value), AVID (by Merkle root), AVSS's ciphertext tail (Alg. 1),
+// Seeding's seed tail (Alg. 7), and the READY half alone in ABA's FINISH
+// gadget (by bit) and VBA's Decide gadget (by value hash).
+//
 // The companion file avid.go provides the erasure-coded variant with Merkle
 // proofs (Cachin–Tessaro-style) that the AJM+21 baseline uses; its
 // O(log n)-factor overhead on small payloads is one of the costs the paper's
@@ -30,12 +36,8 @@ type RBC struct {
 	sender int
 	out    Output
 
-	echoed    bool
-	readySent bool
-	delivered bool
-	echoes    map[string]map[int]bool // value digest -> senders
-	readies   map[string]map[int]bool
-	values    map[string][]byte // digest -> value (first seen encoding)
+	echoed bool
+	bracha Bracha[string] // keyed by the value
 }
 
 // New registers a reliable-broadcast instance. sender is the 0-based
@@ -43,13 +45,11 @@ type RBC struct {
 // instance to participate. The callback fires exactly once, on delivery.
 func New(rt proto.Runtime, inst string, sender int, out Output) *RBC {
 	r := &RBC{
-		rt:      rt,
-		inst:    inst,
-		sender:  sender,
-		out:     out,
-		echoes:  make(map[string]map[int]bool),
-		readies: make(map[string]map[int]bool),
-		values:  make(map[string][]byte),
+		rt:     rt,
+		inst:   inst,
+		sender: sender,
+		out:    out,
+		bracha: NewBracha[string](rt.F()),
 	}
 	rt.Register(inst, r)
 	return r
@@ -65,8 +65,6 @@ func (r *RBC) Start(value []byte) {
 	w.Blob(value)
 	r.rt.Multicast(r.inst, w.Bytes())
 }
-
-func key(v []byte) string { return string(v) }
 
 // Handle implements proto.Handler.
 func (r *RBC) Handle(from int, body []byte) {
@@ -89,18 +87,7 @@ func (r *RBC) Handle(from int, body []byte) {
 			r.rt.Reject()
 			return
 		}
-		k := key(v)
-		set := r.echoes[k]
-		if set == nil {
-			set = make(map[int]bool)
-			r.echoes[k] = set
-			r.values[k] = v
-		}
-		if set[from] {
-			return
-		}
-		set[from] = true
-		if len(set) >= 2*r.rt.F()+1 {
+		if r.bracha.Echo(from, string(v)) {
 			r.sendReady(v)
 		}
 	case msgReady:
@@ -109,24 +96,11 @@ func (r *RBC) Handle(from int, body []byte) {
 			r.rt.Reject()
 			return
 		}
-		k := key(v)
-		set := r.readies[k]
-		if set == nil {
-			set = make(map[int]bool)
-			r.readies[k] = set
-			if _, ok := r.values[k]; !ok {
-				r.values[k] = v
-			}
-		}
-		if set[from] {
-			return
-		}
-		set[from] = true
-		if len(set) >= r.rt.F()+1 {
+		ready, deliver := r.bracha.Ready(from, string(v))
+		if ready {
 			r.sendReady(v)
 		}
-		if len(set) >= 2*r.rt.F()+1 && !r.delivered {
-			r.delivered = true
+		if deliver {
 			r.out(v)
 		}
 	default:
@@ -135,10 +109,6 @@ func (r *RBC) Handle(from int, body []byte) {
 }
 
 func (r *RBC) sendReady(v []byte) {
-	if r.readySent {
-		return
-	}
-	r.readySent = true
 	var w wire.Writer
 	w.Byte(msgReady)
 	w.Blob(v)

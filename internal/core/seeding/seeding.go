@@ -16,6 +16,7 @@ package seeding
 import (
 	"crypto/sha256"
 
+	"repro/internal/core/rbc"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
@@ -67,11 +68,7 @@ type Seeding struct {
 	recordedB  []byte
 	shareSent  bool
 	echoSent   bool
-	readySent  bool
-	echoes     map[string]map[int]bool
-	readies    map[string]map[int]bool
-	seedOfKey  map[string][SeedSize]byte
-	delivered  bool
+	bracha     rbc.Bracha[[SeedSize]byte]
 	sentScript bool
 }
 
@@ -89,9 +86,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, leader int, out Outpu
 		collected: make(map[int]bool),
 		units:     make(map[int]*pvss.Script),
 		shares:    make(map[int]pairing.G2),
-		echoes:    make(map[string]map[int]bool),
-		readies:   make(map[string]map[int]bool),
-		seedOfKey: make(map[string][SeedSize]byte),
+		bracha:    rbc.NewBracha[[SeedSize]byte](rt.F()),
 	}
 	rt.Register(inst, s)
 	return s
@@ -364,21 +359,9 @@ func (s *Seeding) onEcho(from int, rd *wire.Reader) {
 		s.rt.Reject()
 		return
 	}
-	k := string(seedB)
-	set := s.echoes[k]
-	if set == nil {
-		set = make(map[int]bool)
-		s.echoes[k] = set
-		var sd [SeedSize]byte
-		copy(sd[:], seedB)
-		s.seedOfKey[k] = sd
-	}
-	if set[from] {
-		return
-	}
-	set[from] = true
-	if len(set) >= 2*s.rt.F()+1 {
-		s.sendReady(s.seedOfKey[k])
+	seed := [SeedSize]byte(seedB)
+	if s.bracha.Echo(from, seed) {
+		s.sendReady(seed)
 	}
 }
 
@@ -388,33 +371,17 @@ func (s *Seeding) onReady(from int, rd *wire.Reader) {
 		s.rt.Reject()
 		return
 	}
-	k := string(seedB)
-	set := s.readies[k]
-	if set == nil {
-		set = make(map[int]bool)
-		s.readies[k] = set
-		var sd [SeedSize]byte
-		copy(sd[:], seedB)
-		s.seedOfKey[k] = sd
+	seed := [SeedSize]byte(seedB)
+	ready, deliver := s.bracha.Ready(from, seed)
+	if ready {
+		s.sendReady(seed)
 	}
-	if set[from] {
-		return
-	}
-	set[from] = true
-	if len(set) >= s.rt.F()+1 {
-		s.sendReady(s.seedOfKey[k])
-	}
-	if len(set) >= 2*s.rt.F()+1 && !s.delivered {
-		s.delivered = true
-		s.out(s.seedOfKey[k])
+	if deliver {
+		s.out(seed)
 	}
 }
 
 func (s *Seeding) sendReady(seed [SeedSize]byte) {
-	if s.readySent {
-		return
-	}
-	s.readySent = true
 	var w wire.Writer
 	w.Byte(msgSeedReady)
 	w.Bytes32(seed[:])

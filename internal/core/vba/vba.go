@@ -31,9 +31,9 @@
 // A decision is propagated with Decide messages carrying the deciding
 // certificate. A party adopts a decision after f+1 distinct senders vouch
 // for the same value (at least one is honest and fully verified the elected
-// leader), and halts after 2f+1 — the same Bracha-style amplification as
-// the ABA FINISH gadget, which frees laggards from depending on halted
-// parties' election participation.
+// leader), and halts after 2f+1, which frees laggards from depending on
+// halted parties' election participation. Decide is the READY of
+// rbc.Bracha keyed by the value hash, as FINISH is in ABA.
 package vba
 
 import (
@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/core/coin"
 	"repro/internal/core/election"
+	"repro/internal/core/rbc"
 	"repro/internal/crypto/sig"
 	"repro/internal/pki"
 	"repro/internal/proto"
@@ -159,11 +160,10 @@ type VBA struct {
 	pendPB map[int][]pend // future-view PBSend/Ack buffers
 	pendVC map[int][]pend
 
-	decided     []byte
-	decideSent  bool
-	decideRecv  map[string]map[int]bool
-	decideVault map[string][]byte
-	halted      bool
+	decided    []byte
+	decideSent bool
+	decides    rbc.Bracha[string] // keyed by the value hash
+	halted     bool
 
 	// DecidedView records the view of first decision (for experiments).
 	DecidedView int
@@ -178,18 +178,17 @@ type pend struct {
 // party's proposal.
 func New(rt proto.Runtime, inst string, keys *pki.Keyring, pred Predicate, cfg Config, out Output) *VBA {
 	v := &VBA{
-		rt:          rt,
-		inst:        inst,
-		keys:        keys,
-		pred:        pred,
-		cfg:         cfg,
-		out:         out,
-		views:       make(map[int]*viewState),
-		elected:     make(map[int]int),
-		pendPB:      make(map[int][]pend),
-		pendVC:      make(map[int][]pend),
-		decideRecv:  make(map[string]map[int]bool),
-		decideVault: make(map[string][]byte),
+		rt:      rt,
+		inst:    inst,
+		keys:    keys,
+		pred:    pred,
+		cfg:     cfg,
+		out:     out,
+		views:   make(map[int]*viewState),
+		elected: make(map[int]int),
+		pendPB:  make(map[int][]pend),
+		pendVC:  make(map[int][]pend),
+		decides: rbc.NewBracha[string](rt.F()),
 	}
 	rt.Register(inst, v)
 	return v
@@ -703,27 +702,17 @@ func (v *VBA) onDecide(from int, rd *wire.Reader) {
 		v.rt.Reject()
 		return
 	}
-	k := string(valueHash(value))
-	set := v.decideRecv[k]
-	if set == nil {
-		set = make(map[int]bool)
-		v.decideRecv[k] = set
-		v.decideVault[k] = append([]byte(nil), value...)
-	}
-	if set[from] {
-		return
-	}
-	set[from] = true
-	if len(set) >= v.rt.F()+1 {
+	adopt, halt := v.decides.Ready(from, string(valueHash(value)))
+	if adopt {
 		// At least one honest decider vouches: adopt and relay.
 		if v.decided == nil {
-			v.decided = v.decideVault[k]
+			v.decided = append([]byte(nil), value...)
 			v.DecidedView = view
 		}
 		v.sendDecide(view, leader, &progress{stage: stage, value: value, cert: cert})
 	}
-	if len(set) >= 2*v.rt.F()+1 {
+	if halt {
 		v.halted = true
-		v.out(v.decideVault[k])
+		v.out(append([]byte(nil), value...))
 	}
 }

@@ -127,9 +127,6 @@ func (s Scalar) Neg() Scalar {
 	return reduce(new(big.Int).Neg(s.big()))
 }
 
-// Square returns s².
-func (s Scalar) Square() Scalar { return s.Mul(s) }
-
 // Inv returns the multiplicative inverse of s. It panics on zero, which is
 // always a programming error in this codebase (inversion inputs are distinct
 // evaluation points or verified-nonzero denominators).

@@ -67,13 +67,6 @@ func (p Poly) Coeff(i int) field.Scalar {
 	return p.coeffs[i]
 }
 
-// Coeffs returns a copy of the coefficient vector.
-func (p Poly) Coeffs() []field.Scalar {
-	out := make([]field.Scalar, len(p.coeffs))
-	copy(out, p.coeffs)
-	return out
-}
-
 // Secret returns the constant term p(0).
 func (p Poly) Secret() field.Scalar { return p.Coeff(0) }
 

@@ -10,13 +10,3 @@ func All() []*Analyzer {
 		LockedSend,
 	}
 }
-
-// ByName resolves one analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -61,7 +61,6 @@ type Mesh struct {
 	gateAcks    bool
 	beforeWrite func() error
 
-	flushEvery time.Duration
 	backoffMin time.Duration
 	backoffMax time.Duration
 	outboxCap  int
@@ -122,9 +121,6 @@ type MeshConfig struct {
 	// journal's Sync). A barrier error fails the write; the link retires
 	// the connection and the outbox resend recovers the frames.
 	BeforeWrite func() error
-	// FlushEvery bounds coalescing-buffer latency and ack latency
-	// (0 selects defaultFlushEvery).
-	FlushEvery time.Duration
 	// BackoffMin/BackoffMax bound the exponential redial backoff
 	// (0 selects defaults).
 	BackoffMin, BackoffMax time.Duration
@@ -278,14 +274,10 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		seed:        cfg.Seed,
 		gateAcks:    cfg.GateAcks,
 		beforeWrite: cfg.BeforeWrite,
-		flushEvery:  cfg.FlushEvery,
 		backoffMin:  cfg.BackoffMin,
 		backoffMax:  cfg.BackoffMax,
 		outboxCap:   cfg.OutboxFrames,
 		stopc:       make(chan struct{}),
-	}
-	if m.flushEvery <= 0 {
-		m.flushEvery = defaultFlushEvery
 	}
 	if m.backoffMin <= 0 {
 		m.backoffMin = defaultBackoffMin
@@ -756,7 +748,7 @@ func (m *Mesh) serverHandshake(conn net.Conn) (int, error) {
 // and acks newly delivered sequences on every inbound link.
 func (m *Mesh) timerLoop() {
 	defer m.wg.Done()
-	tick := time.NewTicker(m.flushEvery)
+	tick := time.NewTicker(defaultFlushEvery)
 	defer tick.Stop()
 	for {
 		select {

@@ -34,8 +34,6 @@ type PartyConfig struct {
 	// WAN optionally emulates wide-area conditions on this party's inbound
 	// links (nil = none).
 	WAN *WANProfile
-	// FlushEvery bounds TCP coalescing-buffer latency (0 = default).
-	FlushEvery time.Duration
 	// BackoffMin/BackoffMax bound the redial backoff (0 = mesh defaults).
 	BackoffMin, BackoffMax time.Duration
 	// OutboxFrames caps per-link unacked-frame retention (0 = default).
@@ -101,7 +99,6 @@ func NewParty(cfg PartyConfig) (*Party, error) {
 		Resume:       cfg.Resume,
 		GateAcks:     cfg.GateAcks,
 		BeforeWrite:  cfg.BeforeWrite,
-		FlushEvery:   cfg.FlushEvery,
 		BackoffMin:   cfg.BackoffMin,
 		BackoffMax:   cfg.BackoffMax,
 		OutboxFrames: cfg.OutboxFrames,

@@ -39,7 +39,6 @@ type Config struct {
 
 	WAN *livenet.WANProfile `json:"wan,omitempty"` // nil = no emulation
 
-	FlushEveryMS   int `json:"flushEveryMs,omitempty"`   // TCP coalescing bound (0 = default)
 	AwaitTimeoutMS int `json:"awaitTimeoutMs,omitempty"` // default per-await cap (0 = livenet default)
 	DrainTimeoutMS int `json:"drainTimeoutMs,omitempty"` // graceful-shutdown ledger drain cap (0 = 30s)
 }
@@ -60,10 +59,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("noded: %d peer addresses, want %d", len(c.Peers), c.N)
 	}
 	return nil
-}
-
-func (c *Config) flushEvery() time.Duration {
-	return time.Duration(c.FlushEveryMS) * time.Millisecond
 }
 
 func (c *Config) awaitTimeout() time.Duration {

@@ -113,15 +113,14 @@ func New(cfg *Config) (*Daemon, error) {
 	recovering := snap != nil || len(items) > 0
 
 	pcfg := livenet.PartyConfig{
-		Self:       ring.Self,
-		N:          cfg.N,
-		F:          cfg.F,
-		Listen:     cfg.Listen,
-		Key:        ring.Sig,
-		Board:      ring.Board.SigKeys(),
-		Seed:       cfg.Seed,
-		WAN:        cfg.WAN,
-		FlushEvery: cfg.flushEvery(),
+		Self:   ring.Self,
+		N:      cfg.N,
+		F:      cfg.F,
+		Listen: cfg.Listen,
+		Key:    ring.Sig,
+		Board:  ring.Board.SigKeys(),
+		Seed:   cfg.Seed,
+		WAN:    cfg.WAN,
 	}
 	if jn != nil {
 		pcfg.Journal = jn.appendFrame

@@ -21,9 +21,8 @@ func fuzzConfigSeed(tb testing.TB) []byte {
 	raw, err := json.MarshalIndent(&Config{
 		N: 4, F: 1, Seed: 42,
 		Listen: "127.0.0.1:0", Control: "127.0.0.1:0",
-		Peers:        peers,
-		Keys:         rings[2].Config(),
-		FlushEveryMS: 2,
+		Peers: peers,
+		Keys:  rings[2].Config(),
 	}, "", "  ")
 	if err != nil {
 		tb.Fatal(err)
@@ -53,7 +52,6 @@ func FuzzNodedConfig(f *testing.F) {
 		if err := c.validate(); err != nil {
 			return
 		}
-		_ = c.flushEvery()
 		_ = c.awaitTimeout()
 		_ = c.drainTimeout()
 		// validate() guarantees Keys != nil; decoding must error out on

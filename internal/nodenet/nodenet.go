@@ -51,14 +51,12 @@ type Options struct {
 	// rejoins exactly-once.
 	WAL bool
 
-	// ReadyTimeout bounds process startup (0 = 30s); AwaitTimeoutMS /
-	// DrainTimeoutMS pass through to each daemon config.
-	ReadyTimeout   time.Duration
+	// AwaitTimeoutMS passes through to each daemon config.
 	AwaitTimeoutMS int
-	DrainTimeoutMS int
 }
 
-const defaultReadyTimeout = 30 * time.Second
+// readyTimeout bounds process startup.
+const readyTimeout = 30 * time.Second
 
 // KeySeed replicates the harness key-derivation offset so both deployment
 // shapes agree on the PKI for a given seed.
@@ -69,14 +67,13 @@ type Cluster struct {
 	N, F int
 	Seed int64
 
-	dir          string
-	ownDir       bool
-	bin          string
-	readyTimeout time.Duration
-	cfgs         []*noded.Config
-	procs        []*procHandle
-	outs         []*processLog
-	cls          []*noded.Client
+	dir    string
+	ownDir bool
+	bin    string
+	cfgs   []*noded.Config
+	procs  []*procHandle
+	outs   []*processLog
+	cls    []*noded.Client
 
 	closeOnce sync.Once
 }
@@ -165,7 +162,6 @@ func WriteConfigs(dir string, opts Options) ([]*noded.Config, error) {
 			Keys:           rings[i].Config(),
 			WAN:            opts.WAN,
 			AwaitTimeoutMS: opts.AwaitTimeoutMS,
-			DrainTimeoutMS: opts.DrainTimeoutMS,
 		}
 		if opts.WAL {
 			cfgs[i].WALDir = filepath.Join(dir, "wal", fmt.Sprintf("party%d", i))
@@ -223,10 +219,6 @@ func Launch(opts Options) (*Cluster, error) {
 	cl.cfgs = cfgs
 
 	cl.bin = bin
-	cl.readyTimeout = opts.ReadyTimeout
-	if cl.readyTimeout <= 0 {
-		cl.readyTimeout = defaultReadyTimeout
-	}
 	cl.procs = make([]*procHandle, opts.N)
 	cl.outs = make([]*processLog, opts.N)
 	cl.cls = make([]*noded.Client, opts.N)
@@ -239,7 +231,7 @@ func Launch(opts Options) (*Cluster, error) {
 		}
 		readycs[i] = rc
 	}
-	deadline := time.After(cl.readyTimeout)
+	deadline := time.After(readyTimeout)
 	for _, rc := range readycs {
 		select {
 		case err := <-rc:
@@ -249,7 +241,7 @@ func Launch(opts Options) (*Cluster, error) {
 				return nil, err
 			}
 		case <-deadline:
-			err := fmt.Errorf("nodenet: cluster not ready after %v\n%s", cl.readyTimeout, cl.Logs())
+			err := fmt.Errorf("nodenet: cluster not ready after %v\n%s", readyTimeout, cl.Logs())
 			cl.Close()
 			return nil, err
 		}
@@ -330,8 +322,8 @@ func (cl *Cluster) Restart(i int) error {
 		if err != nil {
 			return fmt.Errorf("%w\n%s", err, cl.Logs())
 		}
-	case <-time.After(cl.readyTimeout):
-		return fmt.Errorf("nodenet: party %d not ready after %v\n%s", i, cl.readyTimeout, cl.Logs())
+	case <-time.After(readyTimeout):
+		return fmt.Errorf("nodenet: party %d not ready after %v\n%s", i, readyTimeout, cl.Logs())
 	}
 	c, err := noded.Dial(cl.cfgs[i].Control, 5*time.Second)
 	if err != nil {

@@ -174,9 +174,6 @@ func (nw *Network) Pending() int { return len(nw.queue) }
 // Steps reports how many deliveries have been executed.
 func (nw *Network) Steps() int64 { return nw.steps }
 
-// IsByzantine reports whether party i is marked corrupted.
-func (nw *Network) IsByzantine(i int) bool { return nw.byz[i] }
-
 // Inject enqueues an arbitrary message on behalf of (possibly corrupted)
 // party `from`. Tests use it to model fabricated traffic.
 func (nw *Network) Inject(from, to int, inst string, body []byte) {
