@@ -7,13 +7,15 @@ package adversary
 // within budget, and nonzero detection counters end-to-end.
 //
 // Wire-format facts the mutators rely on are pinned by the protocol
-// packages' encoders (avss.StartDealer, coin candidate multicast,
-// adkg.Start, vba.sendPB, aba send helpers) and guarded by
-// TestBehaviorsTrackWireFormats, which fails if an encoding drifts.
+// packages' encoders (avss.StartDealer, adkg.Start, vba.sendPB, aba send
+// helpers; candidateLie goes through coin's own codec) and guarded by
+// TestByzantineMatrix (internal/exp), whose detection counters drop to
+// zero if an encoding drifts.
 
 import (
 	"strings"
 
+	"repro/internal/core/coin"
 	"repro/internal/crypto/pvss"
 	"repro/internal/wire"
 )
@@ -253,31 +255,17 @@ func vbaDoubleVote(env *Env, _ string, to int, body []byte) [][]byte {
 // the proof, so every receiver's VRF verification fails and the candidate
 // is rejected at receipt. Works unchanged under the election workload,
 // whose embedded coin exchanges candidates on the same "/cd" sub-path.
-func candidateLie(_ *Env, inst string, _ int, body []byte) [][]byte {
-	if !strings.HasSuffix(inst, "/cd") || len(body) == 0 {
+func candidateLie(env *Env, inst string, _ int, body []byte) [][]byte {
+	if !strings.HasSuffix(inst, "/cd") {
 		return pass(body)
 	}
-	rd := wire.NewReader(body)
-	if !rd.Bool() {
+	cand, ok := coin.DecodeCandidate(body, env.N)
+	if !ok || cand == nil {
 		return pass(body) // a ⊥ candidate carries nothing to lie about
 	}
-	leader := rd.Int()
-	value := rd.Bytes32()
-	if rd.Err() != nil {
-		return pass(body)
-	}
-	proof := rd.Raw(len(body) - 37) // tag(1) + leader(4) + value(32)
-	if rd.Done() != nil {
-		return pass(body)
-	}
-	mauled := make([]byte, 32)
-	copy(mauled, value)
-	mauled[0] ^= 0x01
+	cand.Value[0] ^= 0x01
 	var w wire.Writer
-	w.Bool(true)
-	w.Int(leader)
-	w.Bytes32(mauled)
-	w.Raw(proof)
+	cand.Encode(&w)
 	return pass(w.Bytes())
 }
 

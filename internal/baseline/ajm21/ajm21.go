@@ -17,12 +17,12 @@ package ajm21
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"repro/internal/core/rbc"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
+	"repro/internal/order"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -121,12 +121,7 @@ func (c *Coin) onSet(j int, v []byte) {
 }
 
 func (c *Coin) reexamine() {
-	js := make([]int, 0, len(c.pendSets))
-	for j := range c.pendSets {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	for _, j := range js {
+	for _, j := range order.SortedKeys(c.pendSets) {
 		set := c.pendSets[j]
 		ok := true
 		for k := range set {
@@ -164,12 +159,7 @@ func (c *Coin) maybeReveal() {
 	c.revealSnt = true
 	var w wire.Writer
 	w.Int(len(c.core))
-	ks := make([]int, 0, len(c.core))
-	for k := range c.core {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
+	for _, k := range order.SortedKeys(c.core) {
 		w.Int(k)
 		sh := pvss.GetShare(c.rt.Self(), c.keys.PVSSDec, c.scripts[k])
 		w.Raw(sh.Bytes())

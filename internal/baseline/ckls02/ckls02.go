@@ -18,7 +18,6 @@ package ckls02
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"repro/internal/core/avss"
 	"repro/internal/core/rbc"
@@ -122,12 +121,7 @@ func (c *Coin) onSet(j int, v []byte) {
 // reexamine accepts broadcast sets whose AVSSes all completed locally; the
 // union of the first n−f accepted sets becomes the core.
 func (c *Coin) reexamine() {
-	js := make([]int, 0, len(c.pendSets))
-	for j := range c.pendSets {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	for _, j := range js {
+	for _, j := range order.SortedKeys(c.pendSets) {
 		set := c.pendSets[j]
 		ok := true
 		for k := range set {
@@ -146,12 +140,7 @@ func (c *Coin) reexamine() {
 			for k := range c.completed {
 				c.core[k] = true
 			}
-			ks := make([]int, 0, len(c.core))
-			for k := range c.core {
-				ks = append(ks, k)
-			}
-			sort.Ints(ks)
-			for _, k := range ks {
+			for _, k := range order.SortedKeys(c.core) {
 				var w wire.Writer
 				w.Byte(msgRecRequest)
 				w.Int(k)

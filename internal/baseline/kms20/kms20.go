@@ -23,7 +23,6 @@ package kms20
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"repro/internal/core/avss"
 	"repro/internal/crypto/field"
@@ -121,11 +120,7 @@ func (b *Bootstrap) maybeFinish() {
 	}
 	// Core = the lowest-indexed n−f completed dealers (deterministic
 	// enough for a cost model; the original agrees via its own means).
-	idxs := make([]int, 0, len(b.completed))
-	for k := range b.completed {
-		idxs = append(idxs, k)
-	}
-	sort.Ints(idxs)
+	idxs := order.SortedKeys(b.completed)
 	idxs = idxs[:b.rt.N()-b.rt.F()]
 	sum := field.Zero()
 	for _, k := range idxs {

@@ -14,9 +14,15 @@
 //
 //	stage 1  BV-broadcast(est) → view₁; propose v if view₁={v}, else ⊥
 //	stage 2  BV-broadcast(proposal) over {0,1,⊥} → view₂
-//	         view₂={v}   → decide v           (coin never consulted)
-//	         view₂={v,⊥} → est = v            (coin never consulted)
+//	         view₂={v}   → decide v           (coin bit unused)
+//	         view₂={v,⊥} → est = v            (coin bit unused)
 //	         view₂={⊥}   → est = coin(r)
+//
+// Both stages are one bv type; only their domains differ. The round's coin
+// is started as soon as stage 2 closes and awaited in every round, and
+// view₂ is read when it arrives, so every round pays for a coin whose bit
+// only view₂={⊥} uses. Flipping it only when the round needs it is
+// ROADMAP item 1.
 //
 // Stage-1 singleton views are unique per round (two n−f AUX quorums share
 // an honest sender), so bin-values₂ ⊆ {v,⊥} and a decide forces v into
@@ -81,7 +87,8 @@ func AdversarialCoins(sessionSeed string, self int) CoinFactory {
 	}
 }
 
-// Message tags.
+// Message tags. Stage s ∈ {0, 1} of a round sends EST as msgEST1+2s and
+// AUX as msgAUX1+2s.
 const (
 	msgEST1 byte = iota + 1
 	msgAUX1
@@ -98,34 +105,76 @@ const maxRounds = 512 // circuit breaker; expected rounds is O(1)
 // Output delivers the decided bit (once, at halting).
 type Output func(bit byte)
 
-type roundState struct {
-	// Stage 1 (binary domain).
-	est1Sent [2]bool
-	est1Recv [2]map[int]bool
-	bin1     [2]bool
-	aux1Sent bool
-	aux1Recv map[int]byte
-	proposed bool
+// bv is one binary-value broadcast stage of a round — the BV-broadcast and
+// AUX exchange of MMR-style ABA — over the values 0..dom−1. A value sent
+// by f+1 distinct parties is relayed, one sent by 2f+1 enters bin_values,
+// and the first value to enter is the one AUX this party sends. Each
+// sender's first AUX is kept. The owner keeps the wire encoding.
+type bv struct {
+	dom   byte
+	sent  [3]bool         // EST values this party multicast
+	ests  [3]map[int]bool // per value, its distinct EST senders
+	bin   [3]bool         // bin_values
+	auxed bool            // this party's AUX went out
+	auxes map[int]byte    // sender -> its first AUX value
+}
 
-	// Stage 2 (ternary domain).
-	est2Sent [3]bool
-	est2Recv [3]map[int]bool
-	bin2     [3]bool
-	aux2Sent bool
-	aux2Recv map[int]byte
+func newBV(dom byte) bv {
+	b := bv{dom: dom, auxes: make(map[int]byte)}
+	for v := byte(0); v < dom; v++ {
+		b.ests[v] = make(map[int]bool)
+	}
+	return b
+}
+
+// addEST records from's EST of v < dom. relay says whether f+1 distinct
+// parties sent v; entered is true once, when 2f+1 did and v joined
+// bin_values, and aux then says whether v is the first value to join, the
+// one this party's AUX carries.
+func (b *bv) addEST(from int, v byte, f int) (relay, entered, aux bool) {
+	set := b.ests[v]
+	if set[from] {
+		return false, false, false
+	}
+	set[from] = true
+	relay = len(set) >= f+1
+	if len(set) >= 2*f+1 && !b.bin[v] {
+		b.bin[v], entered = true, true
+		aux, b.auxed = !b.auxed, true
+	}
+	return relay, entered, aux
+}
+
+// addAUX records from's AUX of v < dom. fresh is true for from's first
+// AUX; conflict for a later one carrying another value.
+func (b *bv) addAUX(from int, v byte) (fresh, conflict bool) {
+	if pv, dup := b.auxes[from]; dup {
+		return false, pv != v
+	}
+	b.auxes[from] = v
+	return true, false
+}
+
+// view returns the members of bin_values that recorded AUXes carry, and
+// whether at least quorum AUXes carry one.
+func (b *bv) view(quorum int) (seen [3]bool, closed bool) {
+	inBin := 0
+	for _, v := range b.auxes {
+		if b.bin[v] {
+			inBin++
+			seen[v] = true
+		}
+	}
+	return seen, inBin >= quorum
+}
+
+type roundState struct {
+	stage    [2]bv // stage 1 over {0,1}, stage 2 over {0,1,⊥}
+	proposed bool
 
 	coinAsked bool
 	coinVal   *byte
 	resolved  bool
-}
-
-func newRoundState() *roundState {
-	return &roundState{
-		est1Recv: [2]map[int]bool{make(map[int]bool), make(map[int]bool)},
-		aux1Recv: make(map[int]byte),
-		est2Recv: [3]map[int]bool{make(map[int]bool), make(map[int]bool), make(map[int]bool)},
-		aux2Recv: make(map[int]byte),
-	}
 }
 
 // ABA is one binary-agreement instance on one node.
@@ -172,7 +221,7 @@ func (a *ABA) Start(input byte) {
 	a.started = true
 	a.est = input & 1
 	a.round = 1
-	a.sendEST1(1, a.est)
+	a.sendEST(1, 0, a.est)
 	// Messages for round 1 may have fully arrived before activation (the
 	// tryPropose/tryCoin guards drop them while !started); re-evaluate now or
 	// an adversarial schedule that front-loads round 1 stalls the instance.
@@ -180,44 +229,27 @@ func (a *ABA) Start(input byte) {
 	a.tryCoin(1)
 }
 
-// Decided returns the decided bit, if any (set at decision, before halting).
-func (a *ABA) Decided() (byte, bool) {
-	if a.decided == nil {
-		return 0, false
-	}
-	return *a.decided, true
-}
-
 func (a *ABA) state(r int) *roundState {
 	st := a.rounds[r]
 	if st == nil {
-		st = newRoundState()
+		st = &roundState{stage: [2]bv{newBV(2), newBV(3)}}
 		a.rounds[r] = st
 	}
 	return st
 }
 
-func (a *ABA) sendEST1(r int, v byte) {
-	st := a.state(r)
-	if st.est1Sent[v] {
-		return
+// sendEST multicasts this party's EST of v in stage s of round r, once.
+func (a *ABA) sendEST(r, s int, v byte) {
+	b := &a.state(r).stage[s]
+	if !b.sent[v] {
+		b.sent[v] = true
+		a.multicast(msgEST1+byte(2*s), r, v)
 	}
-	st.est1Sent[v] = true
-	var w wire.Writer
-	w.Byte(msgEST1)
-	w.Int(r)
-	w.Byte(v)
-	a.rt.Multicast(a.inst, w.Bytes())
 }
 
-func (a *ABA) sendEST2(r int, v byte) {
-	st := a.state(r)
-	if st.est2Sent[v] {
-		return
-	}
-	st.est2Sent[v] = true
+func (a *ABA) multicast(tag byte, r int, v byte) {
 	var w wire.Writer
-	w.Byte(msgEST2)
+	w.Byte(tag)
 	w.Int(r)
 	w.Byte(v)
 	a.rt.Multicast(a.inst, w.Bytes())
@@ -234,11 +266,16 @@ func (a *ABA) Handle(from int, body []byte) {
 	case msgEST1, msgAUX1, msgEST2, msgAUX2:
 		r := rd.Int()
 		v := rd.Byte()
-		if rd.Done() != nil || r < 1 || r > maxRounds {
+		s := int(tag-msgEST1) / 2
+		if rd.Done() != nil || r < 1 || r > maxRounds || v >= a.state(r).stage[s].dom {
 			a.rt.Reject()
 			return
 		}
-		a.onRoundMsg(tag, r, v, from)
+		if (tag-msgEST1)%2 == 0 {
+			a.onEST(r, s, v, from)
+		} else {
+			a.onAUX(r, s, v, from)
+		}
 	case msgFINISH:
 		v := rd.Byte()
 		if rd.Done() != nil || v > 1 {
@@ -251,85 +288,36 @@ func (a *ABA) Handle(from int, body []byte) {
 	}
 }
 
-func (a *ABA) onRoundMsg(tag byte, r int, v byte, from int) {
-	st := a.state(r)
-	switch tag {
-	case msgEST1:
-		if v > 1 {
-			a.rt.Reject()
-			return
-		}
-		if st.est1Recv[v][from] {
-			return
-		}
-		st.est1Recv[v][from] = true
-		if len(st.est1Recv[v]) >= a.rt.F()+1 {
-			a.sendEST1(r, v)
-		}
-		if len(st.est1Recv[v]) >= 2*a.rt.F()+1 && !st.bin1[v] {
-			st.bin1[v] = true
-			if !st.aux1Sent {
-				st.aux1Sent = true
-				var w wire.Writer
-				w.Byte(msgAUX1)
-				w.Int(r)
-				w.Byte(v)
-				a.rt.Multicast(a.inst, w.Bytes())
-			}
-			a.tryPropose(r)
-			a.tryCoin(r)
-		}
-	case msgAUX1:
-		if v > 1 {
-			a.rt.Reject()
-			return
-		}
-		if pv, dup := st.aux1Recv[from]; dup {
-			// Honest parties send AUX1 at most once per round; a second
-			// copy with a different value is proof of a double vote.
-			if pv != v {
-				a.rt.Equivocation()
-			}
-			return
-		}
-		st.aux1Recv[from] = v
+func (a *ABA) onEST(r, s int, v byte, from int) {
+	relay, entered, aux := a.state(r).stage[s].addEST(from, v, a.rt.F())
+	if relay {
+		a.sendEST(r, s, v)
+	}
+	if !entered {
+		return
+	}
+	if aux {
+		a.multicast(msgAUX1+byte(2*s), r, v)
+	}
+	if s == 0 {
 		a.tryPropose(r)
-	case msgEST2:
-		if v > 2 {
-			a.rt.Reject()
-			return
-		}
-		if st.est2Recv[v][from] {
-			return
-		}
-		st.est2Recv[v][from] = true
-		if len(st.est2Recv[v]) >= a.rt.F()+1 {
-			a.sendEST2(r, v)
-		}
-		if len(st.est2Recv[v]) >= 2*a.rt.F()+1 && !st.bin2[v] {
-			st.bin2[v] = true
-			if !st.aux2Sent {
-				st.aux2Sent = true
-				var w wire.Writer
-				w.Byte(msgAUX2)
-				w.Int(r)
-				w.Byte(v)
-				a.rt.Multicast(a.inst, w.Bytes())
-			}
-			a.tryCoin(r)
-		}
-	case msgAUX2:
-		if v > 2 {
-			a.rt.Reject()
-			return
-		}
-		if pv, dup := st.aux2Recv[from]; dup {
-			if pv != v {
-				a.rt.Equivocation()
-			}
-			return
-		}
-		st.aux2Recv[from] = v
+	}
+	a.tryCoin(r)
+}
+
+func (a *ABA) onAUX(r, s int, v byte, from int) {
+	fresh, conflict := a.state(r).stage[s].addAUX(from, v)
+	if conflict {
+		// Honest parties send one AUX per stage and round; a second copy
+		// with a different value is proof of a double vote.
+		a.rt.Equivocation()
+	}
+	if !fresh {
+		return
+	}
+	if s == 0 {
+		a.tryPropose(r)
+	} else {
 		a.tryCoin(r)
 	}
 }
@@ -341,28 +329,21 @@ func (a *ABA) tryPropose(r int) {
 		return
 	}
 	st := a.state(r)
-	if st.proposed || (!st.bin1[0] && !st.bin1[1]) {
+	if st.proposed {
 		return
 	}
-	var have [2]bool
-	inBin := 0
-	for _, v := range st.aux1Recv {
-		if v <= 1 && st.bin1[v] {
-			inBin++
-			have[v] = true
-		}
-	}
-	if inBin < a.rt.N()-a.rt.F() {
+	seen, closed := st.stage[0].view(a.rt.N() - a.rt.F())
+	if !closed {
 		return
 	}
 	st.proposed = true
 	switch {
-	case have[0] && have[1]:
-		a.sendEST2(r, bot)
-	case have[1]:
-		a.sendEST2(r, 1)
+	case seen[0] && seen[1]:
+		a.sendEST(r, 1, bot)
+	case seen[1]:
+		a.sendEST(r, 1, 1)
 	default:
-		a.sendEST2(r, 0)
+		a.sendEST(r, 1, 0)
 	}
 }
 
@@ -382,16 +363,7 @@ func (a *ABA) tryCoin(r int) {
 		}
 		return
 	}
-	if !st.bin2[0] && !st.bin2[1] && !st.bin2[bot] {
-		return
-	}
-	inBin := 0
-	for _, v := range st.aux2Recv {
-		if v <= 2 && st.bin2[v] {
-			inBin++
-		}
-	}
-	if inBin < a.rt.N()-a.rt.F() {
+	if _, closed := st.stage[1].view(a.rt.N() - a.rt.F()); !closed {
 		return
 	}
 	st.coinAsked = true
@@ -411,12 +383,7 @@ func (a *ABA) resolveRound(r int) {
 	st.resolved = true
 	s := *st.coinVal
 
-	var seen [3]bool
-	for _, v := range st.aux2Recv {
-		if v <= 2 && st.bin2[v] {
-			seen[v] = true
-		}
-	}
+	seen, _ := st.stage[1].view(0)
 	switch {
 	case seen[0] && seen[1]:
 		// Impossible for honest stage-2 proposals (stage-1 singleton views
@@ -439,7 +406,7 @@ func (a *ABA) resolveRound(r int) {
 	}
 	if r+1 <= maxRounds {
 		a.round = r + 1
-		a.sendEST1(a.round, a.est)
+		a.sendEST(a.round, 0, a.est)
 		a.tryPropose(a.round)
 		a.tryCoin(a.round)
 	}

@@ -299,3 +299,44 @@ func TestFinishEquivocationNotBooked(t *testing.T) {
 		t.Fatal("relayed FINISH(1) on one honest vote plus an equivocation")
 	}
 }
+
+func TestStageDomains(t *testing.T) {
+	// Stage 1 carries {0,1}, stage 2 {0,1,⊥}; a value outside a stage's
+	// domain is rejected, and a second AUX from one sender in one stage is
+	// equivocation evidence only when its value differs.
+	const n, f = 4, 1
+	fx := setup(t, n, f, 1, harness.Options{Byzantine: map[int]bool{3: true}}, testCoins("domains"))
+	a := fx.insts[0]
+	m := fx.c.Net.Metrics
+	for _, tag := range []byte{msgEST1, msgAUX1} {
+		a.Handle(3, []byte{tag, 0, 0, 0, 1, bot})
+	}
+	if got := m().Rejected; got != 2 {
+		t.Fatalf("%d rejects for ⊥ in stage 1, want 2", got)
+	}
+	a.Handle(3, []byte{msgEST2, 0, 0, 0, 1, bot})
+	a.Handle(3, []byte{msgAUX2, 0, 0, 0, 1, bot})
+	if got := m().Rejected; got != 2 {
+		t.Fatalf("⊥ rejected in stage 2 (%d rejects)", got)
+	}
+	if st := a.state(1).stage[1]; !st.ests[bot][3] || st.auxes[3] != bot {
+		t.Fatal("stage-2 ⊥ EST/AUX not recorded")
+	}
+	for _, tag := range []byte{msgEST2, msgAUX2} {
+		a.Handle(3, []byte{tag, 0, 0, 0, 1, 3})
+	}
+	if got := m().Rejected; got != 4 {
+		t.Fatalf("%d rejects after value 3 in stage 2, want 4", got)
+	}
+	a.Handle(3, []byte{msgAUX1, 0, 0, 0, 1, 0})
+	a.Handle(3, []byte{msgAUX1, 0, 0, 0, 1, 0}) // a same-value repeat is silent
+	a.Handle(3, []byte{msgAUX2, 0, 0, 0, 1, bot})
+	if got := m().Equivocations; got != 0 {
+		t.Fatalf("%d equivocations on same-value repeats, want 0", got)
+	}
+	a.Handle(3, []byte{msgAUX1, 0, 0, 0, 1, 1})
+	a.Handle(3, []byte{msgAUX2, 0, 0, 0, 1, 0})
+	if got := m().Equivocations; got != 2 {
+		t.Fatalf("%d equivocations on conflicting AUX1 and AUX2 repeats, want 2", got)
+	}
+}

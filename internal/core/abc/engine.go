@@ -43,8 +43,10 @@ type DeliverSlot func(slot int, entries []Entry)
 
 // EngineConfig tunes the common-subset engine.
 type EngineConfig struct {
-	// Coin configures the paper coins backing straggler ABAs (unanimous
-	// ABAs — the common case — decide without consulting any coin).
+	// Coin configures the paper coins of the slot's ABAs. Every ABA round
+	// starts and awaits its coin, unanimous ABAs — the common case —
+	// included, though only a round whose view₂ is {⊥} reads the bit;
+	// skipping those coins is ROADMAP item 1.
 	Coin coin.Config
 	// Coins overrides the per-ABA coin factory (tests, ablations); inst is
 	// the ABA's instance path. Nil selects paper coins under inst+"/c".

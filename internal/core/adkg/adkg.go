@@ -19,13 +19,12 @@
 package adkg
 
 import (
-	"sort"
-
 	"repro/internal/core/vba"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/poly"
 	"repro/internal/crypto/pvss"
+	"repro/internal/order"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -217,14 +216,10 @@ func (k ThresholdKey) Combine(tag []byte, shares map[int]pairing.GT) (pairing.GT
 	// Select the interpolation subset in sorted party order (not map order)
 	// so the combined evaluation is a deterministic function of the share
 	// set — the same reproducibility fix as pvss.AggShares.
-	order := make([]int, 0, len(shares))
-	for i := range shares {
-		order = append(order, i)
-	}
-	sort.Ints(order)
+	idxs := order.SortedKeys(shares)
 	xs := make([]field.Scalar, 0, k.Params.Degree+1)
 	vals := make([]pairing.GT, 0, k.Params.Degree+1)
-	for _, i := range order[:k.Params.Degree+1] {
+	for _, i := range idxs[:k.Params.Degree+1] {
 		xs = append(xs, poly.X(i))
 		vals = append(vals, shares[i])
 	}

@@ -22,7 +22,6 @@ package coin
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"repro/internal/core/avss"
 	"repro/internal/core/seeding"
@@ -39,6 +38,41 @@ type Candidate struct {
 	Leader int
 	Value  vrf.Output
 	Proof  vrf.Proof
+}
+
+// Encode writes the candidate as a presence flag, then leader, value and
+// proof; a nil Candidate writes ⊥ (the flag alone). The coin multicasts
+// this layout (Alg. 4 line 21) and the Election reliably broadcasts it
+// (Alg. 5 line 4).
+func (c *Candidate) Encode(w *wire.Writer) {
+	w.Bool(c != nil)
+	if c != nil {
+		w.Int(c.Leader)
+		w.Bytes32(c.Value[:])
+		w.Raw(c.Proof.Bytes())
+	}
+}
+
+// DecodeCandidate decodes a whole Encode body for n parties: nil for ⊥.
+// ok is false for a leader outside [0, n), a proof that does not decode,
+// or a short or over-long body, so only the VRF equation itself is left
+// to Verify.
+func DecodeCandidate(body []byte, n int) (cand *Candidate, ok bool) {
+	rd := wire.NewReader(body)
+	if !rd.Bool() {
+		return nil, rd.Done() == nil
+	}
+	cand = &Candidate{Leader: rd.Int()}
+	copy(cand.Value[:], rd.Bytes32())
+	pb := rd.Raw(vrf.ProofSize)
+	if rd.Done() != nil || cand.Leader < 0 || cand.Leader >= n {
+		return nil, false
+	}
+	var err error
+	if cand.Proof, err = vrf.ProofFromBytes(pb); err != nil {
+		return nil, false
+	}
+	return cand, true
 }
 
 // Result is the coin outcome: the flipped bit, and the speculative largest
@@ -76,22 +110,12 @@ type Coin struct {
 	recDone   map[int]bool // reconstruction finished (valid or not) for k
 	candSent  bool
 
-	candidates map[int]*Candidate   // sender -> validated candidate
-	pendCands  map[int]*pendingCand // sender -> parsed candidate awaiting its leader's seed (nil: counted ⊥)
-	bots       int                  // X in Alg. 4: ⊥ candidates
+	candidates map[int]*Candidate // sender -> validated candidate
+	pendCands  map[int]*Candidate // sender -> decoded candidate awaiting its leader's seed (nil: counted ⊥)
+	bots       int                // X in Alg. 4: ⊥ candidates
 	done       bool
 
 	started bool
-}
-
-// pendingCand is a structurally validated Candidate whose VRF check is
-// waiting for the leader's seed (Alg. 4 line 27). Parsing happens BEFORE
-// parking, so a truncated Byzantine body is rejected at receipt instead of
-// sitting in pendCands until seed arrival.
-type pendingCand struct {
-	leader int
-	out    vrf.Output
-	pf     vrf.Proof
 }
 
 // Sub-instance paths.
@@ -116,7 +140,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, cfg Config, out func(
 		recOut:     make(map[int]*Candidate),
 		recDone:    make(map[int]bool),
 		candidates: make(map[int]*Candidate),
-		pendCands:  make(map[int]*pendingCand),
+		pendCands:  make(map[int]*Candidate),
 	}
 	rt.Register(c.rrInst(), proto.HandlerFunc(c.onRecRequest))
 	rt.Register(c.cdInst(), proto.HandlerFunc(c.onCandidate))
@@ -161,12 +185,7 @@ func (c *Coin) Seed(j int) ([seeding.SeedSize]byte, bool) {
 // orders. Election uses this to validate RBC'd VRFs.
 func (c *Coin) OnSeed(fn func(j int, seed [seeding.SeedSize]byte)) {
 	c.seedSubs = append(c.seedSubs, fn)
-	known := make([]int, 0, len(c.seeds))
-	for j := range c.seeds {
-		known = append(known, j)
-	}
-	sort.Ints(known)
-	for _, j := range known {
+	for _, j := range order.SortedKeys(c.seeds) {
 		fn(j, c.seeds[j])
 	}
 }
@@ -223,7 +242,7 @@ func (c *Coin) onCore(set map[int]bool) {
 		return
 	}
 	c.sHat = set
-	keys := sortedKeys(set)
+	keys := order.SortedKeys(set)
 	for _, k := range keys {
 		var w wire.Writer
 		w.Int(k)
@@ -286,20 +305,26 @@ func (c *Coin) parseAndVerify(k int, m []byte) *Candidate {
 	if rd.Done() != nil {
 		return nil
 	}
-	var out vrf.Output
-	copy(out[:], rb)
-	pf, err := vrf.ProofFromBytes(pb)
-	if err != nil {
+	cand := &Candidate{Leader: k}
+	copy(cand.Value[:], rb)
+	var err error
+	if cand.Proof, err = vrf.ProofFromBytes(pb); err != nil {
 		return nil
 	}
-	sd, ok := c.seeds[k]
-	if !ok {
+	if valid, _ := c.Verify(cand); !valid {
 		return nil
 	}
-	if !c.keys.VerifyVRF(k, c.VRFInput(sd), out, pf) {
-		return nil
+	return cand
+}
+
+// Verify checks cand's VRF against its leader's seed (Alg. 4 line 27).
+// known is false, and the check deferred, while that seed has not arrived.
+func (c *Coin) Verify(cand *Candidate) (valid, known bool) {
+	sd, known := c.seeds[cand.Leader]
+	if !known {
+		return false, false
 	}
-	return &Candidate{Leader: k, Value: out, Proof: pf}
+	return c.keys.VerifyVRF(cand.Leader, c.VRFInput(sd), cand.Value, cand.Proof), true
 }
 
 // maybeCandidate is Alg. 4 lines 15–21: once every k ∈ Ŝ reconstructed,
@@ -325,21 +350,13 @@ func (c *Coin) maybeCandidate() {
 		}
 	}
 	var w wire.Writer
-	if best == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		w.Int(best.Leader)
-		w.Bytes32(best.Value[:])
-		w.Raw(best.Proof.Bytes())
-	}
+	best.Encode(&w)
 	c.rt.Multicast(c.cdInst(), w.Bytes())
 }
 
-// onCandidate is Alg. 4 lines 25–31. The whole wire shape is validated
-// here — leader range, 32-byte value, full-length proof with a decodable Γ,
-// no trailing bytes — so only the VRF equation itself may be deferred to
-// seed arrival.
+// onCandidate is Alg. 4 lines 25–31. DecodeCandidate validates the whole
+// wire shape at receipt, so only the VRF check itself may wait for the
+// leader's seed.
 func (c *Coin) onCandidate(from int, body []byte) {
 	if c.done {
 		return
@@ -350,63 +367,41 @@ func (c *Coin) onCandidate(from int, body []byte) {
 	if _, pend := c.pendCands[from]; pend {
 		return
 	}
-	rd := wire.NewReader(body)
-	present := rd.Bool()
-	if !present {
-		if rd.Done() != nil {
-			c.rt.Reject()
-			return
-		}
+	cand, ok := DecodeCandidate(body, c.rt.N())
+	if !ok {
+		c.rt.Reject()
+		return
+	}
+	if cand == nil {
 		c.pendCands[from] = nil // mark counted so duplicates are ignored
 		c.bots++
 		c.maybeOutput()
 		return
 	}
-	leader := rd.Int()
-	rb := rd.Bytes32()
-	pb := rd.Raw(vrf.ProofSize)
-	if rd.Done() != nil || leader < 0 || leader >= c.rt.N() {
-		c.rt.Reject()
-		return
-	}
-	cand := &pendingCand{leader: leader}
-	copy(cand.out[:], rb)
-	var err error
-	if cand.pf, err = vrf.ProofFromBytes(pb); err != nil {
-		c.rt.Reject()
-		return
-	}
-	if _, haveSeed := c.seeds[leader]; !haveSeed {
-		// Alg. 4 line 27: the VRF check implicitly waits for the seed.
-		c.pendCands[from] = cand
-		return
-	}
 	c.acceptCandidate(from, cand)
 }
 
-// acceptCandidate runs the VRF check of a parsed candidate whose leader
-// seed is known.
-func (c *Coin) acceptCandidate(from int, cand *pendingCand) {
-	sd := c.seeds[cand.leader]
-	if !c.keys.VerifyVRF(cand.leader, c.VRFInput(sd), cand.out, cand.pf) {
+// acceptCandidate counts a decoded candidate whose VRF verifies, or parks
+// it until its leader's seed arrives.
+func (c *Coin) acceptCandidate(from int, cand *Candidate) {
+	valid, known := c.Verify(cand)
+	switch {
+	case !known:
+		c.pendCands[from] = cand
+	case !valid:
 		c.rt.Reject()
-		return
+	default:
+		c.candidates[from] = cand
+		c.maybeOutput()
 	}
-	c.candidates[from] = &Candidate{Leader: cand.leader, Value: cand.out, Proof: cand.pf}
-	c.maybeOutput()
 }
 
 // revisitPending re-processes candidates that were waiting for leader j's
 // seed.
 func (c *Coin) revisitPending(j int) {
-	froms := make([]int, 0, len(c.pendCands))
-	for from := range c.pendCands {
-		froms = append(froms, from)
-	}
-	sort.Ints(froms)
-	for _, from := range froms {
+	for _, from := range order.SortedKeys(c.pendCands) {
 		cand := c.pendCands[from]
-		if cand == nil || cand.leader != j {
+		if cand == nil || cand.Leader != j {
 			continue // counted ⊥ marker, or waiting for another seed
 		}
 		delete(c.pendCands, from)
@@ -434,15 +429,6 @@ func (c *Coin) maybeOutput() {
 		res.Bit = best.Value[vrf.OutputSize-1] & 1
 	}
 	c.out(res)
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func seedHash(nonce []byte) []byte {

@@ -1,7 +1,9 @@
 package coin
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"math/rand"
 	"testing"
 
 	"repro/internal/crypto/vrf"
@@ -214,5 +216,47 @@ func TestMalformedPendingCandidateRejectedAtReceipt(t *testing.T) {
 func TestSeedHashLength(t *testing.T) {
 	if got := len(seedHash([]byte("x"))); got != sha256.Size {
 		t.Fatalf("seedHash returns %d bytes", got)
+	}
+}
+
+// TestCandidateCodec pins the one Candidate wire layout: an honest
+// candidate and ⊥ round-trip, and DecodeCandidate refuses every body that
+// is not exactly one of them for n parties.
+func TestCandidateCodec(t *testing.T) {
+	const n = 4
+	sk, err := vrf.GenerateKey(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, pf := sk.Eval([]byte("codec"))
+	honest := &Candidate{Leader: n - 1, Value: out, Proof: pf}
+	encode := func(c *Candidate) []byte {
+		var w wire.Writer
+		c.Encode(&w)
+		return w.Bytes()
+	}
+	body := encode(honest)
+	got, ok := DecodeCandidate(body, n)
+	if !ok || got == nil || got.Leader != honest.Leader || got.Value != honest.Value ||
+		!bytes.Equal(got.Proof.Bytes(), pf.Bytes()) {
+		t.Fatalf("honest candidate did not round-trip: %+v ok=%v", got, ok)
+	}
+	if got, ok := DecodeCandidate(encode(nil), n); !ok || got != nil {
+		t.Fatalf("⊥ decoded to %+v ok=%v, want nil ok", got, ok)
+	}
+	minusOne := append([]byte(nil), body...)
+	copy(minusOne[1:5], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // leader −1 as a 32-bit word
+	bad := map[string][]byte{
+		"trailing byte after candidate": append(append([]byte(nil), body...), 0),
+		"trailing byte after ⊥":         append(encode(nil), 0),
+		"leader −1":                     minusOne,
+		"leader n":                      encode(&Candidate{Leader: n, Value: out, Proof: pf}),
+		"short proof":                   body[:len(body)-1],
+		"empty body":                    {},
+	}
+	for name, b := range bad {
+		if got, ok := DecodeCandidate(b, n); ok {
+			t.Errorf("%s: decoded to %+v", name, got)
+		}
 	}
 }

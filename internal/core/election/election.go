@@ -14,7 +14,7 @@ package election
 
 import (
 	"math/big"
-	"sort"
+	"strconv"
 
 	"repro/internal/core/aba"
 	"repro/internal/core/coin"
@@ -42,30 +42,22 @@ type Config struct {
 // Output delivers the election result exactly once.
 type Output func(Result)
 
-type entry struct {
-	leader int
-	value  vrf.Output
-	proof  vrf.Proof
-}
-
 // Election is one leader-election instance on one node.
 type Election struct {
 	rt   proto.Runtime
 	inst string
-	keys *pki.Keyring
 	out  Output
 
 	coin *coin.Coin
 	rbcs []*rbc.RBC
 	aba  *aba.ABA
 
-	g        map[int]*entry // G: RBC slot -> validated speculative max
-	bots     map[int]bool   // RBC slots that delivered ⊥ (zero-ballot votes)
-	pend     map[int][]byte // RBC outputs waiting for the leader's seed
+	g        map[int]*coin.Candidate // G: RBC slot -> validated speculative max
+	bots     map[int]bool            // RBC slots that delivered ⊥ (zero-ballot votes)
+	pend     map[int]*coin.Candidate // RBC outputs waiting for the leader's seed
 	ballot   *byte
 	abaOut   *byte
 	done     bool
-	vrfmax   *coin.Candidate
 	haveVMax bool
 }
 
@@ -74,36 +66,21 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, cfg Config, out Outpu
 	e := &Election{
 		rt:   rt,
 		inst: inst,
-		keys: keys,
 		out:  out,
-		g:    make(map[int]*entry),
+		g:    make(map[int]*coin.Candidate),
 		bots: make(map[int]bool),
-		pend: make(map[int][]byte),
+		pend: make(map[int]*coin.Candidate),
 	}
 	e.coin = coin.New(rt, inst+"/c", keys, cfg.Coin, e.onCoin)
 	e.coin.OnSeed(e.onSeed)
 	e.rbcs = make([]*rbc.RBC, rt.N())
 	for j := 0; j < rt.N(); j++ {
 		j := j
-		e.rbcs[j] = rbc.New(rt, inst+"/b/"+itoa(j), j, func(v []byte) { e.onRBC(j, v) })
+		e.rbcs[j] = rbc.New(rt, inst+"/b/"+strconv.Itoa(j), j, func(v []byte) { e.onRBC(j, v) })
 	}
 	coins := aba.PaperCoins(rt, inst+"/a/c", keys, cfg.Coin)
 	e.aba = aba.New(rt, inst+"/a", coins, e.onABA)
 	return e
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Start activates the instance (Alg. 5 lines 1–2).
@@ -124,28 +101,21 @@ func (e *Election) onCoin(res coin.Result) {
 		return
 	}
 	e.haveVMax = true
-	e.vrfmax = res.Max
 	var w wire.Writer
-	if res.Max == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		w.Int(res.Max.Leader)
-		w.Bytes32(res.Max.Value[:])
-		w.Raw(res.Max.Proof.Bytes())
-	}
+	res.Max.Encode(&w)
 	e.rbcs[e.rt.Self()].Start(w.Bytes())
 }
 
 // onRBC is Alg. 5 lines 5–12: validate broadcast VRFs into G and, once
 // n−f slots have resolved, vote on whether a largest-and-majority VRF
-// exists.
+// exists. A payload that does not decode is rejected at delivery.
 func (e *Election) onRBC(j int, v []byte) {
-	rd := wire.NewReader(v)
-	if !rd.Bool() {
-		if rd.Done() != nil {
-			return // malformed broadcast: not a ⊥ vote, dropped like any garbage slot
-		}
+	cand, ok := coin.DecodeCandidate(v, e.rt.N())
+	if !ok {
+		e.rt.Reject()
+		return
+	}
+	if cand == nil {
 		// ⊥ broadcast: never enters G, but it IS one of the n−f outputs
 		// Alg. 5 line 8 waits for — a zero-ballot vote. Dropping it
 		// entirely would stall the election whenever more than f slots
@@ -158,69 +128,33 @@ func (e *Election) onRBC(j int, v []byte) {
 		e.maybeFinish()
 		return
 	}
-	leader := rd.Int()
-	if rd.Err() != nil || leader < 0 || leader >= e.rt.N() {
-		e.rt.Reject()
-		return
-	}
-	if _, ok := e.coin.Seed(leader); !ok {
-		// Alg. 5 line 6: VRF verification implicitly waits for the seed.
-		e.pend[j] = v
-		return
-	}
-	e.accept(j, v)
+	e.accept(j, cand)
 }
 
 // onSeed revisits RBC outputs that were waiting for a leader seed.
 func (e *Election) onSeed(leader int, _ [seeding.SeedSize]byte) {
-	js := make([]int, 0, len(e.pend))
-	for j := range e.pend {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	for _, j := range js {
-		v := e.pend[j]
-		rd := wire.NewReader(v)
-		_ = rd.Bool()
-		if rd.Int() != leader {
-			continue
+	for _, j := range order.SortedKeys(e.pend) {
+		if cand := e.pend[j]; cand.Leader == leader {
+			delete(e.pend, j)
+			e.accept(j, cand)
 		}
-		delete(e.pend, j)
-		e.accept(j, v)
 	}
 }
 
-func (e *Election) accept(j int, v []byte) {
-	if _, dup := e.g[j]; dup {
-		return
-	}
-	rd := wire.NewReader(v)
-	_ = rd.Bool()
-	leader := rd.Int()
-	rb := rd.Bytes32()
-	pb := rd.Raw(vrf.ProofSize)
-	if rd.Done() != nil {
+// accept enters a decoded slot into G once its VRF verifies, parking it
+// while its leader's seed is unknown (Alg. 5 line 6).
+func (e *Election) accept(j int, cand *coin.Candidate) {
+	valid, known := e.coin.Verify(cand)
+	switch {
+	case !known:
+		e.pend[j] = cand
+	case !valid:
 		e.rt.Reject()
-		return
+	default:
+		e.g[j] = cand
+		e.maybeVote()
+		e.maybeFinish()
 	}
-	var out vrf.Output
-	copy(out[:], rb)
-	pf, err := vrf.ProofFromBytes(pb)
-	if err != nil {
-		e.rt.Reject()
-		return
-	}
-	sd, ok := e.coin.Seed(leader)
-	if !ok {
-		return // seed not yet derivable; not evidence of a bad broadcast
-	}
-	if !e.keys.VerifyVRF(leader, e.coin.VRFInput(sd), out, pf) {
-		e.rt.Reject()
-		return
-	}
-	e.g[j] = &entry{leader: leader, value: out, proof: pf}
-	e.maybeVote()
-	e.maybeFinish()
 }
 
 // maybeVote is Alg. 5 lines 8–12: once n−f slots resolved (validated
@@ -243,20 +177,20 @@ func (e *Election) maybeVote() {
 // entries and all remaining slots can be filled with strictly smaller
 // values — ⊥ slots (bots) rank below every real VRF, so they only ever
 // serve as fillers.
-func (e *Election) winnerIn(g map[int]*entry, bots int) *entry {
+func (e *Election) winnerIn(g map[int]*coin.Candidate, bots int) *coin.Candidate {
 	q := e.rt.N() - e.rt.F()
 	// Group by VRF value.
 	type grp struct {
-		ent     *entry
+		ent     *coin.Candidate
 		count   int
 		smaller int
 	}
 	groups := make(map[vrf.Output]*grp)
 	for _, ent := range g {
-		gr := groups[ent.value]
+		gr := groups[ent.Value]
 		if gr == nil {
 			gr = &grp{ent: ent}
-			groups[ent.value] = gr
+			groups[ent.Value] = gr
 		}
 		gr.count++
 	}
@@ -305,10 +239,7 @@ func (e *Election) maybeFinish() {
 		return // keep waiting for G to grow (Alg. 5 line 15)
 	}
 	e.done = true
-	idx := new(big.Int).SetBytes(win.value[:])
+	idx := new(big.Int).SetBytes(win.Value[:])
 	idx.Mod(idx, big.NewInt(int64(e.rt.N())))
-	e.out(Result{
-		Leader: int(idx.Int64()),
-		Winner: &coin.Candidate{Leader: win.leader, Value: win.value, Proof: win.proof},
-	})
+	e.out(Result{Leader: int(idx.Int64()), Winner: win})
 }

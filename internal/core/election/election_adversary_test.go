@@ -3,6 +3,7 @@ package election
 import (
 	"testing"
 
+	"repro/internal/core/coin"
 	"repro/internal/crypto/vrf"
 	"repro/internal/harness"
 	"repro/internal/wire"
@@ -73,18 +74,18 @@ func TestWinnerInSubsetRule(t *testing.T) {
 		{"majority copies exceed q", []byte{4, 4, 4, 4}, ptr(4)},
 	}
 	for _, tc := range cases {
-		g := make(map[int]*entry, len(tc.values))
+		g := make(map[int]*coin.Candidate, len(tc.values))
 		for slot, v := range tc.values {
-			g[slot] = &entry{leader: slot, value: mk(v)}
+			g[slot] = &coin.Candidate{Leader: slot, Value: mk(v)}
 		}
 		got := e.winnerIn(g, 0)
 		switch {
 		case tc.want == nil && got != nil:
-			t.Errorf("%s: unexpected winner %v", tc.name, got.value[0])
+			t.Errorf("%s: unexpected winner %v", tc.name, got.Value[0])
 		case tc.want != nil && got == nil:
 			t.Errorf("%s: no winner, want %d", tc.name, *tc.want)
-		case tc.want != nil && got != nil && got.value[0] != *tc.want:
-			t.Errorf("%s: winner %d, want %d", tc.name, got.value[0], *tc.want)
+		case tc.want != nil && got != nil && got.Value[0] != *tc.want:
+			t.Errorf("%s: winner %d, want %d", tc.name, got.Value[0], *tc.want)
 		}
 	}
 }
@@ -104,25 +105,41 @@ func TestWinnerUniqueness(t *testing.T) {
 	vals := []byte{1, 5, 9}
 	for mask := 0; mask < 81; mask++ {
 		m := mask
-		g := make(map[int]*entry, 4)
+		g := make(map[int]*coin.Candidate, 4)
 		for slot := 0; slot < 4; slot++ {
 			var o vrf.Output
 			o[0] = vals[m%3]
 			m /= 3
-			g[slot] = &entry{leader: slot, value: o}
+			g[slot] = &coin.Candidate{Leader: slot, Value: o}
 		}
 		winners := map[byte]bool{}
 		// The rule must be stable under any sub-iteration order; just check
 		// the returned winner (if any) is one of the qualifying values and
 		// that re-evaluation is deterministic.
 		if w := e.winnerIn(g, 0); w != nil {
-			winners[w.value[0]] = true
-			if w2 := e.winnerIn(g, 0); w2 == nil || w2.value[0] != w.value[0] {
+			winners[w.Value[0]] = true
+			if w2 := e.winnerIn(g, 0); w2 == nil || w2.Value[0] != w.Value[0] {
 				t.Fatalf("mask %d: winnerIn not deterministic", mask)
 			}
 		}
 		if len(winners) > 1 {
 			t.Fatalf("mask %d: multiple winners %v", mask, winners)
 		}
+	}
+}
+
+// TestMalformedBotBroadcastRejected: an RBC payload that claims ⊥ but
+// carries a trailing byte is rejected at delivery like any other payload
+// that does not decode, and is not counted as a zero-ballot vote.
+func TestMalformedBotBroadcastRejected(t *testing.T) {
+	const n, f = 4, 1
+	fx := setup(t, n, f, 96, genesisCfg(), harness.Options{Byzantine: map[int]bool{3: true}})
+	e := fx.insts[0]
+	e.onRBC(3, []byte{0, 0})
+	if got := fx.c.Net.Metrics().Rejected; got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
+	}
+	if e.bots[3] {
+		t.Fatal("malformed ⊥ counted as a zero-ballot vote")
 	}
 }

@@ -39,12 +39,12 @@ package vba
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"repro/internal/core/coin"
 	"repro/internal/core/election"
 	"repro/internal/core/rbc"
 	"repro/internal/crypto/sig"
+	"repro/internal/order"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -203,9 +203,6 @@ func (v *VBA) Start(input []byte) {
 	v.input = append([]byte(nil), input...)
 	v.enterView(1)
 }
-
-// Decided returns the decided value, if any.
-func (v *VBA) Decided() ([]byte, bool) { return v.decided, v.decided != nil }
 
 func (v *VBA) state(view int) *viewState {
 	vs := v.views[view]
@@ -618,12 +615,7 @@ func (v *VBA) maybeProcessVC(vs *viewState) {
 	}
 	vs.processed = true
 	var best *progress
-	senders := make([]int, 0, len(vs.vcRecv))
-	for s := range vs.vcRecv {
-		senders = append(senders, s)
-	}
-	sort.Ints(senders)
-	for _, s := range senders {
+	for _, s := range order.SortedKeys(vs.vcRecv) {
 		if p := vs.vcRecv[s]; best == nil || p.stage > best.stage {
 			best = p
 		}

@@ -13,9 +13,9 @@ package wcs
 
 import (
 	"crypto/sha256"
-	"sort"
 
 	"repro/internal/crypto/sig"
+	"repro/internal/order"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -166,12 +166,7 @@ func (w *WCS) Handle(from int, body []byte) {
 // reexamineLocks confirms any stored lock whose set is now a subset of S
 // (Alg. 3 line 6's "wait for S̃_j ⊆ S").
 func (w *WCS) reexamineLocks() {
-	froms := make([]int, 0, len(w.locks))
-	for from := range w.locks {
-		froms = append(froms, from)
-	}
-	sort.Ints(froms)
-	for _, from := range froms {
+	for _, from := range order.SortedKeys(w.locks) {
 		set := w.locks[from]
 		if w.signed[from] {
 			continue

@@ -23,11 +23,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/poly"
+	"repro/internal/order"
 )
 
 // Params fixes the sharing topology: n parties, polynomial degree d
@@ -442,14 +442,10 @@ func AggShares(p Params, shares map[int]pairing.G2) (pairing.G2, error) {
 	if len(shares) < p.Degree+1 {
 		return pairing.G2{}, fmt.Errorf("pvss: %d shares, need %d", len(shares), p.Degree+1)
 	}
-	order := make([]int, 0, len(shares))
-	for i := range shares {
-		order = append(order, i)
-	}
-	sort.Ints(order)
+	idxs := order.SortedKeys(shares)
 	xs := make([]field.Scalar, 0, p.Degree+1)
 	vals := make([]pairing.G2, 0, p.Degree+1)
-	for _, i := range order[:p.Degree+1] {
+	for _, i := range idxs[:p.Degree+1] {
 		xs = append(xs, poly.X(i))
 		vals = append(vals, shares[i])
 	}

@@ -60,8 +60,7 @@ func setupKeys(n, f int, seed int64) ([]*pki.Keyring, *pki.Board, int, error) {
 	if n < 3*f+1 {
 		return nil, nil, 0, fmt.Errorf("harness: n=%d cannot tolerate f=%d", n, f)
 	}
-	keyRng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	keys, board, err := pki.Setup(n, keyRng)
+	keys, board, err := pki.SetupSeeded(n, seed)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("harness: key setup: %w", err)
 	}

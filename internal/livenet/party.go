@@ -36,8 +36,6 @@ type PartyConfig struct {
 	WAN *WANProfile
 	// BackoffMin/BackoffMax bound the redial backoff (0 = mesh defaults).
 	BackoffMin, BackoffMax time.Duration
-	// OutboxFrames caps per-link unacked-frame retention (0 = default).
-	OutboxFrames int
 
 	// Journal, when set, observes every message the dispatcher processes
 	// in processing order (the daemon's write-ahead hook).
@@ -88,20 +86,19 @@ func NewParty(cfg PartyConfig) (*Party, error) {
 		}
 	}
 	m, err := NewMesh(MeshConfig{
-		Self:         cfg.Self,
-		N:            cfg.N,
-		Listen:       cfg.Listen,
-		Key:          cfg.Key,
-		Board:        cfg.Board,
-		Deliver:      deliver,
-		WAN:          cfg.WAN,
-		Seed:         cfg.Seed,
-		Resume:       cfg.Resume,
-		GateAcks:     cfg.GateAcks,
-		BeforeWrite:  cfg.BeforeWrite,
-		BackoffMin:   cfg.BackoffMin,
-		BackoffMax:   cfg.BackoffMax,
-		OutboxFrames: cfg.OutboxFrames,
+		Self:        cfg.Self,
+		N:           cfg.N,
+		Listen:      cfg.Listen,
+		Key:         cfg.Key,
+		Board:       cfg.Board,
+		Deliver:     deliver,
+		WAN:         cfg.WAN,
+		Seed:        cfg.Seed,
+		Resume:      cfg.Resume,
+		GateAcks:    cfg.GateAcks,
+		BeforeWrite: cfg.BeforeWrite,
+		BackoffMin:  cfg.BackoffMin,
+		BackoffMax:  cfg.BackoffMax,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("livenet: party %d mesh: %w", cfg.Self, err)

@@ -2,7 +2,6 @@ package noded
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -69,7 +68,7 @@ func (tc *testCluster) startDaemon(t *testing.T, i int) {
 // walRoot gives each party a journal dir under it.
 func startClusterWAL(t *testing.T, n, f int, seed int64, walRoot string) *testCluster {
 	t.Helper()
-	rings, _, err := pki.Setup(n, rand.New(rand.NewSource(seed^0x5eed)))
+	rings, _, err := pki.SetupSeeded(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,9 @@
 // instances over each daemon's control RPC — launch, await, fault
 // injection, stats, graceful teardown.
 //
-// Key derivation matches internal/harness (pki.Setup seeded with
-// seed^0x5eed), so a process cluster and an in-process cluster built from
-// the same seed hold identical key material — the basis for comparing
-// decisions against the simulator.
+// Key derivation matches internal/harness (pki.SetupSeeded), so a process
+// cluster and an in-process cluster built from the same seed hold identical
+// key material — the basis for comparing decisions against the simulator.
 package nodenet
 
 import (
@@ -16,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"os/exec"
@@ -57,10 +55,6 @@ type Options struct {
 
 // readyTimeout bounds process startup.
 const readyTimeout = 30 * time.Second
-
-// KeySeed replicates the harness key-derivation offset so both deployment
-// shapes agree on the PKI for a given seed.
-const KeySeed = 0x5eed
 
 // Cluster is a running set of noded processes.
 type Cluster struct {
@@ -145,7 +139,7 @@ func WriteConfigs(dir string, opts Options) ([]*noded.Config, error) {
 	if f < 0 {
 		f = (n - 1) / 3
 	}
-	rings, _, err := pki.Setup(n, rand.New(rand.NewSource(opts.Seed^KeySeed)))
+	rings, _, err := pki.SetupSeeded(n, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ package pki
 import (
 	"fmt"
 	"io"
+	"math/rand"
 
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
@@ -124,6 +125,13 @@ func (k *Keyring) VerifyScriptComposed(p pvss.Params, s *pvss.Script, parts map[
 		return pvss.VrfyScript(p, eks, vks, s)
 	}
 	return k.Scripts.VerifyComposed(p, eks, vks, s, parts)
+}
+
+// SetupSeeded is Setup on a deterministic source derived from seed alone,
+// so every runtime and deployment built from the same seed holds the same
+// key material — the basis of comparing their decisions.
+func SetupSeeded(n int, seed int64) ([]*Keyring, *Board, error) {
+	return Setup(n, rand.New(rand.NewSource(seed^0x5eed)))
 }
 
 // Setup generates keys for n parties from the randomness source and
