@@ -217,7 +217,7 @@ func (c *Coin) maybeOutput() {
 		return
 	}
 	acc := pairing.G2{}
-	for k := range c.core {
+	for _, k := range order.SortedKeys(c.core) {
 		shares := c.reveals[k]
 		if len(shares) < c.params.Degree+1 {
 			return

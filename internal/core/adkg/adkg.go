@@ -59,8 +59,7 @@ type ADKG struct {
 
 	vb       *vba.VBA
 	agg      *pvss.Script
-	sources  map[int]bool         // dealers whose contribution was accepted
-	verified map[int]*pvss.Script // their verified unit scripts (predicate parts)
+	verified map[int]*pvss.Script // accepted dealers' unit scripts (predicate parts)
 	aggN     int                  // contributions folded into agg (stops at n−f)
 	started  bool
 	vbaIn    bool
@@ -76,7 +75,6 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, cfg Config, out Outpu
 		keys:     keys,
 		params:   pvss.Params{N: rt.N(), Degree: rt.F()},
 		out:      out,
-		sources:  make(map[int]bool),
 		verified: make(map[int]*pvss.Script),
 	}
 	a.vb = vba.New(rt, inst+"/vba", keys, a.predicate, cfg.VBA, a.onDecide)
@@ -108,20 +106,7 @@ func (a *ADKG) Start() {
 // ≥ n−f distinct unit-weight contributions.
 func (a *ADKG) predicate(value []byte) bool {
 	s, err := pvss.FromBytes(a.params, value)
-	if err != nil {
-		return false
-	}
-	ones := 0
-	for _, w := range s.Weights() {
-		switch w {
-		case 0:
-		case 1:
-			ones++
-		default:
-			return false
-		}
-	}
-	if ones < a.rt.N()-a.rt.F() {
+	if err != nil || !s.Distinct(a.rt.N()-a.rt.F()) {
 		return false
 	}
 	// Routed through the cluster's memoizing script verifier: the VBA
@@ -146,22 +131,14 @@ func (a *ADKG) Handle(from int, body []byte) {
 		return
 	}
 	raw := rd.Blob()
-	if rd.Done() != nil || a.sources[from] {
+	if rd.Done() != nil || a.verified[from] != nil {
 		return
 	}
 	s, err := pvss.FromBytes(a.params, raw)
-	if err != nil || !a.keys.VerifyScript(a.params, s) {
+	if err != nil || !a.keys.VerifyScript(a.params, s) || !s.DealtBy(from) {
 		a.rt.Reject()
 		return
 	}
-	w := s.Weights()
-	for i, wi := range w {
-		if (i == from && wi != 1) || (i != from && wi != 0) {
-			a.rt.Reject()
-			return
-		}
-	}
-	a.sources[from] = true
 	a.verified[from] = s
 	if a.vbaIn {
 		return

@@ -15,7 +15,6 @@ package avss
 import (
 	"bytes"
 	"crypto/sha256"
-	"sort"
 
 	"repro/internal/core/rbc"
 	"repro/internal/crypto/field"
@@ -66,9 +65,8 @@ type AVSS struct {
 	dealPoly  poly.Poly
 	blindPoly poly.Poly
 	dealCmt   pedersen.Commitment
-	quorum    sig.Quorum
+	quorum    sig.Quorum // Π; the Cipher goes out when it reaches n−f
 	cipherOut []byte
-	cipherSnt bool
 
 	// Party sharing state.
 	shA, shB field.Scalar
@@ -206,13 +204,8 @@ func sealCipher(inst string, key field.Scalar, m []byte) []byte {
 	return out
 }
 
-func storedMsg(inst string, cmtB []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("avss/stored"))
-	h.Write([]byte(inst))
-	h.Write(cmtB)
-	return h.Sum(nil)
-}
+// storedMsg is what a party signs for Π: it stored shares under this commitment.
+func storedMsg(inst string, cmtB []byte) []byte { return sig.Digest("avss/stored", inst, cmtB) }
 
 // Handle implements proto.Handler.
 func (a *AVSS) Handle(from int, body []byte) {
@@ -281,17 +274,14 @@ func (a *AVSS) onKeyStored(from int, rd *wire.Reader) {
 		a.rt.Reject()
 		return
 	}
-	if a.cipherSnt {
+	if a.quorum.Len() >= a.rt.N()-a.rt.F() {
 		return // late signature after the quorum closed; not an error
 	}
-	s, err := sig.SignatureFromBytes(sb)
-	if err != nil || !sig.Verify(a.keys.Board.Parties[from].Sig, storedMsg(a.inst, a.dealCmt.Bytes()), s) {
+	if !a.quorum.Collect(a.keys.Board.Parties[from].Sig, from, storedMsg(a.inst, a.dealCmt.Bytes()), sb) {
 		a.rt.Reject()
 		return
 	}
-	a.quorum.Add(from, s)
 	if a.quorum.Len() == a.rt.N()-a.rt.F() {
-		a.cipherSnt = true
 		var w wire.Writer
 		w.Byte(msgCipher)
 		a.quorum.Encode(&w)
@@ -496,12 +486,7 @@ func (a *AVSS) maybeFinishRec() {
 	if a.recOut || a.shared == nil || a.onRec == nil {
 		return
 	}
-	keys := make([]string, 0, len(a.keyVotes))
-	for k := range a.keyVotes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range order.SortedKeys(a.keyVotes) {
 		if len(a.keyVotes[k]) >= a.rt.F()+1 {
 			a.recOut = true
 			m := sealCipher(a.inst, a.keyVals[k], a.shared.Cipher)

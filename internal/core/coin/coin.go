@@ -340,7 +340,7 @@ func (c *Coin) maybeCandidate() {
 	}
 	c.candSent = true
 	var best *Candidate
-	for k := range c.sHat {
+	for _, k := range order.SortedKeys(c.sHat) {
 		cand := c.recOut[k]
 		if cand == nil {
 			continue

@@ -54,14 +54,12 @@ type Seeding struct {
 	out    Output
 
 	// Leader state.
-	collected map[int]bool
-	units     map[int]*pvss.Script // receipt-verified unit contributions
-	agg       *pvss.Script
-	aggSent   bool
-	sigma     sig.Quorum
-	commitSnt bool
-	shares    map[int]pairing.G2
-	seedSent  bool
+	units    map[int]*pvss.Script // receipt-verified unit contributions
+	agg      *pvss.Script
+	aggSent  bool
+	sigma    sig.Quorum // Σ; the Commit goes out when it reaches 2f+1
+	shares   map[int]pairing.G2
+	seedSent bool
 
 	// Party state.
 	recorded   *pvss.Script // the AggPvss we signed (pvss in Alg. 7)
@@ -77,16 +75,15 @@ type Seeding struct {
 // adversary (f keys + up to f early revealers) cannot preempt the seed.
 func New(rt proto.Runtime, inst string, keys *pki.Keyring, leader int, out Output) *Seeding {
 	s := &Seeding{
-		rt:        rt,
-		inst:      inst,
-		keys:      keys,
-		leader:    leader,
-		params:    pvss.Params{N: rt.N(), Degree: 2 * rt.F()},
-		out:       out,
-		collected: make(map[int]bool),
-		units:     make(map[int]*pvss.Script),
-		shares:    make(map[int]pairing.G2),
-		bracha:    rbc.NewBracha[[SeedSize]byte](rt.F()),
+		rt:     rt,
+		inst:   inst,
+		keys:   keys,
+		leader: leader,
+		params: pvss.Params{N: rt.N(), Degree: 2 * rt.F()},
+		out:    out,
+		units:  make(map[int]*pvss.Script),
+		shares: make(map[int]pairing.G2),
+		bracha: rbc.NewBracha[[SeedSize]byte](rt.F()),
 	}
 	rt.Register(inst, s)
 	return s
@@ -113,12 +110,9 @@ func (s *Seeding) Start() {
 	s.rt.Send(s.inst, s.leader, w.Bytes())
 }
 
+// storedMsg is what a party signs for Σ: it recorded this aggregate.
 func storedMsg(inst string, scriptB []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("seeding/stored"))
-	h.Write([]byte(inst))
-	h.Write(scriptB)
-	return h.Sum(nil)
+	return sig.Digest("seeding/stored", inst, scriptB)
 }
 
 func seedOf(secret pairing.G2) [SeedSize]byte {
@@ -158,24 +152,19 @@ func (s *Seeding) Handle(from int, body []byte) {
 // onScript is Alg. 7 lines 18–22 (leader only).
 func (s *Seeding) onScript(from int, rd *wire.Reader) {
 	raw := rd.Blob()
-	if rd.Done() != nil || s.rt.Self() != s.leader || s.aggSent || s.collected[from] {
+	if rd.Done() != nil || s.rt.Self() != s.leader || s.units[from] != nil {
 		s.rt.Reject()
 		return
 	}
-	script, err := pvss.FromBytes(s.params, raw)
-	if err != nil || !s.keys.VerifyScript(s.params, script) {
-		s.rt.Reject()
-		return
+	if s.aggSent {
+		return // late honest script after aggregation; not an error
 	}
 	// The contribution must be solely from the claimed sender.
-	w := script.Weights()
-	for i, wi := range w {
-		if (i == from && wi != 1) || (i != from && wi != 0) {
-			s.rt.Reject()
-			return
-		}
+	script, err := pvss.FromBytes(s.params, raw)
+	if err != nil || !s.keys.VerifyScript(s.params, script) || !script.DealtBy(from) {
+		s.rt.Reject()
+		return
 	}
-	s.collected[from] = true
 	s.units[from] = script
 	if s.agg == nil {
 		s.agg = script
@@ -185,7 +174,7 @@ func (s *Seeding) onScript(from int, rd *wire.Reader) {
 			return
 		}
 	}
-	if len(s.collected) == 2*s.rt.F()+1 {
+	if len(s.units) == 2*s.rt.F()+1 {
 		s.aggSent = true
 		// Ride the receipt-path verdicts: the aggregate is exactly the
 		// product of the 2f+1 unit scripts this leader just verified, so
@@ -216,22 +205,7 @@ func (s *Seeding) onAggPvss(from int, rd *wire.Reader) {
 	// unknown aggregates, so a Byzantine leader's mauled script still pays
 	// the full cold check and rejects as before.
 	script, err := pvss.FromBytes(s.params, raw)
-	if err != nil || !s.keys.VerifyScriptComposed(s.params, script, s.units) {
-		s.rt.Reject()
-		return
-	}
-	ones := 0
-	for _, wi := range script.Weights() {
-		switch wi {
-		case 0:
-		case 1:
-			ones++
-		default:
-			s.rt.Reject()
-			return
-		}
-	}
-	if ones < 2*s.rt.F()+1 {
+	if err != nil || !s.keys.VerifyScriptComposed(s.params, script, s.units) || !script.Distinct(2*s.rt.F()+1) {
 		s.rt.Reject()
 		return
 	}
@@ -251,17 +225,14 @@ func (s *Seeding) onStored(from int, rd *wire.Reader) {
 		s.rt.Reject()
 		return
 	}
-	if s.commitSnt {
+	if s.sigma.Len() >= 2*s.rt.F()+1 {
 		return
 	}
-	sg, err := sig.SignatureFromBytes(sb)
-	if err != nil || !sig.Verify(s.keys.Board.Parties[from].Sig, storedMsg(s.inst, s.agg.Bytes()), sg) {
+	if !s.sigma.Collect(s.keys.Board.Parties[from].Sig, from, storedMsg(s.inst, s.agg.Bytes()), sb) {
 		s.rt.Reject()
 		return
 	}
-	s.sigma.Add(from, sg)
 	if s.sigma.Len() == 2*s.rt.F()+1 {
-		s.commitSnt = true
 		var w wire.Writer
 		w.Byte(msgAggPvssCommit)
 		s.sigma.Encode(&w)

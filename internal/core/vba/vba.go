@@ -24,7 +24,9 @@
 // Since threshold signatures need a private setup, certificates are n−f
 // concatenated Schnorr signatures — the O(n) factor the paper accepts in
 // §7.2 ("trivially concatenating digital signatures … in the bulletin PKI
-// setting").
+// setting"). A certificate is written once, as cert: the PB progress a
+// party reports, the key and lock it keeps, and the proof a Decide carries
+// are all certs, and valid is the one place any of them is checked.
 //
 // # Halting
 //
@@ -38,6 +40,7 @@ package vba
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core/coin"
@@ -73,10 +76,12 @@ const (
 
 const maxViews = 64 // circuit breaker; expected views is O(1)
 
-type progress struct {
-	stage int
-	value []byte
-	cert  sig.Quorum
+// cert is a stage certificate: n−f acks signed on (view, leader, stage,
+// value), where leader is the party whose PB the acks are for.
+type cert struct {
+	view, leader, stage int
+	value               []byte
+	q                   sig.Quorum
 }
 
 type viewState struct {
@@ -84,16 +89,15 @@ type viewState struct {
 
 	// Own provable broadcast.
 	myValue []byte
-	myStage int // highest stage with a collected certificate
-	myCerts [5]sig.Quorum
-	acks    [5]map[int]bool
+	myStage int           // highest stage with a collected certificate
+	myCerts [5]sig.Quorum // acks per stage; stage s closes at n−f
 	sent    [5]bool
 	doneSnt bool
 
 	// As receiver.
 	pinned     map[int][]byte // leader -> pinned value
 	ackedStage map[int]int    // leader -> highest acked stage
-	seen       map[int]*progress
+	seen       map[int]*cert  // leader -> best certificate seen for its PB
 	doneSet    map[int]bool
 	ackStopped bool
 
@@ -104,39 +108,22 @@ type viewState struct {
 	electGo   bool
 	leader    *int
 	vcSent    bool
-	vcRecv    map[int]*progress // sender -> reported progress for the leader
+	vcRecv    map[int]*cert // sender -> reported certificate for the leader
 	vcHas     map[int]bool
 	processed bool
 }
 
 func newViewState(v int) *viewState {
-	vs := &viewState{
+	return &viewState{
 		view:       v,
 		pinned:     make(map[int][]byte),
 		ackedStage: make(map[int]int),
-		seen:       make(map[int]*progress),
+		seen:       make(map[int]*cert),
 		doneSet:    make(map[int]bool),
 		readyRecv:  make(map[int]bool),
-		vcRecv:     make(map[int]*progress),
+		vcRecv:     make(map[int]*cert),
 		vcHas:      make(map[int]bool),
 	}
-	for s := 1; s <= 4; s++ {
-		vs.acks[s] = make(map[int]bool)
-	}
-	return vs
-}
-
-type keyInfo struct {
-	view   int
-	leader int
-	stage  int
-	value  []byte
-	cert   sig.Quorum
-}
-
-type lockInfo struct {
-	view  int
-	value []byte
 }
 
 // VBA is one validated-BA instance on one node.
@@ -154,8 +141,8 @@ type VBA struct {
 	views   map[int]*viewState
 	elected map[int]int // completed elections: view -> leader
 
-	key  *keyInfo
-	lock *lockInfo
+	key  *cert // re-proposed from the next view on
+	lock *cert // stage ≥ 2: only its value, or a newer key, is acked
 
 	pendPB map[int][]pend // future-view PBSend/Ack buffers
 	pendVC map[int][]pend
@@ -218,21 +205,46 @@ func valueHash(value []byte) []byte {
 	return h[:]
 }
 
-func (v *VBA) ackMsg(view, leader, stage int, vh []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("vba/ack"))
-	h.Write([]byte(v.inst))
+// ackMsg is what an ack of leader's stage-s PB of value in view signs.
+func (v *VBA) ackMsg(view, leader, stage int, value []byte) []byte {
 	var meta [12]byte
-	put32(meta[0:], view)
-	put32(meta[4:], leader)
-	put32(meta[8:], stage)
-	h.Write(meta[:])
-	h.Write(vh)
-	return h.Sum(nil)
+	binary.BigEndian.PutUint32(meta[0:], uint32(view))
+	binary.BigEndian.PutUint32(meta[4:], uint32(leader))
+	binary.BigEndian.PutUint32(meta[8:], uint32(stage))
+	return sig.Digest("vba/ack", v.inst, meta[:], valueHash(value))
 }
 
-func put32(b []byte, v int) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
+// valid reports whether c's quorum holds n−f acks on its (view, leader,
+// stage, value).
+func (v *VBA) valid(c *cert) bool {
+	return sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(c.view, c.leader, c.stage, c.value), &c.q, v.rt.N()-v.rt.F())
+}
+
+// encodeTail writes c's (stage, value, quorum), or stage 0 for no cert.
+func (c *cert) encodeTail(w *wire.Writer) {
+	if c == nil {
+		w.Byte(0)
+		return
+	}
+	w.Byte(byte(c.stage))
+	w.Blob(c.value)
+	c.q.Encode(w)
+}
+
+// decodeTail reads an encodeTail tail, which must end the message, as a
+// certificate for (view, leader). A stage-0 tail decodes to nil; ok is
+// false on any malformation or a stage above 4.
+func (v *VBA) decodeTail(rd *wire.Reader, view, leader int) (c *cert, ok bool) {
+	c = &cert{view: view, leader: leader, stage: int(rd.Byte())}
+	if c.stage == 0 {
+		return nil, rd.Done() == nil
+	}
+	if c.stage > 4 {
+		return nil, false
+	}
+	c.value = rd.Blob()
+	c.q, ok = sig.DecodeQuorum(rd, v.rt.N())
+	return c, ok && rd.Done() == nil
 }
 
 // --- view lifecycle ---
@@ -278,7 +290,7 @@ func (v *VBA) sendPB(vs *viewState, stage int) {
 			w.Int(v.key.view)
 			w.Int(v.key.leader)
 			w.Byte(byte(v.key.stage))
-			v.key.cert.Encode(&w)
+			v.key.q.Encode(&w)
 		}
 	} else {
 		vs.myCerts[stage-1].Encode(&w)
@@ -339,51 +351,34 @@ func (v *VBA) onPBSend(from int, raw []byte, rd *wire.Reader) {
 	if stage <= vs.ackedStage[from] {
 		return
 	}
-	vh := valueHash(value)
 	if stage == 1 {
 		hasKey := rd.Bool()
 		if hasKey {
-			kView := rd.Int()
-			kLeader := rd.Int()
-			kStage := int(rd.Byte())
-			cert, ok := sig.DecodeQuorum(rd, v.rt.N())
-			if !ok || rd.Done() != nil {
+			key := &cert{view: rd.Int(), leader: rd.Int(), stage: int(rd.Byte()), value: value}
+			q, ok := sig.DecodeQuorum(rd, v.rt.N())
+			key.q = q
+			if !ok || rd.Done() != nil || !v.validKey(key, view) ||
+				!v.lockRuleOK(key.view, value) || !v.pred(value) {
 				v.rt.Reject()
 				return
 			}
-			if !v.validKey(kView, kLeader, kStage, vh, &cert, view) {
-				v.rt.Reject()
-				return
-			}
-			if !v.lockRuleOK(kView, value) || !v.pred(value) {
-				v.rt.Reject()
-				return
-			}
-		} else {
-			if rd.Done() != nil {
-				v.rt.Reject()
-				return
-			}
-			if (v.lock != nil && string(v.lock.value) != string(value)) || !v.pred(value) {
-				v.rt.Reject()
-				return
-			}
+		} else if rd.Done() != nil || (v.lock != nil && string(v.lock.value) != string(value)) || !v.pred(value) {
+			v.rt.Reject()
+			return
 		}
 	} else {
-		cert, ok := sig.DecodeQuorum(rd, v.rt.N())
-		if !ok || rd.Done() != nil {
+		c := &cert{view: view, leader: from, stage: stage - 1, value: value}
+		q, ok := sig.DecodeQuorum(rd, v.rt.N())
+		c.q = q
+		if !ok || rd.Done() != nil || !v.valid(c) {
 			v.rt.Reject()
 			return
 		}
-		if !sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(view, from, stage-1, vh), &cert, v.rt.N()-v.rt.F()) {
-			v.rt.Reject()
-			return
-		}
-		v.noteProgress(vs, from, stage-1, value, cert)
+		v.noteProgress(vs, c)
 	}
 	vs.pinned[from] = append([]byte(nil), value...)
 	vs.ackedStage[from] = stage
-	s := v.keys.Sig.Sign(v.ackMsg(view, from, stage, vh))
+	s := v.keys.Sig.Sign(v.ackMsg(view, from, stage, value))
 	var w wire.Writer
 	w.Byte(msgPBAck)
 	w.Int(view)
@@ -395,15 +390,12 @@ func (v *VBA) onPBSend(from int, raw []byte, rd *wire.Reader) {
 // validKey checks a stage-1 key justification: the referenced leader must be
 // the elected leader of the referenced (strictly earlier) view and the
 // certificate must bind that leader, view, stage and the proposed value.
-func (v *VBA) validKey(kView, kLeader, kStage int, vh []byte, cert *sig.Quorum, curView int) bool {
-	if kView < 1 || kView >= curView || kStage < 1 || kStage > 4 {
+func (v *VBA) validKey(key *cert, curView int) bool {
+	if key.view < 1 || key.view >= curView || key.stage < 1 || key.stage > 4 {
 		return false
 	}
-	el, ok := v.elected[kView]
-	if !ok || el != kLeader {
-		return false
-	}
-	return sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(kView, kLeader, kStage, vh), cert, v.rt.N()-v.rt.F())
+	el, ok := v.elected[key.view]
+	return ok && el == key.leader && v.valid(key)
 }
 
 // lockRuleOK is the HotStuff-style unlocking rule: accept when we hold no
@@ -417,10 +409,10 @@ func (v *VBA) lockRuleOK(keyView int, value []byte) bool {
 }
 
 // noteProgress records the best certificate observed for a leader's PB.
-func (v *VBA) noteProgress(vs *viewState, leader, stage int, value []byte, cert sig.Quorum) {
-	cur := vs.seen[leader]
-	if cur == nil || cur.stage < stage {
-		vs.seen[leader] = &progress{stage: stage, value: append([]byte(nil), value...), cert: cert}
+func (v *VBA) noteProgress(vs *viewState, c *cert) {
+	if cur := vs.seen[c.leader]; cur == nil || cur.stage < c.stage {
+		c.value = append([]byte(nil), c.value...)
+		vs.seen[c.leader] = c
 	}
 }
 
@@ -437,18 +429,15 @@ func (v *VBA) onPBAck(from int, rd *wire.Reader) {
 		return // acks for a stale (or not-yet-entered) view never advance our PB
 	}
 	vs := v.state(view)
-	if vs.myStage >= stage || vs.acks[stage][from] || vs.myValue == nil {
+	q := &vs.myCerts[stage]
+	if vs.myStage >= stage || q.Has(from) || vs.myValue == nil {
 		return
 	}
-	s, err := sig.SignatureFromBytes(sb)
-	if err != nil || !sig.Verify(v.keys.Board.Parties[from].Sig,
-		v.ackMsg(view, v.rt.Self(), stage, valueHash(vs.myValue)), s) {
+	if !q.Collect(v.keys.Board.Parties[from].Sig, from, v.ackMsg(view, v.rt.Self(), stage, vs.myValue), sb) {
 		v.rt.Reject()
 		return
 	}
-	vs.acks[stage][from] = true
-	vs.myCerts[stage].Add(from, s)
-	if vs.myCerts[stage].Len() < v.rt.N()-v.rt.F() {
+	if q.Len() < v.rt.N()-v.rt.F() {
 		return
 	}
 	vs.myStage = stage
@@ -471,8 +460,9 @@ func (v *VBA) onPBAck(from int, rd *wire.Reader) {
 // onDone records a completed 4-stage broadcast (a leader nomination).
 func (v *VBA) onDone(from int, raw []byte, rd *wire.Reader) {
 	view := rd.Int()
-	value := rd.Blob()
-	cert, ok := sig.DecodeQuorum(rd, v.rt.N())
+	c := &cert{view: view, leader: from, stage: 4, value: rd.Blob()}
+	q, ok := sig.DecodeQuorum(rd, v.rt.N())
+	c.q = q
 	if !ok || rd.Done() != nil || view < 1 || view > maxViews {
 		v.rt.Reject()
 		return
@@ -485,12 +475,12 @@ func (v *VBA) onDone(from int, raw []byte, rd *wire.Reader) {
 	if vs.doneSet[from] {
 		return
 	}
-	if !sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(view, from, 4, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
+	if !v.valid(c) {
 		v.rt.Reject()
 		return
 	}
 	vs.doneSet[from] = true
-	v.noteProgress(vs, from, 4, value, cert)
+	v.noteProgress(vs, c)
 	if len(vs.doneSet) >= v.rt.N()-v.rt.F() {
 		v.sendReady(vs)
 	}
@@ -551,14 +541,7 @@ func (v *VBA) onElected(view, leader int) {
 	var w wire.Writer
 	w.Byte(msgViewChange)
 	w.Int(view)
-	p := vs.seen[leader]
-	if p == nil {
-		w.Byte(0)
-	} else {
-		w.Byte(byte(p.stage))
-		w.Blob(p.value)
-		p.cert.Encode(&w)
-	}
+	vs.seen[leader].encodeTail(&w)
 	v.rt.Multicast(v.inst, w.Bytes())
 	v.maybeProcessVC(vs)
 }
@@ -578,32 +561,14 @@ func (v *VBA) onViewChange(from int, raw []byte, rd *wire.Reader) {
 	if vs.vcHas[from] {
 		return
 	}
-	stage := int(rd.Byte())
-	var p *progress
-	if stage > 0 {
-		if stage > 4 {
-			v.rt.Reject()
-			return
-		}
-		value := rd.Blob()
-		cert, ok := sig.DecodeQuorum(rd, v.rt.N())
-		if !ok || rd.Done() != nil {
-			v.rt.Reject()
-			return
-		}
-		if !sig.VerifyQuorum(v.keys.Board.SigKeys(),
-			v.ackMsg(view, *vs.leader, stage, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
-			v.rt.Reject()
-			return
-		}
-		p = &progress{stage: stage, value: value, cert: cert}
-	} else if rd.Done() != nil {
+	c, ok := v.decodeTail(rd, view, *vs.leader)
+	if !ok || (c != nil && !v.valid(c)) {
 		v.rt.Reject()
 		return
 	}
 	vs.vcHas[from] = true
-	if p != nil {
-		vs.vcRecv[from] = p
+	if c != nil {
+		vs.vcRecv[from] = c
 	}
 	v.maybeProcessVC(vs)
 }
@@ -614,25 +579,26 @@ func (v *VBA) maybeProcessVC(vs *viewState) {
 		return
 	}
 	vs.processed = true
-	var best *progress
+	var best *cert
 	for _, s := range order.SortedKeys(vs.vcRecv) {
-		if p := vs.vcRecv[s]; best == nil || p.stage > best.stage {
-			best = p
+		if c := vs.vcRecv[s]; best == nil || c.stage > best.stage {
+			best = c
 		}
 	}
+	// Stage ≥ 1 adopts the key, ≥ 2 also the lock, ≥ 3 also decides; the
+	// party continues into the next view regardless, since participation
+	// must survive until the Decide quorum halts it.
 	if best != nil {
-		switch {
-		case best.stage >= 3:
-			v.adoptKey(vs.view, *vs.leader, best)
-			v.adoptLock(vs.view, best.value)
-			v.decide(vs.view, *vs.leader, best)
-			// Continue into the next view regardless: participation must
-			// survive until the Decide quorum halts us.
-		case best.stage == 2:
-			v.adoptKey(vs.view, *vs.leader, best)
-			v.adoptLock(vs.view, best.value)
-		default:
-			v.adoptKey(vs.view, *vs.leader, best)
+		if v.key == nil || v.key.view < best.view {
+			v.key = best
+		}
+		if best.stage >= 2 && (v.lock == nil || v.lock.view < best.view) {
+			v.lock = best
+		}
+		if best.stage >= 3 && v.decided == nil {
+			v.decided = append([]byte(nil), best.value...)
+			v.DecidedView = best.view
+			v.sendDecide(best)
 		}
 	}
 	if vs.view == v.view {
@@ -640,40 +606,16 @@ func (v *VBA) maybeProcessVC(vs *viewState) {
 	}
 }
 
-func (v *VBA) adoptKey(view, leader int, p *progress) {
-	if v.key == nil || v.key.view < view {
-		v.key = &keyInfo{view: view, leader: leader, stage: p.stage, value: p.value, cert: p.cert}
-	}
-}
-
-func (v *VBA) adoptLock(view int, value []byte) {
-	if v.lock == nil || v.lock.view < view {
-		v.lock = &lockInfo{view: view, value: value}
-	}
-}
-
-// decide fires on a stage ≥3 certificate for the elected leader.
-func (v *VBA) decide(view, leader int, p *progress) {
-	if v.decided != nil {
-		return
-	}
-	v.decided = append([]byte(nil), p.value...)
-	v.DecidedView = view
-	v.sendDecide(view, leader, p)
-}
-
-func (v *VBA) sendDecide(view, leader int, p *progress) {
+func (v *VBA) sendDecide(c *cert) {
 	if v.decideSent {
 		return
 	}
 	v.decideSent = true
 	var w wire.Writer
 	w.Byte(msgDecide)
-	w.Int(view)
-	w.Int(leader)
-	w.Byte(byte(p.stage))
-	w.Blob(p.value)
-	p.cert.Encode(&w)
+	w.Int(c.view)
+	w.Int(c.leader)
+	c.encodeTail(&w)
 	v.rt.Multicast(v.inst, w.Bytes())
 }
 
@@ -681,30 +623,23 @@ func (v *VBA) sendDecide(view, leader int, p *progress) {
 func (v *VBA) onDecide(from int, rd *wire.Reader) {
 	view := rd.Int()
 	leader := rd.Int()
-	stage := int(rd.Byte())
-	value := rd.Blob()
-	cert, ok := sig.DecodeQuorum(rd, v.rt.N())
-	if !ok || rd.Done() != nil || view < 1 || view > maxViews ||
-		leader < 0 || leader >= v.rt.N() || stage < 3 || stage > 4 {
+	c, ok := v.decodeTail(rd, view, leader)
+	if !ok || c == nil || view < 1 || view > maxViews ||
+		leader < 0 || leader >= v.rt.N() || c.stage < 3 || !v.valid(c) {
 		v.rt.Reject()
 		return
 	}
-	if !sig.VerifyQuorum(v.keys.Board.SigKeys(),
-		v.ackMsg(view, leader, stage, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
-		v.rt.Reject()
-		return
-	}
-	adopt, halt := v.decides.Ready(from, string(valueHash(value)))
+	adopt, halt := v.decides.Ready(from, string(valueHash(c.value)))
 	if adopt {
 		// At least one honest decider vouches: adopt and relay.
 		if v.decided == nil {
-			v.decided = append([]byte(nil), value...)
+			v.decided = append([]byte(nil), c.value...)
 			v.DecidedView = view
 		}
-		v.sendDecide(view, leader, &progress{stage: stage, value: value, cert: cert})
+		v.sendDecide(c)
 	}
 	if halt {
 		v.halted = true
-		v.out(append([]byte(nil), value...))
+		v.out(append([]byte(nil), c.value...))
 	}
 }

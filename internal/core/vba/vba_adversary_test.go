@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/crypto/sig"
 	"repro/internal/harness"
 	"repro/internal/wire"
 )
@@ -123,6 +124,88 @@ func TestCrashAfterProposing(t *testing.T) {
 			first = v
 		} else if !bytes.Equal(first, v) {
 			t.Fatal("agreement violated after mid-run crash")
+		}
+	}
+}
+
+// TestCertificateTails feeds party 0 Decide and ViewChange messages whose
+// (stage, value, quorum) tails are malformed or out of range around an
+// otherwise valid certificate: each bad tail counts exactly one Reject,
+// and the well-formed controls count none.
+func TestCertificateTails(t *testing.T) {
+	const n, f, view, leader = 4, 1, 1, 2
+	fx := setup(t, n, f, 313, genesisCfg(), harness.Options{})
+	v := fx.insts[0]
+	l := leader
+	v.state(view).leader = &l // the election of view 1 chose party 2
+	value := []byte("ok:certified")
+	quorum := func(stage int) []byte {
+		var q sig.Quorum
+		for i := 0; i < n-f; i++ {
+			q.Add(i, fx.c.Keys[i].Sig.Sign(v.ackMsg(view, leader, stage, value)))
+		}
+		var w wire.Writer
+		q.Encode(&w)
+		return w.Bytes()
+	}
+	// tail is the (stage, value, quorum) tail, or a bare stage 0, plus
+	// extra bytes.
+	tail := func(stage int, quorum []byte, extra ...byte) []byte {
+		var w wire.Writer
+		w.Byte(byte(stage))
+		if stage > 0 {
+			w.Blob(value)
+			w.Raw(quorum)
+		}
+		w.Raw(extra)
+		return w.Bytes()
+	}
+	decide := func(t []byte) []byte {
+		var w wire.Writer
+		w.Byte(msgDecide)
+		w.Int(view)
+		w.Int(leader)
+		w.Raw(t)
+		return w.Bytes()
+	}
+	viewChange := func(t []byte) []byte {
+		var w wire.Writer
+		w.Byte(msgViewChange)
+		w.Int(view)
+		w.Raw(t)
+		return w.Bytes()
+	}
+	q3 := quorum(3)
+	for i, c := range []struct {
+		name    string
+		body    []byte
+		rejects int64
+	}{
+		{"decide at stage 3", decide(tail(3, q3)), 0},
+		{"decide at stage 2", decide(tail(2, quorum(2))), 1},
+		{"decide at stage 5", decide(tail(5, quorum(5))), 1},
+		{"decide with a truncated quorum", decide(tail(3, q3[:len(q3)-1])), 1},
+		{"decide with a quorum for another stage", decide(tail(4, q3)), 1},
+		{"decide with a trailing byte", decide(tail(3, q3, 0)), 1},
+		{"decide at stage 0", decide(tail(0, nil)), 1},
+		{"view change at stage 0", viewChange(tail(0, nil)), 0},
+		{"view change at stage 0 plus a trailing byte", viewChange(tail(0, nil, 0)), 1},
+		{"view change at stage 3", viewChange(tail(3, q3)), 0},
+		{"view change with a truncated quorum", viewChange(tail(3, q3[:len(q3)-1])), 1},
+		{"view change with a trailing byte", viewChange(tail(3, q3, 0)), 1},
+		{"view change with a quorum for another stage", viewChange(tail(2, q3)), 1},
+		{"view change at stage 5", viewChange(tail(5, quorum(5))), 1},
+	} {
+		// Senders repeat across cases; forget a sender's earlier
+		// ViewChange so each case is judged on its own.
+		from := i % n
+		if c.body[0] == msgViewChange {
+			delete(v.state(view).vcHas, from)
+		}
+		before := fx.c.Net.Metrics().Rejected
+		v.Handle(from, c.body)
+		if got := fx.c.Net.Metrics().Rejected - before; got != c.rejects {
+			t.Errorf("%s: %d rejects, want %d", c.name, got, c.rejects)
 		}
 	}
 }

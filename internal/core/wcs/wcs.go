@@ -12,8 +12,6 @@
 package wcs
 
 import (
-	"crypto/sha256"
-
 	"repro/internal/crypto/sig"
 	"repro/internal/order"
 	"repro/internal/pki"
@@ -43,8 +41,7 @@ type WCS struct {
 	snapB  []byte               // canonical bitmap of S̃
 	locks  map[int]map[int]bool // sender -> their lock set, awaiting S ⊇ S̃_j
 	signed map[int]bool         // senders whose lock we already confirmed
-	sigma  sig.Quorum           // confirmations collected for our snapshot
-	commit bool                 // Commit multicast already sent
+	sigma  sig.Quorum           // confirmations of our snapshot; Commit at n−f
 	done   bool
 }
 
@@ -91,13 +88,8 @@ func (w *WCS) Add(j int) {
 // Set reports whether the local input set currently contains j.
 func (w *WCS) Set(j int) bool { return w.s[j] }
 
-func sigMsg(inst string, setBitmap []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("wcs/confirm"))
-	h.Write([]byte(inst))
-	h.Write(setBitmap)
-	return h.Sum(nil)
-}
+// sigMsg is what a party signs for Σ: its S contains this lock set.
+func sigMsg(inst string, setBitmap []byte) []byte { return sig.Digest("wcs/confirm", inst, setBitmap) }
 
 // Handle implements proto.Handler.
 func (w *WCS) Handle(from int, body []byte) {
@@ -124,14 +116,12 @@ func (w *WCS) Handle(from int, body []byte) {
 			w.rt.Reject()
 			return
 		}
-		s, err := sig.SignatureFromBytes(sb)
-		if err != nil || !sig.Verify(w.keys.Board.Parties[from].Sig, sigMsg(w.inst, w.snapB), s) {
+		fresh := !w.sigma.Has(from)
+		if !w.sigma.Collect(w.keys.Board.Parties[from].Sig, from, sigMsg(w.inst, w.snapB), sb) {
 			w.rt.Reject()
 			return
 		}
-		w.sigma.Add(from, s)
-		if w.sigma.Len() == w.rt.N()-w.rt.F() && !w.commit {
-			w.commit = true
+		if fresh && w.sigma.Len() == w.rt.N()-w.rt.F() {
 			var m wire.Writer
 			m.Byte(msgCommit)
 			m.Raw(w.snapB)

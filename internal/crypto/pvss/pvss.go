@@ -8,8 +8,9 @@
 // evaluation commitments A_i = g1^{F(ω_i)}, encrypted shares
 // Ŷ_i = ek_i^{F(ω_i)}, and an unforgeable weight tag (C_i, σ_i) binding the
 // dealer's contribution. Scripts from distinct dealers aggregate
-// component-wise; Weights() exposes how many times each dealer contributed
-// (verifiable aggregation).
+// component-wise; the weights W (Alg. 6 Weights) record how many times each
+// dealer contributed (verifiable aggregation), and DealtBy / Distinct are
+// the two checks the protocols make on them.
 //
 // The scheme runs over the simulated pairing group (see
 // internal/crypto/pairing for the substitution notice); every check from
@@ -171,13 +172,6 @@ func Deal(p Params, eks []EncKey, dealer int, sk SigKey, secret field.Scalar, rn
 	return s, nil
 }
 
-// Weights returns a copy of the weight vector (Alg. 6 Weights).
-func (s *Script) Weights() []uint32 {
-	out := make([]uint32, len(s.W))
-	copy(out, s.W)
-	return out
-}
-
 // WeightCount returns the number of dealers with non-zero weight.
 func (s *Script) WeightCount() int {
 	c := 0
@@ -187,6 +181,25 @@ func (s *Script) WeightCount() int {
 		}
 	}
 	return c
+}
+
+// DealtBy reports whether the script is dealer i's contribution alone:
+// weight 1 at i and 0 everywhere else.
+func (s *Script) DealtBy(i int) bool {
+	return i >= 0 && i < len(s.W) && s.W[i] == 1 && s.WeightCount() == 1
+}
+
+// Distinct reports whether the script aggregates at least k contributions
+// from distinct dealers: every weight is 0 or 1, with at least k ones.
+func (s *Script) Distinct(k int) bool {
+	ones := 0
+	for _, w := range s.W {
+		if w > 1 {
+			return false
+		}
+		ones += int(w)
+	}
+	return ones >= k
 }
 
 // ErrAggregate is returned when two scripts cannot be combined.

@@ -250,3 +250,45 @@ func TestPredictionGameShape(t *testing.T) {
 		t.Fatal("adversary with sub-threshold shares recovered the secret")
 	}
 }
+
+func TestDealtBy(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		w    []uint32
+		i    int
+		want bool
+	}{
+		{"unit at dealer", []uint32{0, 1, 0, 0}, 1, true},
+		{"unit at another dealer", []uint32{0, 1, 0, 0}, 2, false},
+		{"weight 2 at dealer", []uint32{0, 2, 0, 0}, 1, false},
+		{"second contributor", []uint32{0, 1, 1, 0}, 1, false},
+		{"all weights zero", []uint32{0, 0, 0, 0}, 1, false},
+		{"dealer out of range", []uint32{0, 0, 0, 0}, 4, false},
+		{"negative dealer", []uint32{0, 0, 0, 0}, -1, false},
+	} {
+		if got := (&Script{W: c.w}).DealtBy(c.i); got != c.want {
+			t.Errorf("%s: DealtBy(%d) on %v = %v, want %v", c.name, c.i, c.w, got, c.want)
+		}
+	}
+}
+
+func TestDistinct(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		w    []uint32
+		k    int
+		want bool
+	}{
+		{"exactly k ones", []uint32{1, 0, 1, 1}, 3, true},
+		{"more than k ones", []uint32{1, 1, 1, 1}, 3, true},
+		{"fewer than k ones", []uint32{1, 0, 0, 1}, 3, false},
+		{"a weight of 2", []uint32{1, 2, 1, 0}, 3, false},
+		{"a weight of 2 with k ones besides", []uint32{1, 2, 1, 1}, 3, false},
+		{"all weights zero", []uint32{0, 0, 0, 0}, 1, false},
+		{"all weights zero, k = 0", []uint32{0, 0, 0, 0}, 0, true},
+	} {
+		if got := (&Script{W: c.w}).Distinct(c.k); got != c.want {
+			t.Errorf("%s: Distinct(%d) on %v = %v, want %v", c.name, c.k, c.w, got, c.want)
+		}
+	}
+}

@@ -4,6 +4,12 @@
 // threshold signatures that private-setup protocols would use, exactly as
 // discussed in §7.2 of the paper).
 //
+// Every quorum in the protocols signs a Digest under one of four domains:
+// "avss/stored" (Π, Alg. 1), "seeding/stored" (Σ, Alg. 7), "wcs/confirm"
+// (Σ, Alg. 3) and "vba/ack" (the §7.2 VBA's stage certificates). A Quorum
+// both collects those signatures as they arrive and carries them on the
+// wire.
+//
 // Signatures are EUF-CMA secure in the ROM under the discrete-log
 // assumption. Nonces are derived deterministically (RFC 6979 style) so
 // signing needs no randomness source.
@@ -13,6 +19,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/group"
@@ -107,6 +114,17 @@ func SignatureFromBytes(b []byte) (Signature, error) {
 	return Signature{C: c, S: s}, nil
 }
 
+// Digest is the message a quorum signs: SHA-256 over domain ‖ inst ‖ parts.
+func Digest(domain, inst string, parts ...[]byte) []byte {
+	h := sha256.New()
+	h.Write([]byte(domain))
+	h.Write([]byte(inst))
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return h.Sum(nil)
+}
+
 // Quorum is a set of signatures on one message from distinct parties — the
 // PKI-setting replacement for a threshold signature ("quorum proof" Π/Σ in
 // Algorithms 1, 3 and 7).
@@ -117,19 +135,30 @@ type Quorum struct {
 
 // Add inserts a signature keeping indices sorted; duplicates are ignored.
 func (q *Quorum) Add(index int, s Signature) {
-	pos := 0
-	for pos < len(q.Indices) && q.Indices[pos] < index {
-		pos++
-	}
-	if pos < len(q.Indices) && q.Indices[pos] == index {
+	pos, dup := slices.BinarySearch(q.Indices, index)
+	if dup {
 		return
 	}
-	q.Indices = append(q.Indices, 0)
-	copy(q.Indices[pos+1:], q.Indices[pos:])
-	q.Indices[pos] = index
-	q.Sigs = append(q.Sigs, Signature{})
-	copy(q.Sigs[pos+1:], q.Sigs[pos:])
-	q.Sigs[pos] = s
+	q.Indices = slices.Insert(q.Indices, pos, index)
+	q.Sigs = slices.Insert(q.Sigs, pos, s)
+}
+
+// Has reports whether index has already signed.
+func (q *Quorum) Has(index int) bool {
+	_, ok := slices.BinarySearch(q.Indices, index)
+	return ok
+}
+
+// Collect parses raw as index's signature on msg, verifies it under pk and
+// adds it. It reports whether the signature is valid; a repeated index
+// counts once.
+func (q *Quorum) Collect(pk PublicKey, index int, msg, raw []byte) bool {
+	s, err := SignatureFromBytes(raw)
+	if err != nil || !Verify(pk, msg, s) {
+		return false
+	}
+	q.Add(index, s)
+	return true
 }
 
 // Len returns the number of signatures collected.

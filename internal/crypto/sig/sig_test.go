@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 )
@@ -135,5 +137,82 @@ func TestVerifyQuorumRejectsBadMember(t *testing.T) {
 	}
 	if VerifyQuorum(pks, msg, nil, 0) {
 		t.Fatal("nil quorum accepted")
+	}
+}
+
+func TestQuorumCollect(t *testing.T) {
+	r := testRand(9)
+	msg := []byte("collect")
+	sk0, _ := GenerateKey(r)
+	sk1, _ := GenerateKey(r)
+	good := sk0.Sign(msg).Bytes()
+	var q Quorum
+	for _, c := range []struct {
+		name string
+		pk   PublicKey
+		raw  []byte
+	}{
+		{"truncated", sk0.PK, good[:Size-1]},
+		{"non-canonical scalar", sk0.PK, bytes.Repeat([]byte{0xff}, Size)},
+		{"wrong key", sk1.PK, good},
+		{"wrong message", sk0.PK, sk0.Sign([]byte("other")).Bytes()},
+	} {
+		if q.Collect(c.pk, 0, msg, c.raw) {
+			t.Fatalf("%s: Collect accepted the signature", c.name)
+		}
+		if q.Len() != 0 || q.Has(0) {
+			t.Fatalf("%s: Collect added an invalid signature", c.name)
+		}
+	}
+	if !q.Collect(sk0.PK, 0, msg, good) || !q.Collect(sk0.PK, 0, msg, good) {
+		t.Fatal("Collect refused a valid signature")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("a repeated index counted %d times", q.Len())
+	}
+	if !q.Has(0) || q.Has(1) {
+		t.Fatalf("Has(0)=%v Has(1)=%v, want true false", q.Has(0), q.Has(1))
+	}
+	if !VerifyQuorum([]PublicKey{sk0.PK}, msg, &q, 1) {
+		t.Fatal("collected quorum does not verify")
+	}
+}
+
+// TestDigestMatchesHandWritten pins Digest to the hash each protocol used
+// to spell out, so signatures made before it still verify.
+func TestDigestMatchesHandWritten(t *testing.T) {
+	old := func(domain, inst string, parts ...[]byte) []byte {
+		b := []byte(domain + inst)
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		h := sha256.Sum256(b)
+		return h[:]
+	}
+	body := []byte("commitment bytes")
+	meta := []byte{0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3}
+	vh := sha256.Sum256([]byte("value"))
+	cases := []struct {
+		domain string
+		parts  [][]byte
+	}{
+		{"avss/stored", [][]byte{body}},
+		{"seeding/stored", [][]byte{body}},
+		{"wcs/confirm", [][]byte{body}},
+		{"vba/ack", [][]byte{meta, vh[:]}},
+	}
+	seen := map[string]string{}
+	for _, c := range cases {
+		got := Digest(c.domain, "inst/7", c.parts...)
+		if want := old(c.domain, "inst/7", c.parts...); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Digest %x, hand-written %x", c.domain, got, want)
+		}
+		if prev, dup := seen[string(got)]; dup {
+			t.Fatalf("domains %s and %s share a digest", prev, c.domain)
+		}
+		seen[string(got)] = c.domain
+	}
+	if bytes.Equal(Digest("avss/stored", "a", body), Digest("avss/stored", "b", body)) {
+		t.Fatal("digest ignores the instance")
 	}
 }

@@ -54,21 +54,28 @@ func TestByzantineMatrix(t *testing.T) {
 // TestByzantineHonestBaseline pins the detection counters' zero point:
 // a fully honest run of every byz workload records no rejections and no
 // equivocations, so anything nonzero in the matrix is attributable to the
-// lying parties alone.
+// lying parties alone. Each workload runs with the genesis nonce (as the
+// byz specs do) and without it, where every coin runs Seeding and WCS.
 func TestByzantineHonestBaseline(t *testing.T) {
 	for _, protocol := range []string{"coin", "aba", "vba", "adkg", "election"} {
-		out, err := RunByzantine(
-			RunSpec{N: 4, F: -1, Seed: byzSeed, Genesis: []byte("byz")},
-			protocol, nil)
-		if err != nil {
-			t.Fatalf("honest %s: %v", protocol, err)
-		}
-		if out.Stats.Rejected != 0 || out.Stats.Equivocations != 0 {
-			t.Fatalf("honest %s: spurious detection rejected=%d equivocations=%d",
-				protocol, out.Stats.Rejected, out.Stats.Equivocations)
+		for _, genesis := range byzGenesis {
+			out, err := RunByzantine(
+				RunSpec{N: 4, F: -1, Seed: byzSeed, Genesis: genesis},
+				protocol, nil)
+			if err != nil {
+				t.Fatalf("honest %s (genesis %q): %v", protocol, genesis, err)
+			}
+			if out.Stats.Rejected != 0 || out.Stats.Equivocations != 0 {
+				t.Fatalf("honest %s (genesis %q): spurious detection rejected=%d equivocations=%d",
+					protocol, genesis, out.Stats.Rejected, out.Stats.Equivocations)
+			}
 		}
 	}
 }
+
+// byzGenesis is the genesis nonce the byz specs pass, then none: without
+// it each coin runs the paper's Seeding and WCS on its receipt paths.
+var byzGenesis = [][]byte{[]byte("byz"), nil}
 
 // TestByzantineBoundary proves the positive half of the bound at n=7:
 // f=2 parties all running the same behavior, and the honest majority
@@ -201,7 +208,8 @@ func TestByzantineCrashComposition(t *testing.T) {
 // TestByzantineGarbageAllProtocols is the receipt-path audit the
 // garbage-peer behavior exists for: every protocol's full decode surface
 // fed in-protocol adversarial bytes, with several seeds so the four
-// mutation modes land on different messages. Any panic here is a wire
+// mutation modes land on different messages, with and without the genesis
+// nonce so Seeding's handlers are fed too. Any panic here is a wire
 // hardening bug; its reproducer belongs in the FuzzWireReader corpus.
 func TestByzantineGarbageAllProtocols(t *testing.T) {
 	seeds := []int64{byzSeed, byzSeed + 1}
@@ -212,17 +220,20 @@ func TestByzantineGarbageAllProtocols(t *testing.T) {
 		protocol := protocol
 		t.Run(protocol, func(t *testing.T) {
 			for _, seed := range seeds {
-				out, err := RunByzantine(
-					RunSpec{N: 4, F: -1, Seed: seed, Genesis: []byte("byz")},
-					protocol, []string{"byz/wire-garbage"})
-				if err != nil {
-					t.Fatalf("garbage peer vs %s (seed %d): %v", protocol, seed, err)
-				}
-				if protocol != "coin" && !out.Agreed {
-					t.Fatalf("garbage peer vs %s (seed %d): disagreement (%s)", protocol, seed, out.Decision)
-				}
-				if out.Stats.Rejected == 0 {
-					t.Fatalf("garbage peer vs %s (seed %d): nothing rejected", protocol, seed)
+				for _, genesis := range byzGenesis {
+					out, err := RunByzantine(
+						RunSpec{N: 4, F: -1, Seed: seed, Genesis: genesis},
+						protocol, []string{"byz/wire-garbage"})
+					if err != nil {
+						t.Fatalf("garbage peer vs %s (seed %d, genesis %q): %v", protocol, seed, genesis, err)
+					}
+					if protocol != "coin" && !out.Agreed {
+						t.Fatalf("garbage peer vs %s (seed %d, genesis %q): disagreement (%s)",
+							protocol, seed, genesis, out.Decision)
+					}
+					if out.Stats.Rejected == 0 {
+						t.Fatalf("garbage peer vs %s (seed %d, genesis %q): nothing rejected", protocol, seed, genesis)
+					}
 				}
 			}
 		})

@@ -11,7 +11,8 @@ import (
 // variable that outlives the loop, sends on a channel, assigns a loop
 // variable outward, returns a loop variable, or calls a function/method
 // with a loop variable (signing, hashing, wire-writing and multicasting all
-// arrive through calls). Go randomizes map iteration order per run, so any
+// arrive through calls). A variable the body declares with := from a loop
+// variable counts as one. Go randomizes map iteration order per run, so any
 // such loop makes two replays of the same seed diverge — the bug class
 // behind Coin.OnSeed's replay order (PR 3) and pvss.AggShares /
 // ThresholdKey.Combine share selection (PR 4).
@@ -80,7 +81,7 @@ func enclosingBody(stack []ast.Node) *ast.BlockStmt {
 
 // mapOrderViolation reports why the loop body is order-sensitive, or "".
 func mapOrderViolation(info *types.Info, rng *ast.RangeStmt, fnBody *ast.BlockStmt) string {
-	loopVars := objectsOf(info, rng.Key, rng.Value)
+	loopVars := taintDerived(info, rng.Body, objectsOf(info, rng.Key, rng.Value))
 	reason := ""
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if reason != "" {
@@ -111,6 +112,33 @@ func mapOrderViolation(info *types.Info, rng *ast.RangeStmt, fnBody *ast.BlockSt
 		return true
 	})
 	return reason
+}
+
+// taintDerived adds to vars every variable the body declares with := from
+// an expression that uses vars, to a fixpoint: `cand := m[k]; best = cand`
+// carries the arbitrary element out as surely as `best = m[k]` does.
+func taintDerived(info *types.Info, body *ast.BlockStmt, vars map[types.Object]bool) map[types.Object]bool {
+	for grew := true; grew; {
+		grew = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			s, ok := n.(*ast.AssignStmt)
+			if !ok || s.Tok != token.DEFINE {
+				return true
+			}
+			for _, r := range s.Rhs {
+				if !uses(info, r, vars) {
+					continue
+				}
+				for o := range objectsOf(info, s.Lhs...) {
+					if !vars[o] {
+						vars[o], grew = true, true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return vars
 }
 
 // assignViolation classifies one assignment inside a map-range body.

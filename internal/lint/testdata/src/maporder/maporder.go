@@ -69,3 +69,45 @@ func invert(m map[int]int) map[int]int {
 	}
 	return inv
 }
+
+// A winner picked through a value derived from the loop key still depends
+// on iteration order when two elements tie (coin.maybeCandidate's shape).
+func derivedWinner(keys map[int]bool, vals map[int]*int) *int {
+	var best *int
+	for k := range keys { // want `assigns a loop variable to best`
+		cand := vals[k]
+		if cand == nil {
+			continue
+		}
+		if best == nil || *best < *cand {
+			best = cand
+		}
+	}
+	return best
+}
+
+// Derived values taint to a fixpoint: x from k, y from x.
+func derivedChain(m map[int]int, sink func(int)) {
+	for k := range m { // want `calls sink with a loop variable`
+		x := k + 1
+		y := x * 2
+		sink(y)
+	}
+}
+
+// Only a := that redeclares a variable can taint it after another was read
+// from it. Here the goto makes cur see k on the second pass through the
+// block, so the taint needs a second pass too.
+func derivedByRedeclare(m map[int]int, sink func(int)) {
+	for k := range m { // want `calls sink with a loop variable`
+		prev, again := 0, true
+	top:
+		cur := prev
+		prev, last := k, !again
+		if !last {
+			again = false
+			goto top
+		}
+		sink(cur)
+	}
+}
