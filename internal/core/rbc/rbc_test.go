@@ -357,12 +357,12 @@ func TestAVIDRunsOnCachedCodec(t *testing.T) {
 	}
 }
 
-// resetTreeCache empties the process-wide AVID verification cache so a test
-// observes its own hit/build traffic deterministically.
+// resetTreeCache empties the process-wide AVID verification memo (switching
+// it to pass-through drops every entry) so a test observes its own
+// hit/build traffic deterministically.
 func resetTreeCache() {
-	treeCache.mu.Lock()
-	treeCache.entries = nil
-	treeCache.mu.Unlock()
+	roots.SetPassThrough(true)
+	roots.SetPassThrough(false)
 }
 
 // TestAVIDParityRecomputeDeduped: with the sender seeding the cache at

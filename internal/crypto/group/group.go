@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"repro/internal/crypto/field"
+	"repro/internal/crypto/memo"
 )
 
 // CompressedSize is the length of a compressed point encoding.
@@ -202,43 +202,26 @@ func liftX(x *big.Int, odd bool) (y *big.Int, ok bool) {
 	return y, true
 }
 
-// h2cCache memoizes HashToPoint results. Each try-and-increment attempt
-// pays a big.Int ModSqrt (~1/3 of a cold VRF verification, measured), and
-// the protocol stack hashes the same VRF input once per verification — a
-// point cache turns all but the first into a map lookup. Keys hash the
-// input so entry size is bounded; the map is reset wholesale at the cap
-// (the cache is advisory, results are deterministic either way).
-var h2cCache = struct {
-	sync.Mutex
-	m map[h2cKey]Point
-}{m: make(map[h2cKey]Point)}
+// h2c memoizes HashToPoint results. Each try-and-increment attempt pays a
+// big.Int ModSqrt (~1/3 of a cold VRF verification, measured), and the
+// protocol stack hashes the same VRF input once per verification — a point
+// memo turns all but the first into a map lookup. Keys hash the input so
+// entry size is bounded.
+var h2c = memo.New[h2cKey, Point](1 << 14)
 
 type h2cKey struct {
 	domain string
 	data   [sha256.Size]byte
 }
 
-const h2cCacheMax = 1 << 14
-
 // HashToPoint deterministically maps (domain, data) to a curve point with
 // unknown discrete log, via try-and-increment: candidate x-coordinates are
 // derived from SHA-256(domain ‖ counter ‖ data) until one lifts. Results
 // are memoized; Point values are immutable so sharing is safe.
 func HashToPoint(domain string, data []byte) Point {
-	key := h2cKey{domain: domain, data: sha256.Sum256(data)}
-	h2cCache.Lock()
-	if p, ok := h2cCache.m[key]; ok {
-		h2cCache.Unlock()
-		return p
-	}
-	h2cCache.Unlock()
-	p := hashToPointUncached(domain, data)
-	h2cCache.Lock()
-	if len(h2cCache.m) >= h2cCacheMax {
-		h2cCache.m = make(map[h2cKey]Point)
-	}
-	h2cCache.m[key] = p
-	h2cCache.Unlock()
+	p, _, _ := h2c.Do(h2cKey{domain: domain, data: sha256.Sum256(data)}, func() (Point, error) {
+		return hashToPointUncached(domain, data), nil
+	})
 	return p
 }
 

@@ -1,6 +1,6 @@
 // codec.go is the cached-basis systematic face of the package: a Codec per
-// (k, n) precomputes the Lagrange extension matrix once (cluster-wide, in the
-// same bounded-cache shape as vcache/scache), so Encode passes the k source
+// (k, n) precomputes the Lagrange extension matrix once (process-wide, in a
+// bounded memo.Map like every fast-path cache), so Encode passes the k source
 // chunks through verbatim and computes only the n−k parity rows as matrix–row
 // dot products vectorized across all columns, and Decode applies one memoized
 // reconstruction basis per observed index set — with the "first k systematic
@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/crypto/field"
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/poly"
 	"repro/internal/crypto/verifypool"
 )
@@ -150,40 +151,24 @@ func (c *Codec) K() int { return c.k }
 // N returns the coded chunk count.
 func (c *Codec) N() int { return c.n }
 
-// maxCodecs bounds the package codec cache; an entry is one (n−k)×k scalar
-// matrix (~n·k·32 bytes), and real clusters use a handful of shapes.
-const maxCodecs = 256
-
-var codecCache struct {
-	mu sync.Mutex
-	m  map[[2]int]*Codec
-}
+// codecs memoizes Get; an entry is one (n−k)×k scalar matrix (~n·k·32
+// bytes), and real clusters use a handful of shapes.
+var codecs = memo.New[[2]int, *Codec](256)
 
 // Get returns the memoized codec for (k, n), building and caching it on
-// first use. The cache is package-level and bounded: every AVID instance of
+// first use. The memo is package-level and bounded: every AVID instance of
 // every cluster in the process shares one basis per shape, the same
 // cluster-wide reuse discipline as the vcache/scache verifier memos.
 func Get(k, n int) (*Codec, error) {
-	key := [2]int{k, n}
-	codecCache.mu.Lock()
-	if c, ok := codecCache.m[key]; ok {
-		codecCache.mu.Unlock()
-		counters.codecHits.Add(1)
-		return c, nil
-	}
-	codecCache.mu.Unlock()
-
-	c, err := NewCodec(k, n)
+	c, ran, err := codecs.Do([2]int{k, n}, func() (*Codec, error) { return NewCodec(k, n) })
 	if err != nil {
 		return nil, err
 	}
-	counters.codecBuilds.Add(1)
-	codecCache.mu.Lock()
-	if codecCache.m == nil || len(codecCache.m) >= maxCodecs {
-		codecCache.m = make(map[[2]int]*Codec)
+	if ran {
+		counters.codecBuilds.Add(1)
+	} else {
+		counters.codecHits.Add(1)
 	}
-	codecCache.m[key] = c
-	codecCache.mu.Unlock()
 	return c, nil
 }
 
@@ -198,16 +183,10 @@ type decBasis struct {
 	unit []int
 }
 
-// maxBases bounds the decode-basis memo. Keys are (k, index-set); an AVID
+// bases memoizes reconstructionBasis. Keys are (k, index-set); an AVID
 // cluster sees few distinct echo subsets per shape, but a long-lived process
-// serving many cluster sizes could otherwise grow without bound. At the cap
-// the map is dropped wholesale — it is advisory, results are identical.
-const maxBases = 1 << 12
-
-var basisCache struct {
-	mu sync.Mutex
-	m  map[string]*decBasis
-}
+// serving many cluster sizes could otherwise grow without bound.
+var bases = memo.New[string, *decBasis](1 << 12)
 
 func basisKey(k int, idxs []int) string {
 	b := make([]byte, 0, 4*(len(idxs)+1))
@@ -224,15 +203,19 @@ func basisKey(k int, idxs []int) string {
 // reconstructionBasis returns the memoized k×k basis mapping the chunk
 // values at the (sorted, distinct) idxs to the source symbols at X(0…k−1).
 func reconstructionBasis(k int, idxs []int) (*decBasis, error) {
-	key := basisKey(k, idxs)
-	basisCache.mu.Lock()
-	if b, ok := basisCache.m[key]; ok {
-		basisCache.mu.Unlock()
-		counters.basisHits.Add(1)
-		return b, nil
+	b, ran, err := bases.Do(basisKey(k, idxs), func() (*decBasis, error) { return newBasis(k, idxs) })
+	if err != nil {
+		return nil, err
 	}
-	basisCache.mu.Unlock()
+	if ran {
+		counters.basisBuilds.Add(1)
+	} else {
+		counters.basisHits.Add(1)
+	}
+	return b, nil
+}
 
+func newBasis(k int, idxs []int) (*decBasis, error) {
 	xs := make([]field.Scalar, len(idxs))
 	for i, idx := range idxs {
 		xs[i] = poly.X(idx)
@@ -252,20 +235,13 @@ func reconstructionBasis(k int, idxs []int) (*decBasis, error) {
 			b.unit[j] = pos
 		}
 	}
-	counters.basisBuilds.Add(1)
-	basisCache.mu.Lock()
-	if basisCache.m == nil || len(basisCache.m) >= maxBases {
-		basisCache.m = make(map[string]*decBasis)
-	}
-	basisCache.m[key] = b
-	basisCache.mu.Unlock()
 	return b, nil
 }
 
 // --- column-parallel work ---
 
 // pool bounds the codec's column fan-out to NumCPU. It is package-private
-// (the codec cache is package-level, unlike the per-cluster verification
+// (the codec memo is package-level, unlike the per-cluster verification
 // pools pki.Setup owns), so worst-case concurrency is one NumCPU pool of
 // codec work plus one of verification work — a bounded 2× during the rare
 // overlap, not the unbounded per-call goroutine spawn the pool exists to

@@ -27,20 +27,20 @@
 // coefficients are themselves derived from exactly the memo key's inputs,
 // so even the batching randomness is pinned by the key.)
 //
-// Cold verifications run through a verifypool.Pool: bounded to NumCPU so
-// the live runtime's n dispatchers cannot oversubscribe the box, and
-// single-flight so a script racing in on several dispatchers is verified
-// once, with the waiters sharing the verdict (counted as hits, not cold
-// work). The cache is safe for concurrent use and bounded: at the cap the
-// map is dropped wholesale (it is advisory; results are identical either
-// way).
+// The memo is a memo.Map: safe for concurrent use, bounded (at the cap
+// every entry is dropped; the memo is advisory, results are identical
+// either way), and single-flight, so a script racing in on several live
+// dispatchers is verified once and the waiters share the verdict (counted
+// as hits, not cold work). Cold verifications also run through a
+// verifypool.Pool bounded to NumCPU, so the live runtime's n dispatchers
+// cannot oversubscribe the box with distinct multi-pairings.
 package scache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
 	"repro/internal/crypto/verifypool"
@@ -68,32 +68,25 @@ const maxEntries = 1 << 14
 // Cache memoizes PVSS script-verification verdicts. The zero value is not
 // usable; call New.
 type Cache struct {
+	memo *memo.Map[key, bool]
 	pool *verifypool.Pool
 
-	mu      sync.Mutex
-	memo    bool
-	entries map[key]bool
-	stats   Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
 // New returns an empty cache with memoization enabled, running cold
-// verifications on pool. A nil pool gets a private NumCPU-bounded one.
-func New(pool *verifypool.Pool) *Cache {
-	if pool == nil {
-		pool = verifypool.New(0)
-	}
-	return &Cache{pool: pool, memo: true, entries: make(map[key]bool)}
+// verifications on a private NumCPU-bounded pool.
+func New() *Cache {
+	return &Cache{memo: memo.New[key, bool](maxEntries), pool: verifypool.New(0)}
 }
 
-// SetMemo toggles memoization AND the compositional fast path. With memo
-// off the cache degrades to a counting pass-through (every lookup verifies
-// cold, aggregates included), the raw baseline leg of the dedup benchmarks;
+// SetMemo toggles memoization AND the compositional fast path (no part
+// holds a memoized verdict in pass-through mode). With memo off the cache
+// degrades to a counting pass-through (every lookup verifies cold,
+// aggregates included), the raw baseline leg of the dedup benchmarks;
 // counters keep accumulating in both modes.
-func (c *Cache) SetMemo(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memo = on
-}
+func (c *Cache) SetMemo(on bool) { c.memo.SetPassThrough(!on) }
 
 // Verify reports whether s is a valid (possibly aggregated) PVSS script
 // under the given parameters and registered keys, answering from the memo
@@ -141,114 +134,44 @@ func (c *Cache) verify(p pvss.Params, eks []pvss.EncKey, vks []pairing.G1, s *pv
 	}
 	h.Sum(k.keys[:0])
 
-	c.mu.Lock()
-	c.stats.Lookups++
-	memo := c.memo
-	if memo {
-		if v, ok := c.entries[k]; ok {
-			c.stats.Hits++
-			if !v {
-				c.stats.Negative++
-			}
-			c.mu.Unlock()
-			return v
+	// A miss validates an aggregate compositionally when it can, and
+	// otherwise verifies cold under the pool's concurrency bound.
+	composed := false
+	v, ran, _ := c.memo.Do(k, func() (bool, error) {
+		if c.composes(p, k, s, parts) {
+			composed = true
+			return true, nil
 		}
-	}
-	c.mu.Unlock()
-
-	if memo && c.partsVerified(p, k.keys, s, parts) && composes(p, s, k.script, parts) {
-		c.mu.Lock()
-		c.stats.Composed++
-		c.store(k, true)
-		c.mu.Unlock()
-		return true
-	}
-
-	// Cold path: run through the bounded single-flight pool, so concurrent
-	// distinct scripts verify in parallel (up to the pool bound) and
-	// concurrent identical scripts verify once. The closure re-checks the
-	// memo first and stores its verdict before the pool retires the
-	// in-flight entry, closing both duplicate-work races: a lookup that
-	// missed the memo before a racing verifier stored its verdict finds it
-	// here, and one arriving after the in-flight entry retired finds the
-	// memo populated.
-	cold := false
-	v, _ := c.pool.Do(flightKey(k), func() bool {
-		c.mu.Lock()
-		if c.memo {
-			if mv, ok := c.entries[k]; ok {
-				c.mu.Unlock()
-				return mv
-			}
-		}
-		c.mu.Unlock()
-		cold = true
-		verdict := pvss.VrfyScript(p, eks, vks, s)
-		c.mu.Lock()
-		c.store(k, verdict)
-		c.mu.Unlock()
-		return verdict
+		var v bool
+		c.pool.Run(func() { v = pvss.VrfyScript(p, eks, vks, s) })
+		return v, nil
 	})
 
 	c.mu.Lock()
-	if cold {
+	defer c.mu.Unlock()
+	c.stats.Lookups++
+	switch {
+	case composed:
+		c.stats.Composed++
+	case ran:
 		c.stats.Verifies++
-	} else {
-		// Coalesced onto another caller's execution, or answered by a
-		// verdict that landed in the memo after our first check.
+	default:
 		c.stats.Hits++
 		if !v {
 			c.stats.Negative++
 		}
 	}
-	c.mu.Unlock()
 	return v
 }
 
-// partsVerified reports whether every dealer named by s's weight vector
-// has a part holding a memoized POSITIVE verdict under the same (params,
-// keys digest). This is what makes the compositional path sound without
-// trusting the caller: only scripts this cache has itself accepted under
-// the CURRENT board keys can vouch for an aggregate.
-func (c *Cache) partsVerified(p pvss.Params, keys [sha256.Size]byte, s *pvss.Script, parts map[int]*pvss.Script) bool {
-	if len(parts) == 0 || len(s.W) != p.N {
-		return false
-	}
-	any := false
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, w := range s.W {
-		if w == 0 {
-			continue
-		}
-		if w != 1 || parts[i] == nil {
-			return false
-		}
-		pk := key{n: p.N, degree: p.Degree, script: sha256.Sum256(parts[i].Bytes()), keys: keys}
-		if v, ok := c.entries[pk]; !ok || !v {
-			return false
-		}
-		any = true
-	}
-	return any
-}
-
-// store memoizes a verdict; callers hold c.mu.
-func (c *Cache) store(k key, v bool) {
-	if !c.memo {
-		return
-	}
-	if len(c.entries) >= maxEntries {
-		c.entries = make(map[key]bool)
-	}
-	c.entries[k] = v
-}
-
-// composes reports whether s is exactly the aggregate of the verified unit
-// scripts named by its weight vector: every non-zero weight is 1 and has a
-// part, and the product of those parts (order-independent) re-encodes to
-// the same bytes as s.
-func composes(p pvss.Params, s *pvss.Script, want [sha256.Size]byte, parts map[int]*pvss.Script) bool {
+// composes reports whether s is exactly the aggregate of unit scripts this
+// cache has itself accepted under the CURRENT board keys: every non-zero
+// weight is 1 and names a part holding a memoized POSITIVE verdict under
+// the same (params, keys digest), and the product of those parts
+// (order-independent) re-encodes to the same bytes as s. Checking the
+// verdicts here rather than trusting the caller is what makes the
+// compositional path sound.
+func (c *Cache) composes(p pvss.Params, k key, s *pvss.Script, parts map[int]*pvss.Script) bool {
 	if len(parts) == 0 || len(s.W) != p.N {
 		return false
 	}
@@ -258,6 +181,10 @@ func composes(p pvss.Params, s *pvss.Script, want [sha256.Size]byte, parts map[i
 		case w == 0:
 			continue
 		case w != 1 || parts[i] == nil:
+			return false
+		}
+		pk := key{n: p.N, degree: p.Degree, script: sha256.Sum256(parts[i].Bytes()), keys: k.keys}
+		if v, ok := c.memo.Get(pk); !ok || !v {
 			return false
 		}
 		if agg == nil {
@@ -270,7 +197,7 @@ func composes(p pvss.Params, s *pvss.Script, want [sha256.Size]byte, parts map[i
 		}
 		agg = next
 	}
-	return agg != nil && sha256.Sum256(agg.Bytes()) == want
+	return agg != nil && sha256.Sum256(agg.Bytes()) == k.script
 }
 
 // Stats returns a snapshot of the counters.
@@ -278,14 +205,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// flightKey flattens the memo key for the pool's single-flight table.
-func flightKey(k key) string {
-	var b [8 + 2*sha256.Size]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(k.n))
-	binary.BigEndian.PutUint32(b[4:], uint32(k.degree))
-	copy(b[8:], k.script[:])
-	copy(b[8+sha256.Size:], k.keys[:])
-	return string(b[:])
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
-	"repro/internal/crypto/verifypool"
 )
 
 type fixture struct {
@@ -53,7 +52,7 @@ func TestMemoizesPositiveAndNegative(t *testing.T) {
 	bad := deal(t, r, fx, 1)
 	bad.U2 = bad.U2.Mul(pairing.G2Generator().Exp(field.MustRandom(r)))
 
-	c := New(nil)
+	c := New()
 	for i := 0; i < 3; i++ {
 		if !c.Verify(fx.p, fx.eks, fx.vks, good) {
 			t.Fatal("honest script rejected")
@@ -72,7 +71,7 @@ func TestKeyBindsBoardKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	fx := setup(t, r, 4, 1)
 	s := deal(t, r, fx, 0)
-	c := New(nil)
+	c := New()
 	if !c.Verify(fx.p, fx.eks, fx.vks, s) {
 		t.Fatal("honest script rejected")
 	}
@@ -95,7 +94,7 @@ func TestSetMemoOffCountsEveryVerify(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	fx := setup(t, r, 4, 1)
 	s := deal(t, r, fx, 0)
-	c := New(nil)
+	c := New()
 	c.SetMemo(false)
 	for i := 0; i < 3; i++ {
 		if !c.Verify(fx.p, fx.eks, fx.vks, s) {
@@ -108,20 +107,20 @@ func TestSetMemoOffCountsEveryVerify(t *testing.T) {
 }
 
 func TestNilScriptRejected(t *testing.T) {
-	c := New(nil)
+	c := New()
 	fx := setup(t, rand.New(rand.NewSource(4)), 4, 1)
 	if c.Verify(fx.p, fx.eks, fx.vks, nil) {
 		t.Fatal("nil script accepted")
 	}
 }
 
-// TestConcurrentVerify exercises the pool path under -race: many
-// goroutines, two distinct scripts, shared bounded pool.
+// TestConcurrentVerify exercises the single-flight memo and the bounded
+// pool under -race: many goroutines, two distinct scripts.
 func TestConcurrentVerify(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	fx := setup(t, r, 4, 1)
 	a, b := deal(t, r, fx, 0), deal(t, r, fx, 1)
-	c := New(verifypool.New(2))
+	c := New()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		s := a
@@ -141,9 +140,9 @@ func TestConcurrentVerify(t *testing.T) {
 	if st.Lookups != 16 {
 		t.Fatalf("lookups = %d, want 16", st.Lookups)
 	}
-	// Memo + single-flight guarantee at most one cold verify per script.
-	if st.Verifies > 2 {
-		t.Fatalf("cold verifies = %d, want ≤ 2", st.Verifies)
+	// Memo + single-flight guarantee exactly one cold verify per script.
+	if st.Verifies != 2 || st.Hits != 14 {
+		t.Fatalf("stats = %+v, want 2 cold verifies + 14 hits", st)
 	}
 }
 
@@ -162,7 +161,7 @@ func TestComposedRequiresPartsVerifiedUnderCurrentKeys(t *testing.T) {
 	}
 	parts := map[int]*pvss.Script{0: s0, 1: s1}
 
-	c := New(nil)
+	c := New()
 	if !c.Verify(fx.p, fx.eks, fx.vks, s0) || !c.Verify(fx.p, fx.eks, fx.vks, s1) {
 		t.Fatal("honest unit scripts rejected")
 	}
@@ -203,7 +202,7 @@ func TestComposedRejectsUnverifiedParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(nil)
+	c := New()
 	// Nothing verified yet: composition must not fire; the aggregate is
 	// honest so the cold path accepts it — but as a cold verify.
 	if !c.VerifyComposed(fx.p, fx.eks, fx.vks, agg, map[int]*pvss.Script{0: s0, 1: s1}) {

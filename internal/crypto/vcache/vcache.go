@@ -28,15 +28,17 @@
 // fixed party and input only ONE output can ever carry a valid proof, so
 // the n² re-broadcasts of a winning candidate all collapse onto one entry.
 //
-// The cache is safe for concurrent use — the livenet runtime verifies from
-// n dispatcher goroutines — and bounded: at the cap the map is dropped
-// wholesale (it is advisory; results are identical either way).
+// The cache is a memo.Map: safe for concurrent use (the livenet runtime
+// verifies from n dispatcher goroutines, and a quadruple racing in on
+// several of them is verified once) and bounded (at the cap every entry is
+// dropped; the memo is advisory, results are identical either way).
 package vcache
 
 import (
 	"crypto/sha256"
 	"sync"
 
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/vrf"
 )
 
@@ -50,7 +52,7 @@ type key struct {
 // Stats are the cache's cumulative counters.
 type Stats struct {
 	Lookups  int64 // Verify calls routed through the cache
-	Hits     int64 // answered from memo (positive or negative)
+	Hits     int64 // answered without cold work (memo or a racing verify)
 	Verifies int64 // cold cryptographic verifications actually performed
 	Negative int64 // memoized *false* verdicts returned
 }
@@ -62,25 +64,21 @@ const maxEntries = 1 << 16
 // Cache memoizes VRF verification verdicts. The zero value is not usable;
 // call New.
 type Cache struct {
-	mu      sync.Mutex
-	memo    bool
-	entries map[key]bool
-	stats   Stats
+	memo *memo.Map[key, bool]
+
+	mu    sync.Mutex
+	stats Stats
 }
 
 // New returns an empty cache with memoization enabled.
 func New() *Cache {
-	return &Cache{memo: true, entries: make(map[key]bool)}
+	return &Cache{memo: memo.New[key, bool](maxEntries)}
 }
 
 // SetMemo toggles memoization. With memo off the cache degrades to a
 // counting pass-through (every lookup verifies), which is the baseline leg
 // of the dedup benchmarks; counters keep accumulating in both modes.
-func (c *Cache) SetMemo(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memo = on
-}
+func (c *Cache) SetMemo(on bool) { c.memo.SetPassThrough(!on) }
 
 // Verify reports whether (out, pf) is party's valid VRF evaluation on
 // input under pk, answering from the memo when the exact quadruple has
@@ -93,34 +91,19 @@ func (c *Cache) Verify(party int, pk vrf.PublicKey, input []byte, out vrf.Output
 	h.Sum(k.input[:0])
 	k.proof = sha256.Sum256(pf.Bytes())
 
+	v, ran, _ := c.memo.Do(k, func() (bool, error) { return vrf.Verify(pk, input, out, pf), nil })
+
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.stats.Lookups++
-	if c.memo {
-		if v, ok := c.entries[k]; ok {
-			c.stats.Hits++
-			if !v {
-				c.stats.Negative++
-			}
-			c.mu.Unlock()
-			return v
+	if ran {
+		c.stats.Verifies++
+	} else {
+		c.stats.Hits++
+		if !v {
+			c.stats.Negative++
 		}
 	}
-	c.stats.Verifies++
-	c.mu.Unlock()
-
-	// The expensive step runs outside the lock so concurrent livenet
-	// dispatchers verify in parallel; a racing duplicate quadruple is
-	// verified twice and counted twice — accurately.
-	v := vrf.Verify(pk, input, out, pf)
-
-	c.mu.Lock()
-	if c.memo {
-		if len(c.entries) >= maxEntries {
-			c.entries = make(map[key]bool)
-		}
-		c.entries[k] = v
-	}
-	c.mu.Unlock()
 	return v
 }
 

@@ -248,7 +248,7 @@ func kms20Run(bootstrap bool) func(RunSpec) (Outcome, error) {
 
 func partitionSched(n int, _ int64) sim.Scheduler {
 	// Isolate the top f parties for ~60 picks per party, then heal fully.
-	return sim.NewPartition(lastF(n), int64(60*n), nil)
+	return sim.NewPartition(harness.LastFByzantine(n, (n-1)/3), int64(60*n), nil)
 }
 
 func targetedSched(prefix string, bias float64) SchedFactory {
@@ -267,17 +267,8 @@ func composeSched(n int, _ int64) sim.Scheduler {
 
 func lifoSched(int, int64) sim.Scheduler { return sim.LIFOScheduler() }
 
-func lastF(n int) map[int]bool {
-	f := (n - 1) / 3
-	m := make(map[int]bool, f)
-	for i := n - f; i < n; i++ {
-		m[i] = true
-	}
-	return m
-}
-
 func delaySched(n int, _ int64) sim.Scheduler {
-	return sim.DelayScheduler{Slow: lastF(n), Bias: 0.85}
+	return sim.DelayScheduler{Slow: harness.LastFByzantine(n, (n-1)/3), Bias: 0.85}
 }
 
 // NamedSched resolves a scheduler name into the same factories the scenario

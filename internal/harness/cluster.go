@@ -245,22 +245,12 @@ func (c *Cluster) Steps() int64 {
 // VerifyStats reports the cluster's shared VRF verifier-cache counters
 // (pki.Setup hands every keyring the same memoizing verifier, so the
 // counters cover all parties on both runtimes).
-func (c *Cluster) VerifyStats() vcache.Stats {
-	if len(c.Keys) == 0 || c.Keys[0].Verifier == nil {
-		return vcache.Stats{}
-	}
-	return c.Keys[0].Verifier.Stats()
-}
+func (c *Cluster) VerifyStats() vcache.Stats { return c.Keys[0].Verifier.Stats() }
 
 // ScriptVerifyStats reports the cluster's shared PVSS script verifier-cache
 // counters (pki.Setup hands every keyring the same memoizing script
 // verifier, so the counters cover all parties on both runtimes).
-func (c *Cluster) ScriptVerifyStats() scache.Stats {
-	if len(c.Keys) == 0 || c.Keys[0].Scripts == nil {
-		return scache.Stats{}
-	}
-	return c.Keys[0].Scripts.Stats()
-}
+func (c *Cluster) ScriptVerifyStats() scache.Stats { return c.Keys[0].Scripts.Stats() }
 
 // RSStats reports the Reed–Solomon codec work performed since the cluster
 // was built. The rs counters (and the codec/basis caches behind them) are

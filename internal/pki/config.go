@@ -22,7 +22,6 @@ import (
 	"repro/internal/crypto/scache"
 	"repro/internal/crypto/sig"
 	"repro/internal/crypto/vcache"
-	"repro/internal/crypto/verifypool"
 	"repro/internal/crypto/vrf"
 )
 
@@ -157,7 +156,7 @@ func (c *KeyringConfig) Keyring() (*Keyring, error) {
 		Board:   board,
 
 		Verifier: vcache.New(),
-		Scripts:  scache.New(verifypool.New(0)),
+		Scripts:  scache.New(),
 	}
 	self := board.Parties[c.Self]
 	if !k.Sig.PK.P.Equal(self.Sig.P) || !k.VRF.PK.P.Equal(self.VRF.P) ||

@@ -17,7 +17,6 @@ import (
 	"repro/internal/crypto/scache"
 	"repro/internal/crypto/sig"
 	"repro/internal/crypto/vcache"
-	"repro/internal/crypto/verifypool"
 	"repro/internal/crypto/vrf"
 )
 
@@ -77,41 +76,30 @@ type Keyring struct {
 	// Verifier memoizes VRF verification verdicts. Setup hands every
 	// keyring of a cluster the SAME cache, so any runtime built from the
 	// rings — the single-threaded simulator or the concurrent livenet —
-	// shares one dedup pool; a nil Verifier (hand-built keyrings in old
-	// tests) falls back to raw verification.
+	// shares one dedup memo. Setup and FromConfig always set it.
 	Verifier *vcache.Cache
 
 	// Scripts memoizes PVSS script-verification verdicts the same way:
-	// one cluster-wide cache (cold verifies bounded and single-flighted by
-	// a shared verifypool), so the ADKG receipt path, the VBA
+	// one cluster-wide cache, so the ADKG receipt path, the VBA
 	// external-validity predicate and the Seeding leader/aggregate checks
 	// never re-verify a script any party of the cluster has already
-	// decided. A nil Scripts falls back to raw batched verification.
+	// decided. Setup and FromConfig always set it.
 	Scripts *scache.Cache
 }
 
 // VerifyVRF checks that (out, pf) is party's VRF evaluation on input,
 // against the key registered on the bulletin board, through the cluster's
-// memoizing verifier when present.
+// memoizing verifier.
 func (k *Keyring) VerifyVRF(party int, input []byte, out vrf.Output, pf vrf.Proof) bool {
-	pk := k.Board.Parties[party].VRF
-	if k.Verifier == nil {
-		return vrf.Verify(pk, input, out, pf)
-	}
-	return k.Verifier.Verify(party, pk, input, out, pf)
+	return k.Verifier.Verify(party, k.Board.Parties[party].VRF, input, out, pf)
 }
 
 // VerifyScript checks a (possibly aggregated) PVSS script against the keys
 // registered on the bulletin board, through the cluster's memoizing script
-// verifier when present. Every protocol-level script check (Seeding, ADKG,
-// VBA external validity) routes through here so one cluster-wide memo
-// serves them all.
+// verifier. Every protocol-level script check (Seeding, ADKG, VBA external
+// validity) routes through here so one cluster-wide memo serves them all.
 func (k *Keyring) VerifyScript(p pvss.Params, s *pvss.Script) bool {
-	eks, vks := k.Board.EncKeys(), k.Board.PVSSVKs()
-	if k.Scripts == nil {
-		return pvss.VrfyScript(p, eks, vks, s)
-	}
-	return k.Scripts.Verify(p, eks, vks, s)
+	return k.Scripts.Verify(p, k.Board.EncKeys(), k.Board.PVSSVKs(), s)
 }
 
 // VerifyScriptComposed is VerifyScript with the compositional aggregate
@@ -120,11 +108,7 @@ func (k *Keyring) VerifyScript(p pvss.Params, s *pvss.Script) bool {
 // receipt path feeds its verified contributions in, so honest aggregates
 // proposed into the VBA validate by byte comparison instead of pairings.
 func (k *Keyring) VerifyScriptComposed(p pvss.Params, s *pvss.Script, parts map[int]*pvss.Script) bool {
-	eks, vks := k.Board.EncKeys(), k.Board.PVSSVKs()
-	if k.Scripts == nil {
-		return pvss.VrfyScript(p, eks, vks, s)
-	}
-	return k.Scripts.VerifyComposed(p, eks, vks, s, parts)
+	return k.Scripts.VerifyComposed(p, k.Board.EncKeys(), k.Board.PVSSVKs(), s, parts)
 }
 
 // SetupSeeded is Setup on a deterministic source derived from seed alone,
@@ -140,7 +124,7 @@ func Setup(n int, rng io.Reader) ([]*Keyring, *Board, error) {
 	board := &Board{Parties: make([]Party, n)}
 	rings := make([]*Keyring, n)
 	verifier := vcache.New()
-	scripts := scache.New(verifypool.New(0))
+	scripts := scache.New()
 	for i := 0; i < n; i++ {
 		sk, err := sig.GenerateKey(rng)
 		if err != nil {

@@ -148,18 +148,11 @@ func TestVerifyVRFSharedCache(t *testing.T) {
 	if rings[0].VerifyVRF(2, input, out, pf) {
 		t.Fatal("stale cache hit after VRF key re-registration")
 	}
-	// A nil verifier degrades to raw verification.
-	bare := &Keyring{Board: board}
-	gout, gpf := ground.Eval(input)
-	if !bare.VerifyVRF(2, input, gout, gpf) {
-		t.Fatal("nil-verifier keyring rejected a valid evaluation")
-	}
 }
 
 // TestKeyringSharedScriptCache mirrors TestKeyringSharedCache (the VRF
 // layer) for PVSS scripts: every keyring of a Setup shares ONE script
-// verdict cache, compositional aggregates validate without cold work, and
-// a nil-Scripts keyring degrades to raw batched verification.
+// verdict cache and compositional aggregates validate without cold work.
 func TestKeyringSharedScriptCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rings, board, err := Setup(4, rng)
@@ -201,14 +194,9 @@ func TestKeyringSharedScriptCache(t *testing.T) {
 	if st.Verifies != 2 || st.Composed != 1 {
 		t.Fatalf("stats = %+v, want 2 cold verifies + 1 composed", st)
 	}
-	// A nil-Scripts keyring degrades to raw verification.
-	bare := &Keyring{Board: board}
-	if !bare.VerifyScript(p, agg) || !bare.VerifyScriptComposed(p, agg, parts) {
-		t.Fatal("nil-Scripts keyring rejected a valid script")
-	}
 	bad := deal(2)
 	bad.U2 = bad.U2.Mul(pairing.G2Generator().Exp(field.MustRandom(rng)))
-	if bare.VerifyScript(p, bad) || rings[3].VerifyScript(p, bad) {
+	if rings[3].VerifyScript(p, bad) {
 		t.Fatal("mauled script accepted")
 	}
 }

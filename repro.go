@@ -397,10 +397,15 @@ type ABAHandle = Handle[ABAResult]
 
 // DecideBit launches one asynchronous binary agreement driven by the
 // paper's coin (Theorem 4). inputs[i] is party i's bit; len(inputs) must
-// be N.
+// be N and every input 0 or 1.
 func (c *Cluster) DecideBit(tag string, inputs []byte) (*ABAHandle, error) {
 	if len(inputs) != c.n {
 		return nil, fmt.Errorf("repro: %d inputs for N=%d", len(inputs), c.n)
+	}
+	for i, b := range inputs {
+		if b > 1 {
+			return nil, fmt.Errorf("repro: input %d of party %d is not a bit", b, i)
+		}
 	}
 	if err := c.claim(tag); err != nil {
 		return nil, err

@@ -214,6 +214,13 @@ func TestSessionTagDiscipline(t *testing.T) {
 	if _, err := c.ElectLeader("c1"); err == nil {
 		t.Fatal("accepted tag already used by another protocol")
 	}
+	// A non-bit input is rejected before the tag is claimed.
+	if _, err := c.DecideBit("b1", []byte{1, 0, 3, 1}); err == nil {
+		t.Fatal("accepted non-bit input")
+	}
+	if _, err := c.DecideBit("b1", []byte{1, 0, 1, 1}); err != nil {
+		t.Fatalf("tag claimed by a rejected launch: %v", err)
+	}
 	c.Close()
 	if _, err := c.FlipCoin("c2"); err == nil {
 		t.Fatal("accepted launch on closed cluster")

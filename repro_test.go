@@ -74,6 +74,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := DecideBit(Config{N: 4}, []byte{1}); err == nil {
 		t.Fatal("accepted short inputs")
 	}
+	if _, err := DecideBit(Config{N: 4, Seed: 1}, []byte{2, 2, 2, 2}); err == nil {
+		t.Fatal("accepted non-bit inputs")
+	}
 	if _, err := Agree(Config{N: 4}, make([][]byte, 4), nil); err == nil {
 		t.Fatal("accepted nil predicate")
 	}
