@@ -197,15 +197,16 @@ func BenchmarkMatrixEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	for i := range specs {
+		specs[i].Ns, specs[i].Trials = []int{4, 7}, 2
+	}
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{{"serial", 1}, {"percore", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := exp.RunMatrix(specs, exp.MatrixOptions{
-					Ns: []int{4, 7}, Trials: 2, BaseSeed: int64(i), Workers: bc.workers,
-				})
+				m := exp.RunMatrix(specs, exp.MatrixOptions{BaseSeed: int64(i), Workers: bc.workers})
 				if errs := m.CellErrors(); len(errs) > 0 {
 					b.Fatal(errs)
 				}

@@ -267,7 +267,8 @@ func (a *ABA) Handle(from int, body []byte) {
 		r := rd.Int()
 		v := rd.Byte()
 		s := int(tag-msgEST1) / 2
-		if rd.Done() != nil || r < 1 || r > maxRounds || v >= a.state(r).stage[s].dom {
+		// Stage s carries 2+s values; checked first, a reject allocates no round.
+		if rd.Done() != nil || r < 1 || r > maxRounds || v >= byte(2+s) {
 			a.rt.Reject()
 			return
 		}

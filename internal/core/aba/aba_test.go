@@ -328,6 +328,11 @@ func TestStageDomains(t *testing.T) {
 	if got := m().Rejected; got != 4 {
 		t.Fatalf("%d rejects after value 3 in stage 2, want 4", got)
 	}
+	rounds := len(a.rounds)
+	a.Handle(3, []byte{msgEST1, 0, 0, 0, 9, 7}) // out of domain, in a fresh round
+	if got := m().Rejected; got != 5 || len(a.rounds) != rounds {
+		t.Fatalf("%d rejects, %d rounds after an out-of-domain EST for round 9, want 5 and %d", got, len(a.rounds), rounds)
+	}
 	a.Handle(3, []byte{msgAUX1, 0, 0, 0, 1, 0})
 	a.Handle(3, []byte{msgAUX1, 0, 0, 0, 1, 0}) // a same-value repeat is silent
 	a.Handle(3, []byte{msgAUX2, 0, 0, 0, 1, bot})

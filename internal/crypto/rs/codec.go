@@ -27,7 +27,7 @@ import (
 // Stats are the package's cumulative codec counters. They are process-wide
 // (the codec cache is package-level, like its entries), so per-run
 // attribution is by delta: harness.Cluster snapshots them at construction
-// and reports the difference.
+// and reports the difference, exact while no other cluster runs.
 type Stats struct {
 	Encodes int64 // fast systematic encodes performed
 	Decodes int64 // fast decodes performed (systematic or basis-applied)

@@ -5,7 +5,7 @@ package exp
 // its own sim.Network, cluster keys and RNG (seeded by TrialSeed), and every
 // result lands in a pre-allocated slot indexed by (spec, n, trial) — no
 // shared mutable state, so results are bit-identical whether the matrix runs
-// on one worker or on runtime.NumCPU().
+// on one worker or on runtime.NumCPU() (Spec.Alone covers the exception).
 
 import (
 	"fmt"
@@ -17,11 +17,9 @@ import (
 	"repro/internal/order"
 )
 
-// MatrixOptions tune one engine invocation. Zero values defer to each
-// spec's defaults.
+// MatrixOptions tune one engine invocation. Each spec runs its own Ns and
+// Trials.
 type MatrixOptions struct {
-	Ns        []int        // override every spec's n-sweep
-	Trials    int          // override every spec's trial count
 	BaseSeed  int64        // base for TrialSeed derivation
 	Workers   int          // pool size; <= 0 → runtime.NumCPU()
 	Sched     SchedFactory // override every spec's scheduler
@@ -85,17 +83,16 @@ type SpecReport struct {
 }
 
 // Matrix is the engine's complete, JSON-serializable output document — the
-// BENCH_*.json artifact CI archives as the perf trajectory and diff-gates
-// against the committed copy. Only result-determining inputs and results
-// appear in the document: the worker count is deliberately NOT recorded
-// (results are bit-identical at any pool size — the engine's core
-// guarantee, asserted by TestMatrixParallelMatchesSerial), so the same
-// matrix regenerated on a 1-core laptop and a many-core CI runner is
-// byte-identical and the diff gate compares substance, not environment.
+// BENCH_*.json artifact CI regenerates with Regen and diff-gates. It records
+// every result-determining input (selector, base seed, step budget, each
+// spec's scheduler, n-sweep and trial count) and nothing else: results are
+// bit-identical at any pool size (TestMatrixParallelMatchesSerial), so the
+// worker count is not recorded and the diff gate compares substance only.
 type Matrix struct {
 	Schema   string       `json:"schema"`
 	Selector string       `json:"selector,omitempty"`
 	BaseSeed int64        `json:"base_seed"`
+	Steps    int64        `json:"steps,omitempty"` // MatrixOptions.Steps
 	Specs    []SpecReport `json:"specs"`
 }
 
@@ -136,7 +133,7 @@ type slot struct {
 // RunMatrix executes every spec cell over the worker pool and aggregates.
 // Per-run determinism: a run's behaviour depends only on (spec, n, trial,
 // BaseSeed), so the same options replay the same Matrix regardless of
-// Workers.
+// Workers. Cells of Alone specs run first, one at a time, in spec order.
 func RunMatrix(specs []Spec, opt MatrixOptions) Matrix {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -149,23 +146,13 @@ func RunMatrix(specs []Spec, opt MatrixOptions) Matrix {
 	}
 	var jobs []job
 	results := make([][][]slot, len(specs))
-	dims := make([][]int, len(specs)) // resolved n-sweep per spec
 	for si, s := range specs {
-		ns := s.Ns
-		if len(opt.Ns) > 0 {
-			ns = opt.Ns
-		}
-		trials := s.Trials
-		if opt.Trials > 0 {
-			trials = opt.Trials
-		}
-		dims[si] = ns
-		results[si] = make([][]slot, len(ns))
-		for ni, n := range ns {
-			results[si][ni] = make([]slot, trials)
-			for ti := 0; ti < trials; ti++ {
+		results[si] = make([][]slot, len(s.Ns))
+		for ni, n := range s.Ns {
+			results[si][ni] = make([]slot, s.Trials)
+			for ti := 0; ti < s.Trials; ti++ {
 				s, n, ti := s, n, ti
-				jobs = append(jobs, job{si: si, ni: ni, ti: ti, run: func() (Outcome, error) {
+				j := job{si: si, ni: ni, ti: ti, run: func() (Outcome, error) {
 					seed := TrialSeed(s.Name, opt.BaseSeed, ti)
 					rs := s.RunSpec(n, seed)
 					if opt.Sched != nil {
@@ -175,7 +162,13 @@ func RunMatrix(specs []Spec, opt MatrixOptions) Matrix {
 						rs.Steps = opt.Steps
 					}
 					return s.Run(rs)
-				}})
+				}}
+				if s.Alone { // before the pool exists: nothing runs beside it
+					out, err := j.run()
+					results[si][ni][ti] = slot{out: out, err: err}
+				} else {
+					jobs = append(jobs, j)
+				}
 			}
 		}
 	}
@@ -198,14 +191,12 @@ func RunMatrix(specs []Spec, opt MatrixOptions) Matrix {
 	close(ch)
 	wg.Wait()
 
-	m := Matrix{Schema: MatrixSchema, BaseSeed: opt.BaseSeed}
+	m := Matrix{Schema: MatrixSchema, BaseSeed: opt.BaseSeed, Steps: opt.Steps}
 	for si, s := range specs {
 		rep := SpecReport{Name: s.Name, Group: s.Group, Title: s.Title, Claim: s.Claim}
 		switch {
-		case opt.Sched != nil && opt.SchedName != "":
-			rep.Scheduler = opt.SchedName
 		case opt.Sched != nil:
-			rep.Scheduler = "override"
+			rep.Scheduler = opt.SchedName
 		case s.Sched != nil:
 			rep.Scheduler = "spec"
 		default:
@@ -213,7 +204,7 @@ func RunMatrix(specs []Spec, opt MatrixOptions) Matrix {
 		}
 		var fitNs []int
 		var fitBytes, fitMsgs []float64
-		for ni, n := range dims[si] {
+		for ni, n := range s.Ns {
 			cell := Cell{N: n, Trials: len(results[si][ni])}
 			var bytes, msgs, rounds, steps []float64
 			extras := map[string][]float64{}

@@ -79,18 +79,23 @@ func TestMatrixAggregatesAndFits(t *testing.T) {
 
 // TestMatrixParallelMatchesSerial: the engine's worker count must not leak
 // into results — one worker and many workers produce identical reports.
+// dedup/rs-ops reads the process-wide rs counters, so the second selector
+// pins the Alone rule: beside rbc/avid on a pool, its cells still count
+// only their own codec work.
 func TestMatrixParallelMatchesSerial(t *testing.T) {
-	specs, err := Select("e9,e11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := MatrixOptions{Ns: []int{4, 7}, Trials: 2, BaseSeed: 3}
-	opt.Workers = 1
-	serial := RunMatrix(specs, opt)
-	opt.Workers = 8
-	parallel := RunMatrix(specs, opt)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel run diverged from serial:\n%+v\nvs\n%+v", serial, parallel)
+	for _, sel := range []string{"e9,e11", "dedup/rs-ops,rbc/avid"} {
+		specs, err := Select(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range specs {
+			specs[i].Ns, specs[i].Trials = []int{4, 7}, 2
+		}
+		serial := RunMatrix(specs, MatrixOptions{BaseSeed: 3, Workers: 1})
+		parallel := RunMatrix(specs, MatrixOptions{BaseSeed: 3, Workers: 8})
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("%s: parallel run diverged from serial:\n%+v\nvs\n%+v", sel, serial, parallel)
+		}
 	}
 }
 

@@ -44,6 +44,7 @@ type Spec struct {
 	Crash   func(n, f int) int   // crash count; nil = none
 	Where   harness.CrashProfile // which parties crash
 	Sched   SchedFactory         // nil = the simulator's random adversary
+	Alone   bool                 // extras read process-wide counters: cells run first, one at a time
 
 	Run func(RunSpec) (Outcome, error)
 }

@@ -173,9 +173,7 @@ func rbcRun(payload int) func(RunSpec) (Outcome, error) {
 // rs-decodes are the codec operations the broadcasts drove, rs-systematic
 // the decodes answered by the zero-field-work concatenation fast path, and
 // rs-field-muls the parity dot-product multiplications actually spent.
-// Basis/codec cache-build counts are process-history-dependent (the caches
-// are package-wide by design), so runs feeding a committed artifact execute
-// with one worker — see the CI bench-artifact job.
+// The counters are process-wide, so the spec that reads them runs Alone.
 func rbcOpsRun(spec RunSpec) (Outcome, error) {
 	st, ops, err := RunRBCOps(spec, 4096)
 	if err != nil {
@@ -538,7 +536,7 @@ func init() {
 	Register(Spec{
 		Name: "dedup/rs-ops", Group: "dedup", Tags: []string{"rbc"},
 		Title: "RS codec ops per n-RBC run", Claim: "systematic decodes dominate",
-		Ns: []int{4, 7, 16}, Trials: 2, Run: rbcOpsRun,
+		Ns: []int{4, 7, 16}, Trials: 2, Alone: true, Run: rbcOpsRun,
 	})
 
 	// Concurrent-instance session suite: many protocol instances multiplexed

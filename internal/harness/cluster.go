@@ -255,9 +255,8 @@ func (c *Cluster) ScriptVerifyStats() scache.Stats { return c.Keys[0].Scripts.St
 // RSStats reports the Reed–Solomon codec work performed since the cluster
 // was built. The rs counters (and the codec/basis caches behind them) are
 // process-wide rather than per-cluster — the same reuse discipline as the
-// bases themselves — so the delta attributes exactly when clusters run
-// serially and approximately when they overlap; serial execution is what
-// the dedup specs and the CI artifact job use.
+// bases themselves — so the delta is exact only while no other cluster
+// runs; the matrix engine runs the spec that reads it Alone.
 func (c *Cluster) RSStats() rs.Stats { return rs.Snapshot().Delta(c.rs0) }
 
 // Depth reports party i's current causal depth (0 on the live runtime).
