@@ -10,13 +10,12 @@
 //	nodenet -n 4 -workloads all -wan-delay 20ms -wan-jitter 5ms
 //	nodenet -n 4 -workloads election -sever 1:2   # kill a link mid-run
 //	nodenet -n 4 -workloads ledger -wal -restart 2   # SIGKILL+rejoin party 2
-//	nodenet -bench BENCH_wan.json                 # WAN matrix artifact
-//	nodenet -bench BENCH_wan.json -check          # regenerate + diff-gate
+//	nodenet -wan-matrix                           # LAN/WAN/geo × 4 workloads
 //	nodenet -n 4 -chaos                           # seeded kill/restart sweep
-//	nodenet -n 7 -chaos -bench BENCH_chaos.json -check   # f kills, diff-gated
+//	nodenet -n 7 -chaos                           # f = 2 kills
 //
-// Exit status is nonzero on any agreement violation, sim mismatch, failed
-// workload, or (under -check) artifact drift.
+// Exit status is nonzero on any agreement violation, sim mismatch, lost
+// or duplicated ledger transaction, or failed workload.
 package main
 
 import (
@@ -43,51 +42,43 @@ func main() {
 	sever := flag.String("sever", "", "kill one mesh connection mid-run, as from:to")
 	wal := flag.Bool("wal", false, "enable per-party write-ahead logs (crash recovery)")
 	restart := flag.Int("restart", -1, "SIGKILL this party mid-run and restart it from its WAL (needs -wal)")
-	chaos := flag.Bool("chaos", false, "run the seeded chaos sweep (f kill/restart cycles) instead of workloads")
-	bench := flag.String("bench", "", "write this artifact: the WAN benchmark matrix, or with -chaos the chaos sweep")
-	check := flag.Bool("check", false, "with -bench: fail if gated fields drift from the committed artifact")
+	chaos := flag.Bool("chaos", false, "run the seeded chaos sweep (f kill/restart cycles, WAL forced on) instead of workloads")
+	wanMatrix := flag.Bool("wan-matrix", false, "run the n=4 LAN/WAN/geo matrix of four workloads instead of workloads")
 	flag.Parse()
 
-	chaosOpts := nodenet.ChaosOptions{N: *n, F: *f, Seed: *seed, BinPath: *bin}
-	if *bench != "" {
-		var err error
-		if *chaos {
-			err = nodenet.RunChaosBench(*bench, chaosOpts, *check)
-		} else {
-			err = nodenet.RunWANBench(*bench, *bin, *check)
-		}
-		if err != nil {
+	if *wanMatrix {
+		if err := nodenet.RunWANMatrix(*bin, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *chaos {
-		doc, err := nodenet.RunChaos(chaosOpts)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range doc.Rounds {
-			fmt.Printf("ok   %-14s txs=%d kills=%v elapsed=%dms set=%s\n",
-				r.Tag, r.Txs, r.Kills, r.ElapsedMS, r.TxSet[:16])
-		}
-		fmt.Printf("chaos restarts=%d replayedFrames=%d compactions=%d\n",
-			doc.Restarts, doc.ReplayedFrames, doc.WALCompactions)
-		return
-	}
-	if *restart >= 0 && !*wal {
-		fatal(fmt.Errorf("nodenet: -restart needs -wal (no journal to recover from)"))
-	}
-
 	var wan *livenet.WANProfile
 	if *wanDelay > 0 || *wanJitter > 0 || *wanLoss > 0 {
 		wan = livenet.UniformWAN("uniform", *n, livenet.LinkProfile{
 			Delay: *wanDelay, Jitter: *wanJitter, Loss: *wanLoss,
 		})
 	}
+	opts := nodenet.Options{N: *n, F: *f, Seed: *seed, BinPath: *bin, WAN: wan, WAL: *wal}
+	if *chaos {
+		run, err := nodenet.RunChaos(opts)
+		if err != nil {
+			fatal(err)
+		}
+		for _, r := range run.Rounds {
+			d := r.Decisions[0]
+			fmt.Printf("ok   %-14s txs=%d kills=%v elapsed=%dms set=%s\n",
+				r.Tag, d.Txs, r.Kills, r.ElapsedMS, d.TxSet)
+		}
+		fmt.Printf("chaos restarts=%d replayedFrames=%d compactions=%d\n",
+			run.Restarts, run.ReplayedFrames, run.WALCompactions)
+		return
+	}
+	if *restart >= 0 && !*wal {
+		fatal(fmt.Errorf("nodenet: -restart needs -wal (no journal to recover from)"))
+	}
+
 	names := selectWorkloads(*workloads)
-	cl, err := nodenet.Launch(nodenet.Options{
-		N: *n, F: *f, Seed: *seed, BinPath: *bin, WAN: wan, WAL: *wal,
-	})
+	cl, err := nodenet.Launch(opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -48,6 +48,7 @@ type Coin struct {
 	core      map[int]bool
 	revealSnt bool
 	reveals   map[int]map[int]pairing.G2 // script owner -> revealer -> share
+	parked    map[int]map[int]pairing.G2 // reveals for scripts not yet delivered
 	done      bool
 }
 
@@ -65,6 +66,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, out Output) *Coin {
 		pendSets:  make(map[int]map[int]bool),
 		accepted:  make(map[int]bool),
 		reveals:   make(map[int]map[int]pairing.G2),
+		parked:    make(map[int]map[int]pairing.G2),
 	}
 	for j := 0; j < rt.N(); j++ {
 		j := j
@@ -96,6 +98,12 @@ func (c *Coin) onScript(j int, v []byte) {
 		return
 	}
 	c.scripts[j] = s
+	for _, from := range order.SortedKeys(c.parked[j]) {
+		if sh := c.parked[j][from]; pvss.VrfyShare(from, sh, s) {
+			put(c.reveals, j, from, sh)
+		}
+	}
+	delete(c.parked, j)
 	if !c.setSent && len(c.scripts) >= c.rt.N()-c.rt.F() {
 		c.setSent = true
 		set := make(map[int]bool, len(c.scripts))
@@ -108,6 +116,7 @@ func (c *Coin) onScript(j int, v []byte) {
 	}
 	c.reexamine()
 	c.maybeReveal()
+	c.maybeOutput()
 }
 
 func (c *Coin) onSet(j int, v []byte) {
@@ -141,6 +150,7 @@ func (c *Coin) reexamine() {
 				c.core[k] = true
 			}
 			c.maybeReveal()
+			c.maybeOutput()
 		}
 	}
 }
@@ -198,18 +208,22 @@ func (c *Coin) onReveal(from int, body []byte) {
 		return
 	}
 	for _, it := range items {
-		script := c.scripts[it.owner]
-		if script == nil || !pvss.VrfyShare(from, it.share, script) {
-			continue
+		if script := c.scripts[it.owner]; script == nil {
+			// The reveal outran the script's broadcast: verify on delivery.
+			put(c.parked, it.owner, from, it.share)
+		} else if pvss.VrfyShare(from, it.share, script) {
+			put(c.reveals, it.owner, from, it.share)
 		}
-		m := c.reveals[it.owner]
-		if m == nil {
-			m = make(map[int]pairing.G2)
-			c.reveals[it.owner] = m
-		}
-		m[from] = it.share
 	}
 	c.maybeOutput()
+}
+
+// put records from's share for owner's script in m.
+func put(m map[int]map[int]pairing.G2, owner, from int, share pairing.G2) {
+	if m[owner] == nil {
+		m[owner] = make(map[int]pairing.G2)
+	}
+	m[owner][from] = share
 }
 
 func (c *Coin) maybeOutput() {

@@ -146,6 +146,8 @@ func (c *Coin) reexamine() {
 				w.Int(k)
 				c.rt.Multicast(c.inst+"/rr", w.Bytes())
 			}
+			// Every core reconstruction may already have finished.
+			c.maybeOutput()
 		}
 	}
 }

@@ -61,9 +61,6 @@ type EngineConfig struct {
 	// slots launched unconditionally (benchmarks); 0 streams until
 	// RequestStop and gates launching on queued work.
 	MaxSlots int
-	// BatchValid, when non-nil, additionally gates the 1-vote on a
-	// delivered batch (well-formedness per DecodeBatch is always required).
-	BatchValid func(batch []byte) bool
 	// OnLaunch, when non-nil, observes each locally launched slot from the
 	// dispatch context (instrumentation: commit-latency measurement).
 	OnLaunch func(slot int)
@@ -84,12 +81,6 @@ type slotState struct {
 	decisions int
 	myTxs     [][]byte // own batch content, for requeue on exclusion
 	committed bool
-
-	// Instance registration replays buffered messages synchronously, so
-	// decisions/deliveries can fire while the slot's instance array is
-	// still half-built; callbacks buffer here until wiring completes.
-	wired   bool
-	pending []func()
 }
 
 // Engine is one party's endpoint of the parallel-broadcast common-subset
@@ -247,15 +238,6 @@ func (e *Engine) launchSlot(s int) {
 		w.Int(s)
 		e.rt.Multicast(e.inst, w.Bytes())
 	}
-	// Wiring is complete; release anything the registration replays decided
-	// before the slot's instance arrays were fully built. This can commit
-	// the slot and recursively launch the next one — both are safe now.
-	st.wired = true
-	for len(st.pending) > 0 {
-		fn := st.pending[0]
-		st.pending = st.pending[1:]
-		fn()
-	}
 }
 
 func (e *Engine) coinFactory(inst string) aba.CoinFactory {
@@ -295,33 +277,23 @@ func (e *Engine) handle(_ int, body []byte) {
 }
 
 func (e *Engine) onDeliver(st *slotState, j int, v []byte) {
-	if !st.wired {
-		st.pending = append(st.pending, func() { e.onDeliver(st, j, v) })
-		return
-	}
 	if st.batches[j] != nil {
 		return
 	}
 	st.batches[j] = v
-	if !st.input[j] && e.validBatch(v) {
+	if !st.input[j] && wellFormed(v) {
 		st.input[j] = true
 		st.abas[j].Start(1)
 	}
 	e.tryCommit(st)
 }
 
-func (e *Engine) validBatch(v []byte) bool {
-	if _, _, err := DecodeBatch(v); err != nil {
-		return false
-	}
-	return e.cfg.BatchValid == nil || e.cfg.BatchValid(v)
+func wellFormed(batch []byte) bool {
+	_, _, err := DecodeBatch(batch)
+	return err == nil
 }
 
 func (e *Engine) onDecide(st *slotState, j int, bit byte) {
-	if !st.wired {
-		st.pending = append(st.pending, func() { e.onDecide(st, j, bit) })
-		return
-	}
 	if st.decided[j] >= 0 {
 		return
 	}

@@ -519,13 +519,13 @@ func TestMempoolTakeAndRequeueOrder(t *testing.T) {
 	}
 }
 
-// TestMempoolLeftoverCycleSurvivesStopRestart models the crash-recovery
-// leftover path (noded's WAL compaction and restart): a stopping party
-// requeues its excluded in-flight batch, closes the pool, harvests the
-// remainder with Take into a snapshot, and the restarted party Requeues
-// that remainder into a fresh pool. Submission order must survive the
-// whole cycle with nothing lost or duplicated, and the fresh pool must
-// still admit new submissions behind the restored front.
+// TestMempoolLeftoverCycleSurvivesStopRestart models handing a stopped
+// pool's remainder to a restarted party: a stopping party requeues its
+// excluded in-flight batch, closes the pool, harvests the remainder with
+// Take, and the restarted party Requeues that remainder into a fresh
+// pool. Submission order must survive the whole cycle with nothing lost
+// or duplicated, and the fresh pool must still admit new submissions
+// behind the restored front.
 func TestMempoolLeftoverCycleSurvivesStopRestart(t *testing.T) {
 	old := NewMempool(1 << 10)
 	for i := 0; i < 6; i++ {
@@ -541,8 +541,8 @@ func TestMempoolLeftoverCycleSurvivesStopRestart(t *testing.T) {
 	old.Requeue(inflight)
 	old.Close()
 
-	// Harvest the leftovers the way tryCompact does: drain with Take so
-	// accounting hits zero, in front-to-back order.
+	// Harvest the leftovers: drain with Take so accounting hits zero, in
+	// front-to-back order.
 	var leftovers [][]byte
 	for {
 		batch := old.Take(1 << 20)

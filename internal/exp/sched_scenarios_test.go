@@ -73,8 +73,20 @@ func TestTargetedStarvationTerminates(t *testing.T) {
 }
 
 // TestLIFOAndComposeTerminate: worst-case reordering and a phased composite
-// adversary preserve VBA/ABA termination and agreement.
+// adversary preserve VBA/ABA termination and agreement, and LIFO cannot
+// stall the Table 1 baseline coins (reveals that outrun their script, a
+// core fixed after every reconstruction finished).
 func TestLIFOAndComposeTerminate(t *testing.T) {
+	for _, n := range []int{4, 7} {
+		for _, kind := range []BaselineKind{BaselineCKLS02, BaselineAJM21} {
+			if _, err := RunBaselineCoin(RunSpec{
+				N: n, F: -1, Seed: 13,
+				Sched: sim.LIFOScheduler(), Steps: 5_000_000,
+			}, kind); err != nil {
+				t.Fatalf("baseline %d at n=%d under LIFO: %v", kind, n, err)
+			}
+		}
+	}
 	out, err := RunABA(RunSpec{
 		N: 4, F: -1, Seed: 13, Genesis: []byte("lifo"),
 		Sched: sim.LIFOScheduler(), Steps: 5_000_000,

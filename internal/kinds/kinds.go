@@ -83,8 +83,7 @@ func Agree(ds []*Decision) bool {
 }
 
 // Canonical returns a copy with the per-party observations cleared: the
-// agreement output alone, under the instance's tag — the form committed
-// artifacts store.
+// agreement output alone, under the instance's tag.
 func (d *Decision) Canonical() *Decision {
 	c := *d
 	c.Round, c.View, c.Attempts, c.MaxSet = 0, 0, nil, false

@@ -67,10 +67,19 @@ func TestBufferingBeforeRegistration(t *testing.T) {
 	defer nw.Close()
 	nw.Node(0).Do(func() { nw.Node(0).Send("late", 1, []byte("early-bird")) })
 	time.Sleep(50 * time.Millisecond) // message arrives before registration
+	// Register on the dispatcher, as protocol code does: the replay must
+	// wait until Register has returned.
 	got := make(chan string, 1)
-	nw.Node(1).Register("late", proto.HandlerFunc(func(_ int, body []byte) {
-		got <- string(body)
-	}))
+	nw.Node(1).Do(func() {
+		registered := false
+		nw.Node(1).Register("late", proto.HandlerFunc(func(_ int, body []byte) {
+			if !registered {
+				body = []byte("handled inside Register")
+			}
+			got <- string(body)
+		}))
+		registered = true
+	})
 	if msgs := collect(t, got, 1, 5*time.Second); msgs[0] != "early-bird" {
 		t.Fatalf("got %v", msgs)
 	}

@@ -37,7 +37,6 @@ type Daemon struct {
 
 	mu        sync.Mutex
 	insts     map[string]*instance
-	leftovers map[string][][]byte   // snapshot-restored mempool leftovers, tag → txs
 	conns     map[net.Conn]struct{} // accepted control conns, closed on shutdown
 	ctlClosed bool                  // set (under mu) once Shutdown has swept conns
 
@@ -66,9 +65,8 @@ type Daemon struct {
 type instance struct {
 	kind, tag string
 	dec       *Decision
-	eng       *abc.Engine  // ledger only: drain hook
-	pool      *abc.Mempool // ledger only: leftover harvest at compaction
-	retired   bool         // absorbed into a WAL snapshot and retired from the runtime
+	eng       *abc.Engine // ledger only: drain hook
+	retired   bool        // absorbed into a WAL snapshot and retired from the runtime
 }
 
 // New builds the daemon: decodes the keyring (validating it against the
@@ -137,15 +135,14 @@ func New(cfg *Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:       cfg,
-		self:      ring.Self,
-		ring:      ring,
-		party:     party,
-		drv:       livenet.NewDriver(party, cfg.awaitTimeout()),
-		jn:        jn,
-		insts:     make(map[string]*instance),
-		leftovers: make(map[string][][]byte),
-		conns:     make(map[net.Conn]struct{}),
+		cfg:   cfg,
+		self:  ring.Self,
+		ring:  ring,
+		party: party,
+		drv:   livenet.NewDriver(party, cfg.awaitTimeout()),
+		jn:    jn,
+		insts: make(map[string]*instance),
+		conns: make(map[net.Conn]struct{}),
 	}
 	if jn != nil {
 		jn.publish = party.SetJournaled

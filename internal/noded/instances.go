@@ -271,7 +271,6 @@ func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) 
 		// behind this task.
 		d.mu.Lock()
 		inst.eng = eng
-		inst.pool = pool
 		d.mu.Unlock()
 		for k := 0; k < txCount; k++ {
 			tx := LedgerTx(self, k, txBytes)

@@ -17,8 +17,7 @@ package noded
 //	recDrain  — one ledger drain (RequestStop), raw tag bytes.
 //
 // The compaction snapshot is JSON (walSnapshot below): per-peer send/recv
-// cursors, retired instance descriptors with their decisions, and any
-// mempool leftovers requeued by finished ledgers.
+// cursors and retired instance descriptors with their decisions.
 
 import (
 	"encoding/json"
@@ -72,13 +71,11 @@ func decodeFrame(data []byte) (frameRec, error) {
 
 // walSnapshot is the JSON compaction base. Send/Recv are per-peer link
 // cursors (self entry unused), Insts the retired instances whose handler
-// traffic the snapshot absorbs, Leftovers the unpacked mempool transactions
-// of finished ledgers (tag → txs) so a restart re-requeues them.
+// traffic the snapshot absorbs.
 type walSnapshot struct {
-	Send      []uint64            `json:"send"`
-	Recv      []uint64            `json:"recv"`
-	Insts     []snapInst          `json:"insts,omitempty"`
-	Leftovers map[string][][]byte `json:"leftovers,omitempty"`
+	Send  []uint64   `json:"send"`
+	Recv  []uint64   `json:"recv"`
+	Insts []snapInst `json:"insts,omitempty"`
 }
 
 type snapInst struct {

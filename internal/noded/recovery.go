@@ -42,9 +42,6 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 			d.insts[si.Tag] = inst
 			d.party.Node().Retire(si.Tag)
 		}
-		for tag, txs := range snap.Leftovers {
-			d.leftovers[tag] = txs
-		}
 		d.mu.Unlock()
 	}
 
@@ -140,9 +137,9 @@ func (d *Daemon) syncLoop() {
 
 // tryCompact snapshots and rotates the WAL if the party is quiescent:
 // every instance decided, no unacked or out-of-order transport state, no
-// journal gaps. Quiescence makes the snapshot self-contained — cursors,
-// decisions and mempool leftovers fully describe the party, so the record
-// tail can be dropped. Dispatcher context only.
+// journal gaps. Quiescence makes the snapshot self-contained — cursors and
+// decisions fully describe the party, so the record tail can be dropped.
+// Dispatcher context only.
 func (d *Daemon) tryCompact() {
 	if !d.jn.sparseEmpty() || !d.party.TransportSettled() {
 		return
@@ -151,10 +148,6 @@ func (d *Daemon) tryCompact() {
 	insts := make([]*instance, 0, len(d.insts))
 	for _, in := range d.insts {
 		insts = append(insts, in)
-	}
-	leftovers := make(map[string][][]byte, len(d.leftovers))
-	for tag, txs := range d.leftovers {
-		leftovers[tag] = txs
 	}
 	d.mu.Unlock()
 
@@ -172,32 +165,11 @@ func (d *Daemon) tryCompact() {
 	if !settled {
 		return
 	}
-	// Harvest finished ledgers' requeued leftovers into the snapshot; the
-	// pools are dead once their engine decided.
-	for _, in := range insts {
-		if in.pool == nil {
-			continue
-		}
-		var txs [][]byte
-		for {
-			batch := in.pool.Take(1 << 20)
-			if len(batch) == 0 {
-				break
-			}
-			txs = append(txs, batch...)
-		}
-		if len(txs) > 0 {
-			leftovers[in.tag] = append(leftovers[in.tag], txs...)
-		}
-	}
 
 	snap := &walSnapshot{
 		Send:  d.party.SendCursors(),
 		Recv:  d.jn.frontiers(),
 		Insts: entries,
-	}
-	if len(leftovers) > 0 {
-		snap.Leftovers = leftovers
 	}
 	if err := d.jn.compact(snap); err != nil {
 		if d.walErrLogged.CompareAndSwap(false, true) {
@@ -208,7 +180,6 @@ func (d *Daemon) tryCompact() {
 	// Retire the absorbed instances: straggler frames for them are still
 	// journaled (the record is cheap) but dropped instead of re-handled.
 	d.mu.Lock()
-	d.leftovers = leftovers
 	for _, in := range insts {
 		if !in.retired {
 			in.retired = true

@@ -12,10 +12,8 @@ package nodenet
 // batch, its transactions requeue and re-ride a later slot, and the slot
 // layout legally diverges from an uninterrupted run. So each round is a
 // ledger Workload, whose own check gates exactly-once delivery against
-// the analytic multiset (Txs == n·TxCount, TxSet == ExpectedTxSet).
-//
-// BENCH_chaos.json commits only this deterministic surface; restart and
-// replay counters are recorded for inspection, never compared.
+// the analytic multiset (Txs == n·TxCount, TxSet == ExpectedTxSet). The
+// kill schedule is a function of the seed alone.
 
 import (
 	"fmt"
@@ -30,61 +28,26 @@ const chaosSeedSalt = 0x0c4a05
 // registered ledger workload.
 const chaosRounds = 2
 
-// ChaosOptions shapes one chaos run. The run makes F kill/restart cycles.
-type ChaosOptions struct {
-	N, F    int // F < 0 selects floor((n-1)/3), like Options
-	Seed    int64
-	BinPath string // "" = build cmd/noded into a temp dir
-}
-
-// ChaosRound is one ledger workload's gated outcome.
+// ChaosRound is one checked ledger round and the victims killed during
+// it, in order.
 type ChaosRound struct {
-	Tag   string `json:"tag"`
-	Txs   int    `json:"txs"`
-	TxSet string `json:"txSet"`
-	Kills []int  `json:"kills"` // victims killed during this round, in order
-
-	// Informational: never compared (slot layout and wall-clock are
-	// timing-dependent under crash/recovery).
-	FinalSlot int   `json:"finalSlot"`
-	ElapsedMS int64 `json:"elapsedMs"`
+	*WorkloadResult
+	Kills []int
 }
 
-// ChaosDoc is the committed artifact.
-type ChaosDoc struct {
-	N       int          `json:"n"`
-	F       int          `json:"f"`
-	Seed    int64        `json:"seed"`
-	Kills   int          `json:"kills"`
-	Rounds  []ChaosRound `json:"rounds"`
-	TxCount int          `json:"txCount"`
-	TxBytes int          `json:"txBytes"`
-
-	// Informational recovery counters summed across parties.
-	Restarts        int64 `json:"restarts"`
-	ReplayedRecords int64 `json:"replayedRecords"`
-	ReplayedFrames  int64 `json:"replayedFrames"`
-	WALCompactions  int64 `json:"walCompactions"`
+// ChaosRun is a chaos sweep's rounds and the recovery counters summed
+// across parties.
+type ChaosRun struct {
+	Rounds                                   []ChaosRound
+	Restarts, ReplayedFrames, WALCompactions int64
 }
 
-// gated is the part of the document a regeneration must reproduce: the
-// config, each round's delivered multiset, and the seeded kill schedule.
-func (d *ChaosDoc) gated() any {
-	g := *d
-	g.Restarts, g.ReplayedRecords, g.ReplayedFrames, g.WALCompactions = 0, 0, 0, 0
-	g.Rounds = make([]ChaosRound, len(d.Rounds))
-	for i, r := range d.Rounds {
-		r.FinalSlot, r.ElapsedMS = 0, 0
-		g.Rounds[i] = r
-	}
-	return g
-}
-
-// RunChaos runs chaosRounds ledger workloads on a WAL-backed cluster while
-// a seeded killer SIGKILLs and restarts f parties, spread across the
-// rounds, and returns the gated outcome.
-func RunChaos(opts ChaosOptions) (*ChaosDoc, error) {
-	cl, err := Launch(Options{N: opts.N, F: opts.F, Seed: opts.Seed, BinPath: opts.BinPath, WAL: true})
+// RunChaos runs chaosRounds ledger workloads on a cluster launched from
+// opts, with its WAL forced on, while a seeded killer SIGKILLs and
+// restarts f parties, spread across the rounds.
+func RunChaos(opts Options) (*ChaosRun, error) {
+	opts.WAL = true
+	cl, err := Launch(opts)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: launch cluster: %w", err)
 	}
@@ -102,10 +65,7 @@ func RunChaos(opts ChaosOptions) (*ChaosDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := &ChaosDoc{
-		N: n, F: cl.F, Seed: opts.Seed, Kills: kills,
-		TxCount: ledger.TxCount, TxBytes: ledger.TxBytes,
-	}
+	run := &ChaosRun{}
 	for r := 0; r < chaosRounds; r++ {
 		w := ledger
 		w.Name = fmt.Sprintf("chaos-w%d", r)
@@ -128,11 +88,7 @@ func RunChaos(opts ChaosOptions) (*ChaosDoc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %w\n%s", err, cl.Logs())
 		}
-		d := res.Decisions[0]
-		doc.Rounds = append(doc.Rounds, ChaosRound{
-			Tag: res.Tag, Txs: d.Txs, TxSet: d.TxSet, Kills: victims,
-			FinalSlot: d.FinalSlot, ElapsedMS: res.ElapsedMS,
-		})
+		run.Rounds = append(run.Rounds, ChaosRound{WorkloadResult: res, Kills: victims})
 	}
 
 	stats, err := cl.StatsAll()
@@ -143,26 +99,16 @@ func RunChaos(opts ChaosOptions) (*ChaosDoc, error) {
 		if s.SelfMismatches != 0 {
 			return nil, fmt.Errorf("chaos: party %d replay diverged: %d self-send mismatches", s.Party, s.SelfMismatches)
 		}
-		doc.Restarts += s.Restarts
-		doc.ReplayedRecords += s.ReplayedRecords
-		doc.ReplayedFrames += s.ReplayedFrames
-		doc.WALCompactions += s.WALCompactions
+		run.Restarts += s.Restarts
+		run.ReplayedFrames += s.ReplayedFrames
+		run.WALCompactions += s.WALCompactions
 	}
-	if kills > 0 && doc.Restarts == 0 {
+	if kills > 0 && run.Restarts == 0 {
 		return nil, fmt.Errorf("chaos: %d kills but no process reported a WAL recovery", kills)
 	}
 
 	if err := cl.Stop(60 * time.Second); err != nil {
 		return nil, fmt.Errorf("chaos: stop cluster: %w\n%s", err, cl.Logs())
 	}
-	return doc, nil
-}
-
-// RunChaosBench regenerates the chaos artifact at outPath; with check set
-// it fails on any drift in the gated part of the committed one.
-func RunChaosBench(outPath string, opts ChaosOptions, check bool) error {
-	return regenerate(outPath, opts.BinPath, check, func(bin string) (*ChaosDoc, error) {
-		opts.BinPath = bin
-		return RunChaos(opts)
-	})
+	return run, nil
 }

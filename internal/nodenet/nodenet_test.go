@@ -276,25 +276,32 @@ func TestProcessClusterSurvivesKillRestart(t *testing.T) {
 
 // TestChaosRunSmoke runs the full seeded chaos harness at n=4 — f
 // kill/restart cycles against WAL-backed processes across the ledger
-// rounds — and checks the gated artifact surface it would commit.
+// rounds — and checks every round delivered the ledger workload's
+// transactions exactly once.
 func TestChaosRunSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process chaos test; skipped under -short")
 	}
-	doc, err := RunChaos(ChaosOptions{N: 4, F: -1, Seed: 7, BinPath: sharedBinary(t)})
+	run, err := RunChaos(Options{N: 4, F: -1, Seed: 7, BinPath: sharedBinary(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Rounds) != 2 || doc.Kills != 1 {
-		t.Fatalf("unexpected chaos shape: %+v", doc)
+	ledger, err := WorkloadByName("ledger")
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := noded.ExpectedTxSet(4, doc.TxCount, doc.TxBytes)
-	for _, r := range doc.Rounds {
-		if r.Txs != 4*doc.TxCount || r.TxSet != want {
-			t.Fatalf("round %s: txs=%d set=%s, want txs=%d set=%s", r.Tag, r.Txs, r.TxSet, 4*doc.TxCount, want)
+	want := noded.ExpectedTxSet(4, ledger.TxCount, ledger.TxBytes)
+	kills := 0
+	for _, r := range run.Rounds {
+		kills += len(r.Kills)
+		if d := r.Decisions[0]; d.Txs != 4*ledger.TxCount || d.TxSet != want {
+			t.Fatalf("round %s: txs=%d set=%s, want txs=%d set=%s", r.Tag, d.Txs, d.TxSet, 4*ledger.TxCount, want)
 		}
 	}
-	if doc.Restarts == 0 {
+	if len(run.Rounds) != 2 || kills != 1 {
+		t.Fatalf("unexpected chaos shape: %d rounds, %d kills", len(run.Rounds), kills)
+	}
+	if run.Restarts == 0 {
 		t.Fatal("chaos run recorded no WAL recoveries")
 	}
 }

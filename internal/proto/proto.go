@@ -50,7 +50,9 @@ type Runtime interface {
 	// the party's dispatch context, so implementations need no locking.
 	RandReader() *rand.Rand
 	// Register installs the handler for an instance path and replays any
-	// buffered messages addressed to it.
+	// buffered messages addressed to it. The replay is deferred: the handler
+	// is never called before Register returns, so a constructor may register
+	// several instances and wire them together before any sees traffic.
 	Register(inst string, h Handler)
 	// Retire removes the handlers under an instance path prefix (the path
 	// and every prefix/… sub-path) and drops every message for them from

@@ -71,6 +71,9 @@ func TestBufferingBeforeRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newEcho(nw, 1, "x") // registration must replay the buffered message
+	if len(b.received) != 0 {
+		t.Fatalf("handler ran inside Register: %v", b.received)
+	}
 	if err := nw.RunAll(100); err != nil {
 		t.Fatal(err)
 	}
