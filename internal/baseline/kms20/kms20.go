@@ -188,25 +188,9 @@ func (c *Coin) Handle(from int, body []byte) {
 	if len(c.shares) < c.f+1 {
 		return
 	}
-	// Interpolate from the f+1 lowest party indices: map-order selection
-	// would pick a different share subset on every replay of the same seed
-	// (the pvss.AggShares bug class, PR 4).
-	xs := make([]field.Scalar, 0, c.f+1)
-	vals := make([]pairing.G2, 0, c.f+1)
-	for _, i := range order.SortedKeys(c.shares) {
-		xs = append(xs, poly.X(i))
-		vals = append(vals, c.shares[i])
-		if len(xs) == c.f+1 {
-			break
-		}
-	}
-	lag, err := poly.LagrangeCoeffs(xs, field.Zero())
+	sigma, err := poly.CombineAtZero(c.shares, c.f)
 	if err != nil {
 		return
-	}
-	sigma := pairing.G2{}
-	for i := range vals {
-		sigma = sigma.Mul(vals[i].Exp(lag[i]))
 	}
 	c.done = true
 	h := sha256.Sum256(sigma.Bytes())

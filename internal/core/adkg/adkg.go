@@ -24,7 +24,6 @@ import (
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/poly"
 	"repro/internal/crypto/pvss"
-	"repro/internal/order"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -187,26 +186,9 @@ func (k ThresholdKey) EvalShare(tag []byte) pairing.GT {
 // Combine Lagrange-interpolates f+1 shares in GT to the group evaluation
 // σ = e(H₁(tag), ĥ1)^{F(0)} and checks it against the transcript.
 func (k ThresholdKey) Combine(tag []byte, shares map[int]pairing.GT) (pairing.GT, bool) {
-	if len(shares) < k.Params.Degree+1 {
-		return pairing.GT{}, false
-	}
-	// Select the interpolation subset in sorted party order (not map order)
-	// so the combined evaluation is a deterministic function of the share
-	// set — the same reproducibility fix as pvss.AggShares.
-	idxs := order.SortedKeys(shares)
-	xs := make([]field.Scalar, 0, k.Params.Degree+1)
-	vals := make([]pairing.GT, 0, k.Params.Degree+1)
-	for _, i := range idxs[:k.Params.Degree+1] {
-		xs = append(xs, poly.X(i))
-		vals = append(vals, shares[i])
-	}
-	lag, err := poly.LagrangeCoeffs(xs, field.Zero())
+	acc, err := poly.CombineAtZero(shares, k.Params.Degree)
 	if err != nil {
 		return pairing.GT{}, false
-	}
-	acc := pairing.GT{}
-	for i := range vals {
-		acc = acc.Mul(vals[i].Exp(lag[i]))
 	}
 	// Consistency check against the transcript is only possible for the
 	// combined value in the simulated group when recomputed from F(0)'s

@@ -13,6 +13,7 @@ import (
 	"io"
 
 	"repro/internal/crypto/field"
+	"repro/internal/order"
 )
 
 // Poly is a polynomial represented by its coefficient vector, lowest degree
@@ -168,6 +169,38 @@ func LagrangeCoeffs(xs []field.Scalar, at field.Scalar) ([]field.Scalar, error) 
 		out[i] = num.Mul(den.Inv())
 	}
 	return out, nil
+}
+
+// Elem is an element of a group written multiplicatively, whose zero value
+// is the identity (pairing.G2 and pairing.GT).
+type Elem[E any] interface {
+	Mul(E) E
+	Exp(field.Scalar) E
+}
+
+// CombineAtZero interpolates shares (party index → share of a degree-degree
+// polynomial in the exponent) to the value at 0: Π_i shares[i]^{λ_i}. It
+// uses the degree+1 lowest-indexed shares — sorted party order, not map
+// order — so the chosen subset, and every transcript byte downstream, is a
+// deterministic function of the share set.
+func CombineAtZero[E Elem[E]](shares map[int]E, degree int) (E, error) {
+	var acc E
+	if len(shares) < degree+1 {
+		return acc, fmt.Errorf("poly: %d shares, need %d", len(shares), degree+1)
+	}
+	idxs := order.SortedKeys(shares)[:degree+1]
+	xs := make([]field.Scalar, len(idxs))
+	for k, i := range idxs {
+		xs[k] = X(i)
+	}
+	lag, err := LagrangeCoeffs(xs, field.Zero())
+	if err != nil {
+		return acc, err
+	}
+	for k, i := range idxs {
+		acc = acc.Mul(shares[i].Exp(lag[k]))
+	}
+	return acc, nil
 }
 
 // EvalMatrix returns the Lagrange evaluation matrix rows[r][j] = λ_j(ats[r])

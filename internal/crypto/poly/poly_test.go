@@ -248,3 +248,41 @@ func TestEvalMatrixRejectsDuplicates(t *testing.T) {
 		t.Fatal("accepted empty basis")
 	}
 }
+
+// sumElem is the scalar field's additive group written multiplicatively —
+// the smallest Elem whose exponent arithmetic CombineAtZero can be checked
+// against directly.
+type sumElem struct{ v field.Scalar }
+
+func (a sumElem) Mul(b sumElem) sumElem      { return sumElem{a.v.Add(b.v)} }
+func (a sumElem) Exp(k field.Scalar) sumElem { return sumElem{a.v.Mul(k)} }
+
+// TestCombineAtZeroUsesLowestIndices: the combine recovers p(0) from the
+// degree+1 lowest-indexed shares alone, whatever the higher ones hold, and
+// refuses fewer than degree+1 shares.
+func TestCombineAtZeroUsesLowestIndices(t *testing.T) {
+	p, err := Random(testRand(7), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := map[int]sumElem{}
+	for _, sh := range p.Shares(6) {
+		shares[sh.Index] = sumElem{sh.Value}
+	}
+	shares[5] = sumElem{field.One()} // beyond the chosen subset
+	got, err := CombineAtZero(shares, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.v.Equal(p.Secret()) {
+		t.Fatalf("combined %v, want %v", got.v, p.Secret())
+	}
+	delete(shares, 0)
+	shares[1] = sumElem{field.One()} // now inside it
+	if got, _ := CombineAtZero(shares, 2); got.v.Equal(p.Secret()) {
+		t.Fatal("a corrupted share among the lowest indices went unnoticed")
+	}
+	if _, err := CombineAtZero(map[int]sumElem{0: {}, 3: {}}, 2); err == nil {
+		t.Fatal("combined 2 shares of a degree-2 polynomial")
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/poly"
-	"repro/internal/order"
 )
 
 // Params fixes the sharing topology: n parties, polynomial degree d
@@ -447,30 +446,9 @@ func VrfyShare(i int, sh pairing.G2, s *Script) bool {
 }
 
 // AggShares Lagrange-interpolates degree+1 verified shares in the exponent,
-// recovering the committed secret S = ĥ1^{F(0)} (Alg. 6 AggShares). The
-// degree+1 interpolation shares are selected in sorted party order — not Go
-// map order — so the chosen subset, and with it every downstream transcript
-// byte, is a deterministic function of the share set.
+// recovering the committed secret S = ĥ1^{F(0)} (Alg. 6 AggShares).
 func AggShares(p Params, shares map[int]pairing.G2) (pairing.G2, error) {
-	if len(shares) < p.Degree+1 {
-		return pairing.G2{}, fmt.Errorf("pvss: %d shares, need %d", len(shares), p.Degree+1)
-	}
-	idxs := order.SortedKeys(shares)
-	xs := make([]field.Scalar, 0, p.Degree+1)
-	vals := make([]pairing.G2, 0, p.Degree+1)
-	for _, i := range idxs[:p.Degree+1] {
-		xs = append(xs, poly.X(i))
-		vals = append(vals, shares[i])
-	}
-	lag, err := poly.LagrangeCoeffs(xs, field.Zero())
-	if err != nil {
-		return pairing.G2{}, err
-	}
-	acc := pairing.G2{}
-	for i := range vals {
-		acc = acc.Mul(vals[i].Exp(lag[i]))
-	}
-	return acc, nil
+	return poly.CombineAtZero(shares, p.Degree)
 }
 
 // VrfySecret checks a candidate recovered secret against the script

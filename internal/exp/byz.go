@@ -149,13 +149,21 @@ func repeat(names []string, k int) []string {
 	return out
 }
 
-// byzRun adapts one behavior family into a Spec runner. Beyond reporting
-// cost, it enforces the safety-matrix contract inline: honest parties must
-// agree (except the α-agreeing coin), the run must terminate within
-// budget (wait already failed otherwise), and at least one detection
-// counter must have fired — a lying party that nobody caught is a spec
-// failure, not a statistic.
-func byzRun(protocol string, names ...string) func(RunSpec) (Outcome, error) {
+// byzRun adapts one behavior family into a Spec runner over the protocol
+// the behaviors are registered for. Beyond reporting cost, it enforces the
+// safety-matrix contract inline: honest parties must agree (except the
+// α-agreeing coin), the run must terminate within budget (wait already
+// failed otherwise), and at least one detection counter must have fired —
+// a lying party that nobody caught is a spec failure, not a statistic.
+func byzRun(names ...string) func(RunSpec) (Outcome, error) {
+	var protocol string
+	for _, name := range names {
+		b, ok := adversary.Lookup(name)
+		if !ok || (protocol != "" && b.Protocol != protocol) {
+			panic(fmt.Sprintf("exp: byz spec over unknown or mixed-protocol behaviors %v", names))
+		}
+		protocol = b.Protocol
+	}
 	return func(rs RunSpec) (Outcome, error) {
 		out, err := RunByzantine(rs, protocol, repeat(names, rs.faults()))
 		if err != nil {
@@ -199,29 +207,29 @@ func byzViolationRun(rs RunSpec) (Outcome, error) {
 
 func init() {
 	byzNs := []int{4, 7}
-	sweep := func(protocol, name, title, claim string) {
+	sweep := func(name, title, claim string) {
 		Register(Spec{
 			Name: name, Group: "byz", Tags: []string{"matrix"},
 			Title: title, Claim: claim,
 			Ns: byzNs, Trials: 2, Genesis: []byte("byz"),
-			Run: byzRun(protocol, name),
+			Run: byzRun(name),
 		})
 	}
-	sweep("coin", "byz/avss-equivocate",
+	sweep("byz/avss-equivocate",
 		"Coin vs equivocating AVSS dealers", "liveness; bad shares rejected")
-	sweep("adkg", "byz/pvss-badshare",
+	sweep("byz/pvss-badshare",
 		"ADKG vs bad-share PVSS dealers", "agreement; scripts rejected")
-	sweep("adkg", "byz/adkg-forge-sok",
+	sweep("byz/adkg-forge-sok",
 		"ADKG vs forged-SoK contributors", "agreement; scripts rejected")
-	sweep("aba", "byz/aba-doublevote",
+	sweep("byz/aba-doublevote",
 		"ABA vs double-voting parties", "agreement; equivocations proven")
-	sweep("vba", "byz/vba-doublevote",
+	sweep("byz/vba-doublevote",
 		"VBA vs equivocating proposers", "agreement; equivocations proven")
-	sweep("coin", "byz/coin-lie",
+	sweep("byz/coin-lie",
 		"Coin vs lying candidate senders", "liveness; candidates rejected")
-	sweep("election", "byz/election-lie",
+	sweep("byz/election-lie",
 		"Election vs lying coin-share senders", "perfect agreement; rejected")
-	sweep("vba", "byz/wire-garbage",
+	sweep("byz/wire-garbage",
 		"VBA vs garbage-on-the-wire peers", "agreement; garbage rejected")
 
 	// Distinct behaviors active simultaneously (the nightly shape: f
@@ -230,7 +238,7 @@ func init() {
 		Name: "byz/mixed", Group: "byz", Tags: []string{"matrix"},
 		Title: "VBA vs mixed doublevote+garbage liars", Claim: "agreement under composed lies",
 		Ns: byzNs, Trials: 2, Genesis: []byte("byz"),
-		Run: byzRun("vba", "byz/vba-doublevote", "byz/wire-garbage"),
+		Run: byzRun("byz/vba-doublevote", "byz/wire-garbage"),
 	})
 
 	// The boundary proof's other half: one liar past f and the same

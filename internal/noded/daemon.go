@@ -4,8 +4,8 @@
 // livenet.Party, and exposes a newline-JSON control RPC over which the
 // launcher (internal/nodenet) starts protocol instances, awaits decisions,
 // injects connection faults, and collects stats. SIGTERM (or the stop op)
-// triggers graceful shutdown: no new launches, open ledgers drained via
-// RequestStop, TCP writers flushed, exit 0.
+// triggers graceful shutdown: no new launches, open ledgers drained by a
+// journaled drain op, TCP writers flushed, exit 0.
 package noded
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,8 +270,8 @@ func (d *Daemon) handle(req *Request) *Response {
 	switch req.Op {
 	case OpPing:
 		return &Response{OK: true}
-	case OpLaunch:
-		if err := d.launch(req); err != nil {
+	case OpLaunch, OpDrain:
+		if err := d.op(req); err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true}
@@ -280,11 +281,6 @@ func (d *Daemon) handle(req *Request) *Response {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true, Decision: dec}
-	case OpDrain:
-		if err := d.drain(req.Tag); err != nil {
-			return &Response{Error: err.Error()}
-		}
-		return &Response{OK: true}
 	case OpStats:
 		return &Response{OK: true, Stats: d.stats()}
 	case OpSever:
@@ -351,60 +347,91 @@ func (d *Daemon) await(tag string, timeout time.Duration) (*Decision, error) {
 	return dec, nil
 }
 
-// drain asks open ledgers to stop: the named one, or all when tag is "".
-// A fully drained log commits its all-stop slot and fires done at every
-// party, so every process must be asked (the launcher broadcasts this).
-func (d *Daemon) drain(tag string) error {
-	d.mu.Lock()
-	var targets []*instance
-	for _, inst := range d.insts {
-		if inst.kind == "ledger" && !inst.retired && (tag == "" || inst.tag == tag) {
-			targets = append(targets, inst)
+// apply is the one definition of a control op's effect, shared by the live
+// RPC (op) and crash recovery. It validates req and claims what it needs, so
+// a rejected op is never journaled, and returns the effect itself as act,
+// to run on the dispatcher at the op's journal position. A launch claims its
+// tag and acts by building the instance. A drain acts by asking the open
+// ledgers to stop: the named one, or all when the tag is "". A fully drained
+// log commits its all-stop slot and fires done at every party, so every
+// process must be asked (the launcher broadcasts drains).
+func (d *Daemon) apply(req *Request) (act func(), err error) {
+	switch req.Op {
+	case OpLaunch:
+		build, err := d.prepare(req)
+		if err != nil {
+			return nil, err
 		}
-	}
-	d.mu.Unlock()
-	if tag != "" && len(targets) == 0 {
-		return fmt.Errorf("noded: drain on unknown ledger %q", tag)
-	}
-	durables := make([]chan error, len(targets))
-	for k, inst := range targets {
-		inst := inst
-		done := make(chan error, 1)
-		durables[k] = done
-		// The engine is assigned by the launch's own dispatcher task, so
-		// read it inside ours: party.Do is FIFO, and a drain can only be
-		// requested after the launch RPC returned — its build task is
-		// already queued ahead of this one. Journaling here (not at the
-		// RPC edge) puts the record at the drain's processed position; the
-		// ack below still waits for the record to be fsynced, so a crash
-		// after a drain ack can never forget the drain (same ack-gating
-		// contract as launch).
-		d.party.Do(func() {
+		inst, err := d.register(req.Kind, req.Tag)
+		if err != nil {
+			return nil, err
+		}
+		return func() { build(inst) }, nil
+	case OpDrain:
+		tag := req.Tag
+		d.mu.Lock()
+		inst := d.insts[tag]
+		d.mu.Unlock()
+		if tag != "" && (inst == nil || inst.kind != "ledger") {
+			return nil, fmt.Errorf("noded: drain on unknown ledger %q", tag)
+		}
+		return func() {
+			// Resolved here, not at the RPC edge, so the targets are the
+			// ledgers open at this op's position — the same set replay sees.
+			// Tag order keeps the self-sends of a drain-all deterministic.
 			d.mu.Lock()
-			eng := inst.eng
+			var targets []*instance
+			for _, in := range d.insts {
+				if in.eng != nil && !in.retired && (tag == "" || in.tag == tag) {
+					targets = append(targets, in)
+				}
+			}
 			d.mu.Unlock()
-			if eng == nil {
-				done <- nil
-				return
+			sort.Slice(targets, func(a, b int) bool { return targets[a].tag < targets[b].tag })
+			for _, in := range targets {
+				in.eng.RequestStop()
 			}
-			var err error
-			if d.jn != nil {
-				d.jn.appendOp(recDrain, []byte(inst.tag))
-				err = d.jn.syncAndPublish()
-			}
-			eng.RequestStop()
-			done <- err
-		})
+		}, nil
 	}
-	for _, done := range durables {
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("noded: journal drain %q: %w", tag, err)
-			}
-		case <-time.After(opSyncTimeout):
-			return fmt.Errorf("noded: drain %q never reached the dispatcher (shutting down?)", tag)
+	return nil, fmt.Errorf("noded: op %q is not a control op", req.Op)
+}
+
+// op runs one control op live. With a journal, the request is appended on
+// the dispatcher immediately before its act, so replay re-applies it at the
+// same position in the processed-message order, and the RPC ack is withheld
+// until that record is fsynced. Acking first would let the launcher observe
+// an op the WAL can still lose: a SIGKILL between the ack and the dispatcher
+// reaching the append leaves a restarted daemon that never heard of it.
+func (d *Daemon) op(req *Request) error {
+	act, err := d.apply(req)
+	if err != nil {
+		return err
+	}
+	var rec []byte
+	if d.jn != nil {
+		if rec, err = json.Marshal(req); err != nil {
+			return fmt.Errorf("noded: encode %s record: %w", req.Op, err)
 		}
+	}
+	durable := make(chan error, 1)
+	d.party.Do(func() {
+		var err error
+		if rec != nil {
+			d.jn.append(recOp, rec)
+			err = d.jn.syncAndPublish()
+		}
+		durable <- err
+		act()
+	})
+	// A closed party drops Do tasks silently, so bound the wait — the only
+	// way it expires is a daemon already tearing down.
+	select {
+	case err := <-durable:
+		if err != nil {
+			return fmt.Errorf("noded: journal %s %q: %w", req.Op, req.Tag, err)
+		}
+	case <-time.After(opSyncTimeout):
+		return fmt.Errorf("noded: %s %q never reached the dispatcher (shutting down?)", req.Op, req.Tag)
 	}
 	return nil
 }
@@ -456,39 +483,33 @@ func (d *Daemon) Shutdown() {
 	d.stopOnce.Do(func() {
 		d.draining.Store(true)
 
-		// Ask every open ledger to stop, then wait (bounded) for their
-		// all-stop slots to commit. Peer daemons drain concurrently —
-		// the mesh stays up until the wait resolves.
+		// Ask every open ledger to stop through the journaled drain op, so
+		// a restart replays the stop where this process took it, then wait
+		// (bounded) for their all-stop slots to commit. Peer daemons drain
+		// concurrently — the mesh stays up until the wait resolves.
+		if err := d.op(&Request{Op: OpDrain}); err != nil {
+			log.Printf("noded: party %d shutdown drain: %v", d.self, err)
+		}
 		d.mu.Lock()
 		var ledgers []*instance
 		for _, inst := range d.insts {
-			if inst.eng != nil {
+			if inst.kind == "ledger" && !inst.retired {
 				ledgers = append(ledgers, inst)
 			}
 		}
 		d.mu.Unlock()
-		var open []*instance
-		d.drv.Update(func() { // dec is guarded by the driver lock
+		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.drainTimeout())
+		// Best effort: a wedged ledger must not hold the process hostage
+		// past the drain timeout. dec is guarded by the driver lock.
+		_ = d.drv.Await(ctx, func() bool {
 			for _, inst := range ledgers {
 				if inst.dec == nil {
-					open = append(open, inst)
+					return false
 				}
 			}
+			return true
 		})
-		for _, inst := range open {
-			eng := inst.eng
-			d.party.Do(func() { eng.RequestStop() })
-		}
-		if len(open) > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), d.cfg.drainTimeout())
-			for _, inst := range open {
-				in := inst
-				// Best effort: a wedged ledger must not hold the process
-				// hostage past the drain timeout.
-				_ = d.drv.Await(ctx, func() bool { return in.dec != nil })
-			}
-			cancel()
-		}
+		cancel()
 
 		if d.jn != nil {
 			// Stop the sync ticker before tearing anything down (it

@@ -161,6 +161,37 @@ func awaitAll(t *testing.T, clients []*Client, tag string) []*Decision {
 	return decs
 }
 
+// launchDrained launches req on every party and then drains its ledger on
+// every party, so the ledger decides once it has delivered its preload.
+func launchDrained(t *testing.T, clients []*Client, req *Request) {
+	t.Helper()
+	for _, op := range []*Request{req, {Op: OpDrain, Tag: req.Tag}} {
+		for i, c := range clients {
+			if _, err := c.Call(op, 10*time.Second); err != nil {
+				t.Fatalf("%s %q party %d: %v", op.Op, op.Tag, i, err)
+			}
+		}
+	}
+}
+
+// waitIdle polls one party's stats until its message count stops moving:
+// every open ledger has committed its preload and launches no more slots.
+func waitIdle(t *testing.T, c *Client) {
+	t.Helper()
+	var last int64 = -1
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		resp, err := c.Call(&Request{Op: OpStats}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats.Msgs > 0 && resp.Stats.Msgs == last {
+			return
+		}
+		last = resp.Stats.Msgs
+	}
+	t.Fatal("party never went idle")
+}
+
 // TestDaemonElectionAgrees runs one election across 4 daemons, each hosting
 // one party over the authenticated mesh, and checks every process reports
 // the same leader — the core cross-process agreement check.
@@ -336,15 +367,9 @@ func TestDaemonLedgerRestartResumes(t *testing.T) {
 func TestDaemonGracefulRestartRejoins(t *testing.T) {
 	const n, txCount = 4, 8
 	tc := startClusterWAL(t, n, 1, 22, t.TempDir())
-	for i, c := range tc.clients {
-		req := &Request{
-			Op: OpLaunch, Kind: "ledger", Tag: "l1", Genesis: []byte("g"),
-			TxCount: txCount, TxBytes: 32, AutoStop: true,
-		}
-		if _, err := c.Call(req, 10*time.Second); err != nil {
-			t.Fatalf("launch party %d: %v", i, err)
-		}
-	}
+	launchDrained(t, tc.clients, &Request{
+		Op: OpLaunch, Kind: "ledger", Tag: "l1", Genesis: []byte("g"), TxCount: txCount, TxBytes: 32,
+	})
 	first := awaitAll(t, tc.clients, "l1")
 
 	tc.daemons[2].Shutdown()
@@ -360,15 +385,9 @@ func TestDaemonGracefulRestartRejoins(t *testing.T) {
 	if resp.Decision.Value != first[2].Value {
 		t.Fatalf("l1 digest changed across restart: %s != %s", resp.Decision.Value, first[2].Value)
 	}
-	for i, c := range tc.clients {
-		req := &Request{
-			Op: OpLaunch, Kind: "ledger", Tag: "l2", Genesis: []byte("g2"),
-			TxCount: txCount, TxBytes: 32, AutoStop: true,
-		}
-		if _, err := c.Call(req, 10*time.Second); err != nil {
-			t.Fatalf("launch l2 party %d: %v", i, err)
-		}
-	}
+	launchDrained(t, tc.clients, &Request{
+		Op: OpLaunch, Kind: "ledger", Tag: "l2", Genesis: []byte("g2"), TxCount: txCount, TxBytes: 32,
+	})
 	decs := awaitAll(t, tc.clients, "l2")
 	for i, d := range decs {
 		if d.Txs != n*txCount {
@@ -384,5 +403,57 @@ func TestDaemonGracefulRestartRejoins(t *testing.T) {
 	}
 	if resp.Stats.Restarts != 1 {
 		t.Fatalf("restarted party reports Restarts=%d, want 1", resp.Stats.Restarts)
+	}
+}
+
+// TestDaemonShutdownDrainReplays pins the graceful stop's drain as a
+// journaled op: a WAL party shut down while its ledger is open (the other
+// parties have not drained, so its final compaction cannot snapshot) asked
+// its ledger to stop, and that stop put self-sends in its journal. The
+// restarted party must replay the stop at the same position — replay then
+// reproduces every journaled self-send — and the cluster still drains to
+// one log holding every transaction exactly once.
+func TestDaemonShutdownDrainReplays(t *testing.T) {
+	const n, txCount = 4, 16
+	tc := startClusterWAL(t, n, 1, 23, t.TempDir())
+	launch := &Request{
+		Op: OpLaunch, Kind: "ledger", Tag: "l", Genesis: []byte("g"),
+		TxCount: txCount, TxBytes: 32, BatchBytes: 64,
+	}
+	for i, c := range tc.clients {
+		if _, err := c.Call(launch, 10*time.Second); err != nil {
+			t.Fatalf("launch party %d: %v", i, err)
+		}
+	}
+	waitIdle(t, tc.clients[3])
+	// The ledger cannot settle while the peers hold it open, so a short
+	// drain timeout only bounds how long the stop waits for it.
+	tc.cfgs[3].DrainTimeoutMS = 100
+	tc.daemons[3].Shutdown()
+	tc.clients[3].Close()
+	tc.startDaemon(t, 3)
+
+	for i, c := range tc.clients {
+		if _, err := c.Call(&Request{Op: OpDrain, Tag: "l"}, 10*time.Second); err != nil {
+			t.Fatalf("drain party %d: %v", i, err)
+		}
+	}
+	decs := awaitAll(t, tc.clients, "l")
+	for i, d := range decs {
+		if d.Txs != n*txCount {
+			t.Fatalf("party %d delivered %d txs, want %d exactly once", i, d.Txs, n*txCount)
+		}
+		if d.Value != decs[0].Value {
+			t.Fatalf("party %d log %s != party 0 log %s", i, d.Value, decs[0].Value)
+		}
+	}
+	resp, err := tc.clients[3].Call(&Request{Op: OpStats}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two ops replay: the launch and the shutdown's drain.
+	if st := resp.Stats; st.Restarts != 1 || st.ReplayedOps != 2 || st.SelfMismatches != 0 {
+		t.Fatalf("restarted party: Restarts=%d ReplayedOps=%d SelfMismatches=%d, want 1, 2 and 0",
+			st.Restarts, st.ReplayedOps, st.SelfMismatches)
 	}
 }

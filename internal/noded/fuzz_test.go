@@ -69,7 +69,7 @@ func FuzzNodedConfig(f *testing.F) {
 func FuzzControlRPCDecode(f *testing.F) {
 	seeds := []Request{
 		{Op: OpPing},
-		{Op: OpLaunch, Kind: "ledger", Tag: "ledger/0", TxCount: 8, TxBytes: 64, BatchBytes: 1024, MaxInFlight: 2, AutoStop: true},
+		{Op: OpLaunch, Kind: "ledger", Tag: "ledger/0", TxCount: 8, TxBytes: 64, BatchBytes: 1024, MaxInFlight: 2},
 		{Op: OpLaunch, Kind: "vba", Tag: "vba/1", Input: []byte("proposal-a"), Predicate: "prefix:proposal"},
 		{Op: OpLaunch, Kind: "beacon", Tag: "beacon/0", Epochs: 3},
 		{Op: OpAwait, Tag: "ledger/0", TimeoutMS: 1000},

@@ -7,22 +7,18 @@ package noded
 // — all protocol construction happens on the dispatcher goroutine, and
 // every decision funnels into Daemon.complete.
 //
-// Launch is split into prepare (validation, returns the construction
-// closure) and the dispatcher-side build so the same closure serves both
-// paths: a live launch schedules it via party.Do — journaling the request
-// at its exact dispatcher position, just before construction — while crash
-// recovery re-runs the journaled request synchronously inside Party.Replay.
+// prepare validates a launch and returns the construction closure that
+// Daemon.apply hands back as the launch's act, so a live launch and its
+// replay build the instance through the same code.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/core/abc"
@@ -93,67 +89,6 @@ func (req *Request) KindInput() (kinds.Input, error) {
 		in.Bit = req.Input[0] & 1
 	}
 	return in, nil
-}
-
-// launch validates, registers and schedules construction. With a journal,
-// the request is recorded on the dispatcher immediately before the build
-// runs, so replay re-creates the instance at the same position in the
-// processed-message order — and the RPC ack is withheld until that record
-// is fsynced. Acking first would let the launcher observe a launch the WAL
-// can still lose: a SIGKILL between the ack and the dispatcher reaching the
-// append leaves a restarted daemon that never heard of the instance, while
-// the launcher proceeds to drain/await it.
-func (d *Daemon) launch(req *Request) error {
-	build, err := d.prepare(req)
-	if err != nil {
-		return err
-	}
-	inst, err := d.register(req.Kind, req.Tag)
-	if err != nil {
-		return err
-	}
-	var op []byte
-	if d.jn != nil {
-		if op, err = json.Marshal(req); err != nil {
-			return fmt.Errorf("noded: encode launch record: %w", err)
-		}
-	}
-	durable := make(chan error, 1)
-	d.party.Do(func() {
-		if op != nil {
-			d.jn.appendOp(recLaunch, op)
-			durable <- d.jn.syncAndPublish()
-		} else {
-			durable <- nil
-		}
-		build(inst)
-	})
-	// A closed party drops Do tasks silently, so bound the wait — the only
-	// way it expires is a daemon already tearing down.
-	select {
-	case err := <-durable:
-		if err != nil {
-			return fmt.Errorf("noded: journal launch %q: %w", req.Tag, err)
-		}
-	case <-time.After(opSyncTimeout):
-		return fmt.Errorf("noded: launch %q never reached the dispatcher (shutting down?)", req.Tag)
-	}
-	return nil
-}
-
-// replayLaunch re-runs a journaled launch. Dispatcher context only (inside
-// Party.Replay): the build executes synchronously at the record's position.
-func (d *Daemon) replayLaunch(req *Request) error {
-	build, err := d.prepare(req)
-	if err != nil {
-		return err
-	}
-	inst, err := d.register(req.Kind, req.Tag)
-	if err != nil {
-		return err
-	}
-	build(inst)
-	return nil
 }
 
 // ledgerLog folds the committed slot stream into two digests. The chained
@@ -232,7 +167,7 @@ func ExpectedTxSet(n, txCount, txBytes int) string {
 
 // prepareLedger returns the construction closure of a streaming abc engine
 // preloaded with this party's transactions. The log stays open until a drain
-// request (or shutdown) calls RequestStop on every party; the decision
+// op (the RPC's or shutdown's) calls RequestStop on every party; the decision
 // carries the final slot and the ordered-log digest.
 func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) func(inst *instance) {
 	txCount, txBytes := req.TxCount, req.TxBytes
@@ -248,13 +183,11 @@ func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) 
 		BatchBytes:  req.BatchBytes,
 		MaxInFlight: req.MaxInFlight,
 	}
-	autoStop := req.AutoStop
 	self := d.self
 	return func(inst *instance) {
 		pool := abc.NewMempool(2*txCount*txBytes + 1024)
 		log := newLedgerLog()
-		var eng *abc.Engine
-		eng = abc.NewEngine(rt, tag, keys, ecfg, pool,
+		eng := abc.NewEngine(rt, tag, keys, ecfg, pool,
 			func(slot int, entries []abc.Entry) { log.absorb(slot, entries) },
 			func(finalSlot int) {
 				d.complete(inst, &Decision{
@@ -266,9 +199,7 @@ func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) 
 					Bytes:     log.bytes,
 				})
 			})
-		// Registering eng under d.mu from the dispatcher is safe: drain
-		// and shutdown only read it back via party.Do, which serializes
-		// behind this task.
+		// A drain's act reads eng back on the dispatcher, behind this task.
 		d.mu.Lock()
 		inst.eng = eng
 		d.mu.Unlock()
@@ -279,8 +210,5 @@ func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) 
 			}
 		}
 		eng.Start()
-		if autoStop {
-			eng.RequestStop()
-		}
 	}
 }

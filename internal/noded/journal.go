@@ -2,8 +2,8 @@ package noded
 
 // The daemon's write-ahead journal. Every effect that must survive a crash
 // is appended here *before* it becomes visible to peers: message frames are
-// journaled on the dispatcher immediately before their handler runs, launch
-// and drain control ops are journaled at their dispatcher position, and the
+// journaled on the dispatcher immediately before their handler runs, control
+// ops (launch, drain) are journaled at their dispatcher position, and the
 // mesh's write barrier fsyncs the log before any frame byte reaches a
 // socket. On restart the daemon folds the snapshot plus the record tail back
 // into (cursor state, instance set, replayed handler calls) and resumes
@@ -11,10 +11,10 @@ package noded
 //
 // Record schema (wal.Record.Type):
 //
-//	recFrame  — one processed frame: Int from, Uint64 seq, Blob inst, Blob body.
-//	            Self-frames carry seq 0 (loopback has no link cursor).
-//	recLaunch — one accepted launch request, JSON-encoded rpc Request.
-//	recDrain  — one ledger drain (RequestStop), raw tag bytes.
+//	recFrame — one processed frame: Int from, Uint64 seq, Blob inst, Blob body.
+//	           Self-frames carry seq 0 (loopback has no link cursor).
+//	recOp    — one accepted control op (launch or drain), the JSON-encoded
+//	           rpc Request that Daemon.apply re-applies on replay.
 //
 // The compaction snapshot is JSON (walSnapshot below): per-peer send/recv
 // cursors and retired instance descriptors with their decisions.
@@ -31,9 +31,8 @@ import (
 
 // WAL record types.
 const (
-	recFrame  byte = 1
-	recLaunch byte = 2
-	recDrain  byte = 3
+	recFrame byte = 1
+	recOp    byte = 2
 )
 
 // walCompactBytes is the appended-bytes threshold that arms compaction: once
@@ -87,9 +86,8 @@ type snapInst struct {
 // replayItem is one surviving journal record in processed order, ready for
 // Daemon.recoverFromJournal to re-execute.
 type replayItem struct {
-	typ   byte
-	frame frameRec // typ == recFrame
-	data  []byte   // typ == recLaunch (JSON Request) / recDrain (tag)
+	frame frameRec // when op is nil
+	op    []byte   // a recOp record: JSON Request
 }
 
 // cursorTracker maintains one inbound link's journaled-seq frontier: the
@@ -168,12 +166,6 @@ func (j *journal) appendFrame(from int, seq uint64, inst string, body []byte) {
 	}
 }
 
-// appendOp journals a control-plane record (launch/drain) at its dispatcher
-// position.
-func (j *journal) appendOp(typ byte, data []byte) {
-	j.append(typ, data)
-}
-
 func (j *journal) append(typ byte, data []byte) {
 	if err := j.log.Append(typ, data); err != nil {
 		j.mu.Lock()
@@ -240,9 +232,9 @@ func (j *journal) fold() (*walSnapshot, []replayItem, error) {
 			if fr.from != j.self && fr.seq > 0 && !j.track(fr.from, fr.seq) {
 				continue // duplicate record of an already-journaled frame
 			}
-			items = append(items, replayItem{typ: recFrame, frame: fr})
-		case recLaunch, recDrain:
-			items = append(items, replayItem{typ: rec.Type, data: rec.Data})
+			items = append(items, replayItem{frame: fr})
+		case recOp:
+			items = append(items, replayItem{op: rec.Data})
 		default:
 			return nil, nil, fmt.Errorf("noded: unknown wal record type %d", rec.Type)
 		}

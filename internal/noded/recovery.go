@@ -49,8 +49,7 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 	var rerr error
 	d.party.Replay(func() {
 		for _, it := range items {
-			switch it.typ {
-			case recFrame:
+			if it.op == nil {
 				fr := it.frame
 				if fr.from == d.self {
 					// Matched against the self-send the replayed handlers
@@ -60,31 +59,24 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 				}
 				d.party.Node().Replay(fr.from, fr.seq, fr.inst, fr.body)
 				frames++
-			case recLaunch:
-				var req Request
-				if err := json.Unmarshal(it.data, &req); err != nil {
-					rerr = fmt.Errorf("noded: corrupt launch record: %w", err)
-					return
-				}
-				if err := d.replayLaunch(&req); err != nil {
-					// A tag already restored from the snapshot means the
-					// record predates an interrupted compaction — skip it.
-					if !errors.Is(err, errDuplicateTag) {
-						rerr = fmt.Errorf("noded: replay launch %q: %w", req.Tag, err)
-						return
-					}
-				}
-				ops++
-			case recDrain:
-				tag := string(it.data)
-				d.mu.Lock()
-				inst := d.insts[tag]
-				d.mu.Unlock()
-				if inst != nil && inst.eng != nil {
-					inst.eng.RequestStop()
-				}
-				ops++
+				continue
 			}
+			var req Request
+			if err := json.Unmarshal(it.op, &req); err != nil {
+				rerr = fmt.Errorf("noded: corrupt op record: %w", err)
+				return
+			}
+			// A tag already restored from the snapshot means the record
+			// predates an interrupted compaction — skip it.
+			act, err := d.apply(&req)
+			if err != nil && !errors.Is(err, errDuplicateTag) {
+				rerr = fmt.Errorf("noded: replay %s %q: %w", req.Op, req.Tag, err)
+				return
+			}
+			if act != nil {
+				act()
+			}
+			ops++
 		}
 		// Self-sends regenerated by replay but never processed before the
 		// crash become fresh live tasks, preserving generation order.

@@ -42,12 +42,11 @@ type Request struct {
 	Epochs    int    `json:"epochs,omitempty"`    // beacon epoch count
 	Byz       string `json:"byz,omitempty"`       // adversary behavior name; this party lies
 
-	// ledger tunables (defaults in launchLedger)
-	TxCount     int  `json:"txCount,omitempty"`     // txs this party submits
-	TxBytes     int  `json:"txBytes,omitempty"`     // bytes per tx
-	BatchBytes  int  `json:"batchBytes,omitempty"`  // abc batch cap
-	MaxInFlight int  `json:"maxInFlight,omitempty"` // abc pipelining window
-	AutoStop    bool `json:"autoStop,omitempty"`    // RequestStop right after preload
+	// ledger tunables (defaults in prepareLedger)
+	TxCount     int `json:"txCount,omitempty"`     // txs this party submits
+	TxBytes     int `json:"txBytes,omitempty"`     // bytes per tx
+	BatchBytes  int `json:"batchBytes,omitempty"`  // abc batch cap
+	MaxInFlight int `json:"maxInFlight,omitempty"` // abc pipelining window
 
 	// await
 	TimeoutMS int64 `json:"timeoutMs,omitempty"` // 0 = daemon default
