@@ -4,6 +4,10 @@
 // garbage-on-the-wire peers. A wrapped party runs the ordinary protocol
 // state machines; only what leaves the node lies.
 //
+// The protocol packages own their wire formats: a behavior reads and
+// rewrites a message only through the exported codec of the package that
+// sent it, so a format change moves every liar with it.
+//
 // Behaviors register in a process-wide registry exactly the way exp.Spec
 // and the scheduler factories grew: Register at init, Lookup/Names at use.
 // Every behavior is a pure function of (env, inst, to, body) and the
@@ -92,42 +96,29 @@ func Names() []string {
 }
 
 // runtime wraps a party's real runtime: inbound behavior (Register,
-// handlers, counters) is untouched, outbound Sends pass through the
-// behavior's mutator, and Multicast fans out per recipient so the mutator
-// can treat recipients differently.
+// handlers, counters) is the embedded runtime's, outbound Sends pass
+// through the behavior's mutator, and Multicast fans out per recipient so
+// the mutator can treat recipients differently.
 type runtime struct {
-	inner proto.Runtime
-	env   Env
-	mut   Mutator
+	proto.Runtime
+	env Env
+	mut Mutator
 }
-
-var _ proto.Runtime = (*runtime)(nil)
 
 // Wrap returns a Byzantine view of rt running the given behavior. The
 // protocol state machines constructed on the wrapped runtime behave
 // honestly toward themselves — only their outbound traffic lies.
 func Wrap(rt proto.Runtime, b Behavior) proto.Runtime {
 	return &runtime{
-		inner: rt,
-		env:   Env{N: rt.N(), F: rt.F(), Self: rt.Self(), Rng: rt.RandReader()},
-		mut:   b.Mutate,
+		Runtime: rt,
+		env:     Env{N: rt.N(), F: rt.F(), Self: rt.Self(), Rng: rt.RandReader()},
+		mut:     b.Mutate,
 	}
 }
 
-func (r *runtime) N() int                 { return r.inner.N() }
-func (r *runtime) F() int                 { return r.inner.F() }
-func (r *runtime) Self() int              { return r.inner.Self() }
-func (r *runtime) Depth() int             { return r.inner.Depth() }
-func (r *runtime) RandReader() *rand.Rand { return r.inner.RandReader() }
-func (r *runtime) Reject()                { r.inner.Reject() }
-func (r *runtime) Equivocation()          { r.inner.Equivocation() }
-
-func (r *runtime) Register(inst string, h proto.Handler) { r.inner.Register(inst, h) }
-func (r *runtime) Retire(prefix string)                  { r.inner.Retire(prefix) }
-
 func (r *runtime) Send(inst string, to int, body []byte) {
 	for _, b := range r.mut(&r.env, inst, to, body) {
-		r.inner.Send(inst, to, b)
+		r.Runtime.Send(inst, to, b)
 	}
 }
 

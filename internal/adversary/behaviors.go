@@ -5,85 +5,43 @@ package adversary
 // isolation, and lies in exactly the way that path detects: the spec
 // contract (internal/exp byz specs) then asserts honest safety, liveness
 // within budget, and nonzero detection counters end-to-end.
-//
-// Wire-format facts the mutators rely on are pinned by the protocol
-// packages' encoders (avss.StartDealer, adkg.Start, vba.sendPB, aba send
-// helpers; candidateLie goes through coin's own codec) and guarded by
-// TestByzantineMatrix (internal/exp), whose detection counters drop to
-// zero if an encoding drifts.
+// A behavior that lies about one field decodes the message with its
+// sender's codec (avss.KeyShare, adkg's Contribution, aba.Msg, vba.PBSend,
+// coin.Candidate), changes that field and encodes it again.
 
 import (
 	"strings"
 
+	"repro/internal/core/aba"
+	"repro/internal/core/adkg"
+	"repro/internal/core/avss"
 	"repro/internal/core/coin"
-	"repro/internal/crypto/pvss"
-	"repro/internal/wire"
-)
-
-// Tag bytes of the protocol messages the mutators rewrite, mirroring the
-// (unexported) constants in the protocol packages.
-const (
-	avssKeyShare     byte = 1 // avss.msgKeyShare: private per-recipient share
-	adkgContribution byte = 1 // adkg.msgContribution: Blob-wrapped PVSS script
-	vbaPBSend        byte = 1 // vba.msgPBSend: provable-broadcast value send
-	abaEST1          byte = 1 // aba round-message tags, EST1..FINISH
-	abaAUX1          byte = 2
-	abaEST2          byte = 3
-	abaAUX2          byte = 4
-	abaFINISH        byte = 5
+	"repro/internal/core/vba"
 )
 
 func pass(body []byte) [][]byte { return [][]byte{body} }
 
 func init() {
-	Register(Behavior{
-		Name:     "byz/avss-equivocate",
-		Protocol: "coin",
-		Doc:      "AVSS dealer sends shares inconsistent with its (single) commitment to the f lowest-indexed parties",
-		Mutate:   avssEquivocate,
-	})
-	Register(Behavior{
-		Name:     "byz/pvss-badshare",
-		Protocol: "adkg",
-		Doc:      "ADKG contributor deals a PVSS script whose encrypted shares are swapped between parties",
-		Mutate:   pvssBadShare,
-	})
-	Register(Behavior{
-		Name:     "byz/adkg-forge-sok",
-		Protocol: "adkg",
-		Doc:      "ADKG contributor forges its knowledge tag (SoK) while keeping the sharing itself consistent",
-		Mutate:   adkgForgeSoK,
-	})
-	Register(Behavior{
-		Name:     "byz/aba-doublevote",
-		Protocol: "aba",
-		Doc:      "ABA participant votes both values: conflicting EST/AUX/FINISH pairs, ordered differently per half",
-		Mutate:   abaDoubleVote,
-	})
-	Register(Behavior{
-		Name:     "byz/vba-doublevote",
-		Protocol: "vba",
-		Doc:      "VBA proposer provable-broadcasts two different values, pinned in opposite order by each half",
-		Mutate:   vbaDoubleVote,
-	})
-	Register(Behavior{
-		Name:     "byz/coin-lie",
-		Protocol: "coin",
-		Doc:      "coin participant multicasts a candidate whose VRF value does not match its proof",
-		Mutate:   candidateLie,
-	})
-	Register(Behavior{
-		Name:     "byz/election-lie",
-		Protocol: "election",
-		Doc:      "election participant lies in the embedded coin's candidate exchange",
-		Mutate:   candidateLie,
-	})
-	Register(Behavior{
-		Name:     "byz/wire-garbage",
-		Protocol: "vba",
-		Doc:      "peer feeds every receipt path adversarial bytes: random frames, truncations, bit flips, junk suffixes",
-		Mutate:   wireGarbage,
-	})
+	for _, b := range []Behavior{
+		{Name: "byz/avss-equivocate", Protocol: "coin", Mutate: avssEquivocate,
+			Doc: "AVSS dealer sends shares inconsistent with its (single) commitment to the f lowest-indexed parties"},
+		{Name: "byz/pvss-badshare", Protocol: "adkg", Mutate: pvssBadShare,
+			Doc: "ADKG contributor deals a PVSS script whose encrypted shares are swapped between parties"},
+		{Name: "byz/adkg-forge-sok", Protocol: "adkg", Mutate: adkgForgeSoK,
+			Doc: "ADKG contributor forges its knowledge tag (SoK) while keeping the sharing itself consistent"},
+		{Name: "byz/aba-doublevote", Protocol: "aba", Mutate: abaDoubleVote,
+			Doc: "ABA participant votes both values: conflicting EST/AUX/FINISH pairs, ordered differently per half"},
+		{Name: "byz/vba-doublevote", Protocol: "vba", Mutate: vbaDoubleVote,
+			Doc: "VBA proposer provable-broadcasts two different values, pinned in opposite order by each half"},
+		{Name: "byz/coin-lie", Protocol: "coin", Mutate: candidateLie,
+			Doc: "coin participant multicasts a candidate whose VRF value does not match its proof"},
+		{Name: "byz/election-lie", Protocol: "election", Mutate: candidateLie,
+			Doc: "election participant lies in the embedded coin's candidate exchange"},
+		{Name: "byz/wire-garbage", Protocol: "vba", Mutate: wireGarbage,
+			Doc: "peer feeds every receipt path adversarial bytes: random frames, truncations, bit flips, junk suffixes"},
+	} {
+		Register(b)
+	}
 }
 
 // avssEquivocate corrupts the private key share sent to each of the f
@@ -93,49 +51,12 @@ func init() {
 // consistent shares survive (self plus the untouched recipients), so the
 // dealer's sharing still completes: detection without loss of liveness.
 func avssEquivocate(env *Env, inst string, to int, body []byte) [][]byte {
-	if !strings.Contains(inst, "/av/") || len(body) == 0 || body[0] != avssKeyShare {
+	k, ok := avss.DecodeKeyShare(body)
+	if !ok || !strings.Contains(inst, "/av/") || to == env.Self || to >= env.F {
 		return pass(body)
 	}
-	rd := wire.NewReader(body[1:])
-	cmt := rd.Blob()
-	shA := rd.Bytes32()
-	shB := rd.Bytes32()
-	if rd.Done() != nil {
-		return pass(body)
-	}
-	if to == env.Self || to >= env.F {
-		return pass(body)
-	}
-	mauled := make([]byte, 32)
-	copy(mauled, shA)
-	mauled[31] ^= 0x01
-	var w wire.Writer
-	w.Byte(avssKeyShare)
-	w.Blob(cmt)
-	w.Bytes32(mauled)
-	w.Bytes32(shB)
-	return pass(w.Bytes())
-}
-
-// parseScript decodes an outbound ADKG contribution into its PVSS script.
-func parseScript(env *Env, body []byte) *pvss.Script {
-	rd := wire.NewReader(body[1:])
-	raw := rd.Blob()
-	if rd.Done() != nil {
-		return nil
-	}
-	s, err := pvss.FromBytes(pvss.Params{N: env.N, Degree: env.F}, raw)
-	if err != nil {
-		return nil
-	}
-	return s
-}
-
-func encodeScript(s *pvss.Script) [][]byte {
-	var w wire.Writer
-	w.Byte(adkgContribution)
-	w.Blob(s.Bytes())
-	return pass(w.Bytes())
+	k.A[31] ^= 0x01
+	return pass(k.Bytes())
 }
 
 // pvssBadShare swaps the encrypted shares of parties 0 and 1 inside the
@@ -145,32 +66,25 @@ func encodeScript(s *pvss.Script) [][]byte {
 // aggregates the first n−f valid contributions, which the honest dealers
 // still supply.
 func pvssBadShare(env *Env, _ string, _ int, body []byte) [][]byte {
-	if len(body) == 0 || body[0] != adkgContribution {
-		return pass(body)
-	}
-	s := parseScript(env, body)
-	if s == nil || len(s.Y) < 2 {
+	s, ok := adkg.DecodeContribution(body, env.N, env.F)
+	if !ok || len(s.Y) < 2 {
 		return pass(body)
 	}
 	s.Y[0], s.Y[1] = s.Y[1], s.Y[0]
-	return encodeScript(s)
+	return pass(adkg.EncodeContribution(s))
 }
 
 // adkgForgeSoK swaps the (c, s) components of the dealer's own knowledge
 // tag. The sharing itself stays consistent — only the proof that the
 // dealer knows its secret breaks, which is exactly what sokVerify checks.
 func adkgForgeSoK(env *Env, _ string, _ int, body []byte) [][]byte {
-	if len(body) == 0 || body[0] != adkgContribution {
+	s, ok := adkg.DecodeContribution(body, env.N, env.F)
+	if !ok || env.Self >= len(s.Sg) {
 		return pass(body)
 	}
-	s := parseScript(env, body)
-	if s == nil || env.Self >= len(s.Sg) {
-		return pass(body)
-	}
-	sg := s.Sg[env.Self]
+	sg := &s.Sg[env.Self]
 	sg.C, sg.S = sg.S, sg.C
-	s.Sg[env.Self] = sg
-	return encodeScript(s)
+	return pass(adkg.EncodeContribution(s))
 }
 
 // abaDoubleVote sends every binary round message twice — once with the
@@ -179,41 +93,15 @@ func adkgForgeSoK(env *Env, _ string, _ int, body []byte) [][]byte {
 // halves. Duplicate-AUX and conflicting-FINISH receipt paths record the
 // conflict as equivocation evidence.
 func abaDoubleVote(env *Env, _ string, to int, body []byte) [][]byte {
-	if len(body) == 0 {
-		return pass(body)
+	m, ok := aba.DecodeMsg(body)
+	if !ok || m.Value > 1 {
+		return pass(body) // ⊥ proposals have no conflicting twin
 	}
-	tag := body[0]
-	var flipped []byte
-	switch tag {
-	case abaEST1, abaAUX1, abaEST2, abaAUX2:
-		rd := wire.NewReader(body[1:])
-		r := rd.Int()
-		v := rd.Byte()
-		if rd.Done() != nil || v > 1 {
-			return pass(body) // ⊥ proposals have no conflicting twin
-		}
-		var w wire.Writer
-		w.Byte(tag)
-		w.Int(r)
-		w.Byte(1 - v)
-		flipped = w.Bytes()
-	case abaFINISH:
-		rd := wire.NewReader(body[1:])
-		v := rd.Byte()
-		if rd.Done() != nil || v > 1 {
-			return pass(body)
-		}
-		var w wire.Writer
-		w.Byte(tag)
-		w.Byte(1 - v)
-		flipped = w.Bytes()
-	default:
-		return pass(body)
-	}
+	m.Value = 1 - m.Value
 	if to < env.N/2 {
-		return [][]byte{body, flipped}
+		return [][]byte{body, m.Bytes()}
 	}
-	return [][]byte{flipped, body}
+	return [][]byte{m.Bytes(), body}
 }
 
 // vbaDoubleVote turns the proposer's stage-1 provable-broadcast send into
@@ -223,32 +111,18 @@ func abaDoubleVote(env *Env, _ string, to int, body []byte) [][]byte {
 // proposer can no longer assemble a stage certificate for either value,
 // but honest proposals carry the VBA to a decision.
 func vbaDoubleVote(env *Env, _ string, to int, body []byte) [][]byte {
-	if len(body) == 0 || body[0] != vbaPBSend {
-		return pass(body)
-	}
-	rd := wire.NewReader(body[1:])
-	view := rd.Int()
-	stage := rd.Byte()
-	value := rd.Blob()
-	if stage != 1 || rd.Bool() || rd.Done() != nil {
+	m, ok := vba.DecodePBSend(body, env.N)
+	if !ok || m.Stage != 1 || m.Key != nil {
 		// Later stages carry certificates bound to the stage-1 value;
 		// mutating them is self-defeating, not equivocation. Same for a
 		// stage-1 send that justifies itself with a prior-view key.
 		return pass(body)
 	}
-	twin := make([]byte, 0, len(value)+1)
-	twin = append(twin, value...)
-	twin = append(twin, '!')
-	var w wire.Writer
-	w.Byte(vbaPBSend)
-	w.Int(view)
-	w.Byte(1)
-	w.Blob(twin)
-	w.Bool(false)
+	m.Value = append(m.Value[:len(m.Value):len(m.Value)], '!')
 	if to < env.N/2 {
-		return [][]byte{body, w.Bytes()}
+		return [][]byte{body, m.Bytes()}
 	}
-	return [][]byte{w.Bytes(), body}
+	return [][]byte{m.Bytes(), body}
 }
 
 // candidateLie flips a byte of the coin-candidate VRF value while keeping
@@ -264,9 +138,7 @@ func candidateLie(env *Env, inst string, _ int, body []byte) [][]byte {
 		return pass(body) // a ⊥ candidate carries nothing to lie about
 	}
 	cand.Value[0] ^= 0x01
-	var w wire.Writer
-	cand.Encode(&w)
-	return pass(w.Bytes())
+	return pass(cand.Bytes())
 }
 
 // wireGarbage replaces every outbound message with adversarial bytes: a

@@ -97,6 +97,51 @@ const (
 	msgFINISH
 )
 
+// Msg is one ABA message: the EST or AUX of stage Stage ∈ {0, 1} in Round,
+// or, with Finish set, a FINISH (Round, Stage and AUX unused). Bytes and
+// DecodeMsg are the wire format; Handle and every send go through them.
+type Msg struct {
+	Round, Stage int
+	AUX, Finish  bool
+	Value        byte
+}
+
+// Bytes encodes m as its tag, its round unless it is a FINISH, and value.
+func (m Msg) Bytes() []byte {
+	var w wire.Writer
+	if m.Finish {
+		w.Byte(msgFINISH)
+	} else {
+		tag := msgEST1 + byte(2*m.Stage)
+		if m.AUX {
+			tag++
+		}
+		w.Byte(tag)
+		w.Int(m.Round)
+	}
+	w.Byte(m.Value)
+	return w.Bytes()
+}
+
+// DecodeMsg decodes a whole Bytes body. ok is false for an unknown tag, a
+// short or over-long body, or a value outside the message's domain: {0,1}
+// in stage 0 and FINISH, {0,1,⊥} in stage 1. The round bound is Handle's.
+func DecodeMsg(body []byte) (m Msg, ok bool) {
+	rd := wire.NewReader(body)
+	switch tag := rd.Byte(); tag {
+	case msgEST1, msgAUX1, msgEST2, msgAUX2:
+		m.Round = rd.Int()
+		m.Stage = int(tag-msgEST1) / 2
+		m.AUX = (tag-msgEST1)%2 == 1
+	case msgFINISH:
+		m.Finish = true
+	default:
+		return m, false
+	}
+	m.Value = rd.Byte()
+	return m, rd.Done() == nil && m.Value < byte(2+m.Stage)
+}
+
 // bot is the ⊥ proposal in stage 2's {0,1,⊥} domain.
 const bot byte = 2
 
@@ -243,16 +288,8 @@ func (a *ABA) sendEST(r, s int, v byte) {
 	b := &a.state(r).stage[s]
 	if !b.sent[v] {
 		b.sent[v] = true
-		a.multicast(msgEST1+byte(2*s), r, v)
+		a.rt.Multicast(a.inst, Msg{Round: r, Stage: s, Value: v}.Bytes())
 	}
-}
-
-func (a *ABA) multicast(tag byte, r int, v byte) {
-	var w wire.Writer
-	w.Byte(tag)
-	w.Int(r)
-	w.Byte(v)
-	a.rt.Multicast(a.inst, w.Bytes())
 }
 
 // Handle implements proto.Handler.
@@ -260,32 +297,19 @@ func (a *ABA) Handle(from int, body []byte) {
 	if a.halted {
 		return
 	}
-	rd := wire.NewReader(body)
-	tag := rd.Byte()
-	switch tag {
-	case msgEST1, msgAUX1, msgEST2, msgAUX2:
-		r := rd.Int()
-		v := rd.Byte()
-		s := int(tag-msgEST1) / 2
-		// Stage s carries 2+s values; checked first, a reject allocates no round.
-		if rd.Done() != nil || r < 1 || r > maxRounds || v >= byte(2+s) {
-			a.rt.Reject()
-			return
-		}
-		if (tag-msgEST1)%2 == 0 {
-			a.onEST(r, s, v, from)
-		} else {
-			a.onAUX(r, s, v, from)
-		}
-	case msgFINISH:
-		v := rd.Byte()
-		if rd.Done() != nil || v > 1 {
-			a.rt.Reject()
-			return
-		}
-		a.onFinish(v, from)
-	default:
+	m, ok := DecodeMsg(body)
+	// Checked first, a reject allocates no round.
+	if !ok || !m.Finish && (m.Round < 1 || m.Round > maxRounds) {
 		a.rt.Reject()
+		return
+	}
+	switch {
+	case m.Finish:
+		a.onFinish(m.Value, from)
+	case m.AUX:
+		a.onAUX(m.Round, m.Stage, m.Value, from)
+	default:
+		a.onEST(m.Round, m.Stage, m.Value, from)
 	}
 }
 
@@ -298,7 +322,7 @@ func (a *ABA) onEST(r, s int, v byte, from int) {
 		return
 	}
 	if aux {
-		a.multicast(msgAUX1+byte(2*s), r, v)
+		a.rt.Multicast(a.inst, Msg{Round: r, Stage: s, AUX: true, Value: v}.Bytes())
 	}
 	if s == 0 {
 		a.tryPropose(r)
@@ -443,8 +467,5 @@ func (a *ABA) sendFINISH(v byte) {
 		return
 	}
 	a.finishSent = true
-	var w wire.Writer
-	w.Byte(msgFINISH)
-	w.Byte(v)
-	a.rt.Multicast(a.inst, w.Bytes())
+	a.rt.Multicast(a.inst, Msg{Finish: true, Value: v}.Bytes())
 }

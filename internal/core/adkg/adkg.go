@@ -48,6 +48,40 @@ type Config struct {
 
 const msgContribution byte = 1
 
+// params is the (n, f+1) sharing of an n-party, f-resilient ADKG.
+func params(n, f int) pvss.Params { return pvss.Params{N: n, Degree: f} }
+
+// EncodeContribution frames the script a party multicasts as the tag and
+// a blob. It and DecodeContribution are the wire format Start and Handle use.
+func EncodeContribution(s *pvss.Script) []byte {
+	var w wire.Writer
+	w.Byte(msgContribution)
+	w.Blob(s.Bytes())
+	return w.Bytes()
+}
+
+// DecodeContribution decodes a whole EncodeContribution body under the
+// params of an n-party, f-resilient ADKG; ok is false for another tag, a
+// malformed frame or a script that does not parse. Verifying it is Handle's.
+func DecodeContribution(body []byte, n, f int) (*pvss.Script, bool) {
+	raw, ok := unframe(body)
+	if !ok {
+		return nil, false
+	}
+	s, err := pvss.FromBytes(params(n, f), raw)
+	return s, err == nil
+}
+
+// unframe returns the script bytes of a whole Contribution frame.
+func unframe(body []byte) (raw []byte, ok bool) {
+	rd := wire.NewReader(body)
+	if rd.Byte() != msgContribution {
+		return nil, false
+	}
+	raw = rd.Blob()
+	return raw, rd.Done() == nil
+}
+
 // ADKG is one DKG instance on one node.
 type ADKG struct {
 	rt     proto.Runtime
@@ -72,7 +106,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, cfg Config, out Outpu
 		rt:       rt,
 		inst:     inst,
 		keys:     keys,
-		params:   pvss.Params{N: rt.N(), Degree: rt.F()},
+		params:   params(rt.N(), rt.F()),
 		out:      out,
 		verified: make(map[int]*pvss.Script),
 	}
@@ -95,10 +129,7 @@ func (a *ADKG) Start() {
 	if err != nil {
 		return
 	}
-	var w wire.Writer
-	w.Byte(msgContribution)
-	w.Blob(script.Bytes())
-	a.rt.Multicast(a.inst, w.Bytes())
+	a.rt.Multicast(a.inst, EncodeContribution(script))
 }
 
 // predicate is the VBA external-validity check Q: a valid aggregate with
@@ -124,13 +155,14 @@ func (a *ADKG) predicate(value []byte) bool {
 // serve as composition parts for validating OTHER parties' aggregates in
 // the predicate without pairing work.
 func (a *ADKG) Handle(from int, body []byte) {
-	rd := wire.NewReader(body)
-	if rd.Byte() != msgContribution {
+	// A foreign tag is rejected; a malformed frame or a second
+	// contribution from one dealer is dropped before its script is parsed.
+	if len(body) == 0 || body[0] != msgContribution {
 		a.rt.Reject()
 		return
 	}
-	raw := rd.Blob()
-	if rd.Done() != nil || a.verified[from] != nil {
+	raw, ok := unframe(body)
+	if !ok || a.verified[from] != nil {
 		return
 	}
 	s, err := pvss.FromBytes(a.params, raw)

@@ -38,6 +38,37 @@ const (
 	msgKey
 )
 
+// KeyShare is the dealer's private message to party j (Alg. 1 line 5): the
+// commitment to A and B, and A(j), B(j) as scalar encodings. Bytes and
+// DecodeKeyShare are the wire format StartDealer and onKeyShare use.
+type KeyShare struct {
+	Cmt  []byte
+	A, B [32]byte
+}
+
+// Bytes encodes k as its tag, the commitment as a blob, A(j) and B(j).
+func (k *KeyShare) Bytes() []byte {
+	var w wire.Writer
+	w.Byte(msgKeyShare)
+	w.Blob(k.Cmt)
+	w.Bytes32(k.A[:])
+	w.Bytes32(k.B[:])
+	return w.Bytes()
+}
+
+// DecodeKeyShare decodes a whole Bytes body; ok is false for another tag
+// or a short or over-long body. Checking the shares is onKeyShare's.
+func DecodeKeyShare(body []byte) (k KeyShare, ok bool) {
+	rd := wire.NewReader(body)
+	if rd.Byte() != msgKeyShare {
+		return k, false
+	}
+	k.Cmt = rd.Blob()
+	copy(k.A[:], rd.Bytes32())
+	copy(k.B[:], rd.Bytes32())
+	return k, rd.Done() == nil
+}
+
 // ShareOutput is a party's output of AVSS-Sh: the ciphertext plus (when the
 // party received a valid KeyShare) its key shares and the commitment. The
 // paper's ⊥ cases are modeled by HasShare/HasCmt.
@@ -144,12 +175,12 @@ func (a *AVSS) StartDealer(secret []byte) {
 	a.cipherOut = sealCipher(a.inst, key, secret)
 	cmtB := a.dealCmt.Bytes()
 	for j := 0; j < a.rt.N(); j++ {
-		var w wire.Writer
-		w.Byte(msgKeyShare)
-		w.Blob(cmtB)
-		w.Bytes32(a.dealPoly.Eval(poly.X(j)).Bytes())
-		w.Bytes32(a.blindPoly.Eval(poly.X(j)).Bytes())
-		a.rt.Send(a.inst, j, w.Bytes())
+		k := KeyShare{
+			Cmt: cmtB,
+			A:   [32]byte(a.dealPoly.Eval(poly.X(j)).Bytes()),
+			B:   [32]byte(a.blindPoly.Eval(poly.X(j)).Bytes()),
+		}
+		a.rt.Send(a.inst, j, k.Bytes())
 	}
 }
 
@@ -212,7 +243,7 @@ func (a *AVSS) Handle(from int, body []byte) {
 	rd := wire.NewReader(body)
 	switch rd.Byte() {
 	case msgKeyShare:
-		a.onKeyShare(from, rd)
+		a.onKeyShare(from, body)
 	case msgKeyStored:
 		a.onKeyStored(from, rd)
 	case msgCipher:
@@ -231,21 +262,19 @@ func (a *AVSS) Handle(from int, body []byte) {
 }
 
 // onKeyShare is Alg. 1 lines 12–15.
-func (a *AVSS) onKeyShare(from int, rd *wire.Reader) {
-	cmtB := rd.Blob()
-	shAB := rd.Bytes32()
-	shBB := rd.Bytes32()
-	if rd.Done() != nil || from != a.dealer || a.hasShare {
+func (a *AVSS) onKeyShare(from int, body []byte) {
+	k, ok := DecodeKeyShare(body)
+	if !ok || from != a.dealer || a.hasShare {
 		a.rt.Reject()
 		return
 	}
-	cmt, err := pedersen.FromBytes(cmtB, a.rt.F())
+	cmt, err := pedersen.FromBytes(k.Cmt, a.rt.F())
 	if err != nil {
 		a.rt.Reject()
 		return
 	}
-	shA, errA := field.SetCanonical(shAB)
-	shB, errB := field.SetCanonical(shBB)
+	shA, errA := field.SetCanonical(k.A[:])
+	shB, errB := field.SetCanonical(k.B[:])
 	if errA != nil || errB != nil || !cmt.VerifyShare(a.rt.Self(), shA, shB) {
 		a.rt.Reject()
 		return
@@ -254,7 +283,7 @@ func (a *AVSS) onKeyShare(from int, rd *wire.Reader) {
 	if a.keyShareHook != nil {
 		a.keyShareHook()
 	}
-	s := a.keys.Sig.Sign(storedMsg(a.inst, cmtB))
+	s := a.keys.Sig.Sign(storedMsg(a.inst, k.Cmt))
 	var w wire.Writer
 	w.Byte(msgKeyStored)
 	w.Raw(s.Bytes())

@@ -40,20 +40,22 @@ type Candidate struct {
 	Proof  vrf.Proof
 }
 
-// Encode writes the candidate as a presence flag, then leader, value and
-// proof; a nil Candidate writes ⊥ (the flag alone). The coin multicasts
+// Bytes encodes the candidate as a presence flag, then leader, value and
+// proof; a nil Candidate encodes ⊥ (the flag alone). The coin multicasts
 // this layout (Alg. 4 line 21) and the Election reliably broadcasts it
 // (Alg. 5 line 4).
-func (c *Candidate) Encode(w *wire.Writer) {
+func (c *Candidate) Bytes() []byte {
+	var w wire.Writer
 	w.Bool(c != nil)
 	if c != nil {
 		w.Int(c.Leader)
 		w.Bytes32(c.Value[:])
 		w.Raw(c.Proof.Bytes())
 	}
+	return w.Bytes()
 }
 
-// DecodeCandidate decodes a whole Encode body for n parties: nil for ⊥.
+// DecodeCandidate decodes a whole Bytes body for n parties: nil for ⊥.
 // ok is false for a leader outside [0, n), a proof that does not decode,
 // or a short or over-long body, so only the VRF equation itself is left
 // to Verify.
@@ -349,9 +351,7 @@ func (c *Coin) maybeCandidate() {
 			best = cand
 		}
 	}
-	var w wire.Writer
-	best.Encode(&w)
-	c.rt.Multicast(c.cdInst(), w.Bytes())
+	c.rt.Multicast(c.cdInst(), best.Bytes())
 }
 
 // onCandidate is Alg. 4 lines 25–31. DecodeCandidate validates the whole

@@ -230,27 +230,22 @@ func TestCandidateCodec(t *testing.T) {
 	}
 	out, pf := sk.Eval([]byte("codec"))
 	honest := &Candidate{Leader: n - 1, Value: out, Proof: pf}
-	encode := func(c *Candidate) []byte {
-		var w wire.Writer
-		c.Encode(&w)
-		return w.Bytes()
-	}
-	body := encode(honest)
+	body := honest.Bytes()
 	got, ok := DecodeCandidate(body, n)
 	if !ok || got == nil || got.Leader != honest.Leader || got.Value != honest.Value ||
 		!bytes.Equal(got.Proof.Bytes(), pf.Bytes()) {
 		t.Fatalf("honest candidate did not round-trip: %+v ok=%v", got, ok)
 	}
-	if got, ok := DecodeCandidate(encode(nil), n); !ok || got != nil {
+	if got, ok := DecodeCandidate((*Candidate)(nil).Bytes(), n); !ok || got != nil {
 		t.Fatalf("⊥ decoded to %+v ok=%v, want nil ok", got, ok)
 	}
 	minusOne := append([]byte(nil), body...)
 	copy(minusOne[1:5], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // leader −1 as a 32-bit word
 	bad := map[string][]byte{
 		"trailing byte after candidate": append(append([]byte(nil), body...), 0),
-		"trailing byte after ⊥":         append(encode(nil), 0),
+		"trailing byte after ⊥":         append((*Candidate)(nil).Bytes(), 0),
 		"leader −1":                     minusOne,
-		"leader n":                      encode(&Candidate{Leader: n, Value: out, Proof: pf}),
+		"leader n":                      (&Candidate{Leader: n, Value: out, Proof: pf}).Bytes(),
 		"short proof":                   body[:len(body)-1],
 		"empty body":                    {},
 	}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/pki"
 	"repro/internal/proto"
-	"repro/internal/wire"
 )
 
 // Result is the election outcome.
@@ -101,9 +100,7 @@ func (e *Election) onCoin(res coin.Result) {
 		return
 	}
 	e.haveVMax = true
-	var w wire.Writer
-	res.Max.Encode(&w)
-	e.rbcs[e.rt.Self()].Start(w.Bytes())
+	e.rbcs[e.rt.Self()].Start(res.Max.Bytes())
 }
 
 // onRBC is Alg. 5 lines 5–12: validate broadcast VRFs into G and, once

@@ -247,6 +247,69 @@ func (v *VBA) decodeTail(rd *wire.Reader, view, leader int) (c *cert, ok bool) {
 	return c, ok && rd.Done() == nil
 }
 
+// PBSend is a provable-broadcast send: the sender's stage-Stage broadcast
+// of Value in View. A stage-1 send carries Key, the certificate that lets
+// the sender re-propose Value (nil for its own input); a later stage
+// carries Acks, the n−f acks that closed the stage before. Bytes and
+// DecodePBSend are the wire format; sendPB and onPBSend go through them.
+type PBSend struct {
+	View, Stage int
+	Value       []byte
+	Key         *cert
+	Acks        sig.Quorum
+}
+
+// Bytes encodes m as its tag, view, stage and value, then the acks, or for
+// stage 1 a key flag and the key's view, leader, stage and quorum.
+func (m *PBSend) Bytes() []byte {
+	var w wire.Writer
+	w.Byte(msgPBSend)
+	w.Int(m.View)
+	w.Byte(byte(m.Stage))
+	w.Blob(m.Value)
+	switch {
+	case m.Stage > 1:
+		m.Acks.Encode(&w)
+	case m.Key == nil:
+		w.Bool(false)
+	default:
+		w.Bool(true)
+		w.Int(m.Key.view)
+		w.Int(m.Key.leader)
+		w.Byte(byte(m.Key.stage))
+		m.Key.q.Encode(&w)
+	}
+	return w.Bytes()
+}
+
+// DecodePBSend decodes a whole Bytes body for n parties; ok is false for
+// another tag or any malformation. The range, lock and predicate checks
+// are onPBSend's, which reads the head and checks it before the tail.
+func DecodePBSend(body []byte, n int) (m PBSend, ok bool) {
+	rd := wire.NewReader(body)
+	if rd.Byte() != msgPBSend {
+		return m, false
+	}
+	m = readPBHead(rd)
+	return m, m.readTail(rd, n)
+}
+
+func readPBHead(rd *wire.Reader) PBSend {
+	return PBSend{View: rd.Int(), Stage: int(rd.Byte()), Value: rd.Blob()}
+}
+
+// readTail reads the acks or the key, which must end the body.
+func (m *PBSend) readTail(rd *wire.Reader, n int) bool {
+	ok := true
+	if m.Stage > 1 {
+		m.Acks, ok = sig.DecodeQuorum(rd, n)
+	} else if rd.Bool() {
+		m.Key = &cert{view: rd.Int(), leader: rd.Int(), stage: int(rd.Byte()), value: m.Value}
+		m.Key.q, ok = sig.DecodeQuorum(rd, n)
+	}
+	return ok && rd.Done() == nil
+}
+
 // --- view lifecycle ---
 
 func (v *VBA) enterView(view int) {
@@ -277,25 +340,13 @@ func (v *VBA) sendPB(vs *viewState, stage int) {
 		return
 	}
 	vs.sent[stage] = true
-	var w wire.Writer
-	w.Byte(msgPBSend)
-	w.Int(vs.view)
-	w.Byte(byte(stage))
-	w.Blob(vs.myValue)
+	m := PBSend{View: vs.view, Stage: stage, Value: vs.myValue}
 	if stage == 1 {
-		if v.key == nil {
-			w.Bool(false)
-		} else {
-			w.Bool(true)
-			w.Int(v.key.view)
-			w.Int(v.key.leader)
-			w.Byte(byte(v.key.stage))
-			v.key.q.Encode(&w)
-		}
+		m.Key = v.key
 	} else {
-		vs.myCerts[stage-1].Encode(&w)
+		m.Acks = vs.myCerts[stage-1]
 	}
-	v.rt.Multicast(v.inst, w.Bytes())
+	v.rt.Multicast(v.inst, m.Bytes())
 }
 
 // Handle implements proto.Handler.
@@ -324,9 +375,8 @@ func (v *VBA) Handle(from int, body []byte) {
 
 // onPBSend validates a stage send from leader `from` and acks it.
 func (v *VBA) onPBSend(from int, raw []byte, rd *wire.Reader) {
-	view := rd.Int()
-	stage := int(rd.Byte())
-	value := rd.Blob()
+	m := readPBHead(rd)
+	view, stage, value := m.View, m.Stage, m.Value
 	if rd.Err() != nil || view < 1 || view > maxViews || stage < 1 || stage > 4 {
 		v.rt.Reject()
 		return
@@ -351,26 +401,23 @@ func (v *VBA) onPBSend(from int, raw []byte, rd *wire.Reader) {
 	if stage <= vs.ackedStage[from] {
 		return
 	}
+	if !m.readTail(rd, v.rt.N()) {
+		v.rt.Reject()
+		return
+	}
 	if stage == 1 {
-		hasKey := rd.Bool()
-		if hasKey {
-			key := &cert{view: rd.Int(), leader: rd.Int(), stage: int(rd.Byte()), value: value}
-			q, ok := sig.DecodeQuorum(rd, v.rt.N())
-			key.q = q
-			if !ok || rd.Done() != nil || !v.validKey(key, view) ||
-				!v.lockRuleOK(key.view, value) || !v.pred(value) {
+		if key := m.Key; key != nil {
+			if !v.validKey(key, view) || !v.lockRuleOK(key.view, value) || !v.pred(value) {
 				v.rt.Reject()
 				return
 			}
-		} else if rd.Done() != nil || (v.lock != nil && string(v.lock.value) != string(value)) || !v.pred(value) {
+		} else if (v.lock != nil && string(v.lock.value) != string(value)) || !v.pred(value) {
 			v.rt.Reject()
 			return
 		}
 	} else {
-		c := &cert{view: view, leader: from, stage: stage - 1, value: value}
-		q, ok := sig.DecodeQuorum(rd, v.rt.N())
-		c.q = q
-		if !ok || rd.Done() != nil || !v.valid(c) {
+		c := &cert{view: view, leader: from, stage: stage - 1, value: value, q: m.Acks}
+		if !v.valid(c) {
 			v.rt.Reject()
 			return
 		}

@@ -55,6 +55,19 @@ func okProposal(i int) []byte { return []byte(fmt.Sprintf("ok:p%d", i)) }
 // protocol names the workload's kind in the kinds table. Honest parties run
 // the standard launcher for it; safety is judged over their decisions only.
 func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, error) {
+	bs := make([]adversary.Behavior, len(behaviors))
+	for k, name := range behaviors {
+		b, ok := adversary.Lookup(name)
+		if !ok {
+			return ByzOutcome{}, fmt.Errorf("byz run: unknown behavior %q", name)
+		}
+		bs[k] = b
+	}
+	return runByzantine(rs, protocol, bs)
+}
+
+// runByzantine is RunByzantine with the behaviors resolved.
+func runByzantine(rs RunSpec, protocol string, behaviors []adversary.Behavior) (ByzOutcome, error) {
 	start, err := kinds.Lookup(protocol)
 	if err != nil {
 		return ByzOutcome{}, fmt.Errorf("byz run: %w", err)
@@ -91,11 +104,7 @@ func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, 
 	}
 	inst := launchKnown(c, protocol, tag, rs.Genesis, in)
 	for k, i := range liars {
-		b, ok := adversary.Lookup(behaviors[k])
-		if !ok {
-			return ByzOutcome{}, fmt.Errorf("byz run: unknown behavior %q", behaviors[k])
-		}
-		wrt := adversary.Wrap(c.Runtime(i), b)
+		wrt := adversary.Wrap(c.Runtime(i), behaviors[k])
 		c.Launch(i, func() {
 			start(wrt, tag, c.Keys[i], rs.Genesis, in(i), func(*kinds.Decision) {})
 		})

@@ -8,11 +8,18 @@ package exp
 // same workload degrade at f+1.
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/core/aba"
+	"repro/internal/core/adkg"
+	"repro/internal/core/avss"
+	"repro/internal/core/coin"
+	"repro/internal/core/vba"
 	"repro/internal/sim"
 )
 
@@ -237,5 +244,119 @@ func TestByzantineGarbageAllProtocols(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCodecsAreTheFormat pins that each codec the behaviors lie through
+// is the wire format its package sends: a pass-through behavior records
+// every outbound message of the last party, every recorded body on a
+// codec's instance paths that the codec decodes re-encodes to the same
+// bytes, and every message kind the codec covers goes out at least once.
+func TestCodecsAreTheFormat(t *testing.T) {
+	type sent struct {
+		inst string
+		body []byte
+	}
+	cases := []struct {
+		codec, protocol string
+		path            func(inst string) bool
+		kinds           []string
+		// again re-encodes a decoded body and names its kind.
+		again func(body []byte) (enc []byte, kind string, ok bool)
+	}{{
+		codec: "aba.Msg", protocol: "aba",
+		path:  func(inst string) bool { return inst == "byz" },
+		kinds: []string{"EST1", "AUX1", "EST2", "AUX2", "FINISH"},
+		again: func(body []byte) ([]byte, string, bool) {
+			m, ok := aba.DecodeMsg(body)
+			kind := fmt.Sprintf("EST%d", m.Stage+1)
+			switch {
+			case m.Finish:
+				kind = "FINISH"
+			case m.AUX:
+				kind = fmt.Sprintf("AUX%d", m.Stage+1)
+			}
+			return m.Bytes(), kind, ok
+		},
+	}, {
+		codec: "vba.PBSend", protocol: "vba",
+		path:  func(inst string) bool { return inst == "byz" },
+		kinds: []string{"stage 1", "stage 1 keyed", "stage 2", "stage 3", "stage 4"},
+		again: func(body []byte) ([]byte, string, bool) {
+			m, ok := vba.DecodePBSend(body, 4)
+			kind := fmt.Sprintf("stage %d", m.Stage)
+			if m.Key != nil {
+				kind += " keyed"
+			}
+			return m.Bytes(), kind, ok
+		},
+	}, {
+		codec: "avss.KeyShare", protocol: "coin",
+		path:  func(inst string) bool { return strings.Contains(inst, "/av/") },
+		kinds: []string{"KeyShare"},
+		again: func(body []byte) ([]byte, string, bool) {
+			k, ok := avss.DecodeKeyShare(body)
+			return k.Bytes(), "KeyShare", ok
+		},
+	}, {
+		codec: "coin.Candidate", protocol: "coin",
+		path:  func(inst string) bool { return strings.HasSuffix(inst, "/cd") },
+		kinds: []string{"candidate"},
+		again: func(body []byte) ([]byte, string, bool) {
+			c, ok := coin.DecodeCandidate(body, 4)
+			return c.Bytes(), "candidate", ok && c != nil
+		},
+	}, {
+		codec: "adkg Contribution", protocol: "adkg",
+		path:  func(inst string) bool { return inst == "byz" },
+		kinds: []string{"Contribution"},
+		again: func(body []byte) ([]byte, string, bool) {
+			s, ok := adkg.DecodeContribution(body, 4, 1)
+			if !ok {
+				return nil, "", false
+			}
+			return adkg.EncodeContribution(s), "Contribution", true
+		},
+	}}
+	recorded := map[string][]sent{}
+	for _, c := range cases {
+		if _, done := recorded[c.protocol]; done {
+			continue
+		}
+		var log []sent
+		record := adversary.Behavior{
+			Name: "test/record", Protocol: c.protocol,
+			Mutate: func(_ *adversary.Env, inst string, _ int, body []byte) [][]byte {
+				log = append(log, sent{inst, append([]byte(nil), body...)})
+				return [][]byte{body}
+			},
+		}
+		if _, err := runByzantine(RunSpec{N: 4, F: -1, Seed: byzSeed, Genesis: []byte("byz")},
+			c.protocol, []adversary.Behavior{record}); err != nil {
+			t.Fatalf("%s run: %v", c.protocol, err)
+		}
+		recorded[c.protocol] = log
+	}
+	for _, c := range cases {
+		seen := map[string]int{}
+		for _, m := range recorded[c.protocol] {
+			if !c.path(m.inst) {
+				continue
+			}
+			enc, kind, ok := c.again(m.body)
+			if !ok {
+				continue
+			}
+			if !bytes.Equal(enc, m.body) {
+				t.Errorf("%s: %s body on %s re-encodes to %x, sent %x", c.codec, kind, m.inst, enc, m.body)
+			}
+			seen[kind]++
+		}
+		t.Logf("%s: %v", c.codec, seen)
+		for _, kind := range c.kinds {
+			if seen[kind] == 0 {
+				t.Errorf("%s: no %s sent (decoded %v)", c.codec, kind, seen)
+			}
+		}
 	}
 }

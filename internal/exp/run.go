@@ -196,7 +196,6 @@ type ABACoinKind int
 const (
 	ABAPaperCoin  ABACoinKind = iota // the Alg. 4 coin (Theorem 4)
 	ABATestCoin                      // free perfect coin (costless-coin lower bound)
-	ABALocalCoin                     // Ben-Or style local coin (no agreement)
 	ABAThreshCoin                    // threshold coin WITH private setup (CKS'00)
 )
 
@@ -220,8 +219,6 @@ func RunABA(spec RunSpec, inputs []byte, kind ABACoinKind) (ABAOutcome, error) {
 		switch kind {
 		case ABATestCoin:
 			in.Coins = aba.TestCoins(fmt.Sprint("h", spec.Seed))
-		case ABALocalCoin:
-			in.Coins = aba.AdversarialCoins(fmt.Sprint("h", spec.Seed), i)
 		case ABAThreshCoin:
 			in.Coins = threshcoin.Factory(c.Runtime(i), "aba/tc", setup, tshares[i])
 		}

@@ -2,7 +2,6 @@ package noded
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,27 +9,6 @@ import (
 
 	"repro/internal/pki"
 )
-
-// reservePorts binds k ephemeral loopback ports and releases them, so test
-// clusters can exchange concrete addresses before any daemon starts (the
-// same trick the nodenet launcher uses).
-func reservePorts(t *testing.T, k int) []string {
-	t.Helper()
-	addrs := make([]string, k)
-	lns := make([]net.Listener, k)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
-}
 
 // testCluster is an in-process daemon cluster; restart tests need the
 // configs and daemon handles, not just control clients.
@@ -41,17 +19,36 @@ type testCluster struct {
 }
 
 // startDaemon boots one party from its config and returns a pinged client.
+// Restarts come through here: the config holds the addresses the party
+// bound at first boot, and the daemon binds them again.
 func (tc *testCluster) startDaemon(t *testing.T, i int) {
+	t.Helper()
+	tc.newDaemon(t, i)
+	tc.serve(t, i)
+}
+
+// newDaemon builds party i, which binds its mesh listener, and records the
+// bound address in the config.
+func (tc *testCluster) newDaemon(t *testing.T, i int) {
 	t.Helper()
 	d, err := New(tc.cfgs[i])
 	if err != nil {
 		t.Fatalf("new party %d: %v", i, err)
 	}
+	tc.daemons[i] = d
+	tc.cfgs[i].Listen = d.MeshAddr()
+}
+
+// serve starts party i, which binds its control listener and dials its
+// peers, records the bound control address in the config and dials it.
+func (tc *testCluster) serve(t *testing.T, i int) {
+	t.Helper()
+	d := tc.daemons[i]
 	if err := d.Start(); err != nil {
 		t.Fatalf("start party %d: %v", i, err)
 	}
 	go d.Serve()
-	tc.daemons[i] = d
+	tc.cfgs[i].Control = d.ControlAddr()
 	c, err := Dial(tc.cfgs[i].Control, 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial party %d: %v", i, err)
@@ -64,16 +61,18 @@ func (tc *testCluster) startDaemon(t *testing.T, i int) {
 
 // startClusterWAL runs n daemons inside the test process — every layer of
 // noded (config round trip, mesh handshake, control RPC) is real; only the
-// process boundary is missing (cmd/nodenet tests cover that). A non-empty
-// walRoot gives each party a journal dir under it.
+// process boundary is missing (cmd/nodenet tests cover that). Every party
+// binds its mesh listener on an ephemeral port before any dials, so the
+// shared peer list holds bound addresses and no port is ever released and
+// re-bound at first boot. A non-empty walRoot gives each party a journal
+// dir under it.
 func startClusterWAL(t *testing.T, n, f int, seed int64, walRoot string) *testCluster {
 	t.Helper()
 	rings, _, err := pki.SetupSeeded(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports := reservePorts(t, 2*n)
-	mesh, control := ports[:n], ports[n:]
+	peers := make([]string, n)
 	tc := &testCluster{
 		cfgs:    make([]*Config, n),
 		daemons: make([]*Daemon, n),
@@ -82,7 +81,7 @@ func startClusterWAL(t *testing.T, n, f int, seed int64, walRoot string) *testCl
 	for i := 0; i < n; i++ {
 		tc.cfgs[i] = &Config{
 			N: n, F: f, Seed: seed,
-			Listen: mesh[i], Control: control[i], Peers: mesh,
+			Listen: "127.0.0.1:0", Control: "127.0.0.1:0", Peers: peers,
 			Keys:           rings[i].Config(),
 			AwaitTimeoutMS: int((60 * time.Second).Milliseconds()),
 			DrainTimeoutMS: int((30 * time.Second).Milliseconds()),
@@ -90,7 +89,11 @@ func startClusterWAL(t *testing.T, n, f int, seed int64, walRoot string) *testCl
 		if walRoot != "" {
 			tc.cfgs[i].WALDir = fmt.Sprintf("%s/party%d", walRoot, i)
 		}
-		tc.startDaemon(t, i)
+		tc.newDaemon(t, i)
+		peers[i] = tc.cfgs[i].Listen
+	}
+	for i := 0; i < n; i++ {
+		tc.serve(t, i)
 	}
 	t.Cleanup(func() {
 		var wg sync.WaitGroup
