@@ -75,18 +75,6 @@ func TestCoins(sessionSeed string) CoinFactory {
 	}
 }
 
-// AdversarialCoins returns a worst-case coin for safety testing: each party
-// receives an independent pseudorandom bit (maximal disagreement). Safety
-// must hold even under it; termination degrades gracefully.
-func AdversarialCoins(sessionSeed string, self int) CoinFactory {
-	return func(round int, out func(byte)) func() {
-		return func() {
-			h := sha256.Sum256([]byte(fmt.Sprintf("advcoin/%s/%d/%d", sessionSeed, round, self)))
-			out(h[0] & 1)
-		}
-	}
-}
-
 // Message tags. Stage s ∈ {0, 1} of a round sends EST as msgEST1+2s and
 // AUX as msgAUX1+2s.
 const (

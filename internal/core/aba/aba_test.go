@@ -2,6 +2,7 @@ package aba
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -352,5 +353,17 @@ func TestStageDomains(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { a.Handle(3, aux) }); allocs != 0 {
 		t.Fatalf("a repeated AUX allocates %.0f times per receipt", allocs)
+	}
+}
+
+// AdversarialCoins returns a worst-case coin for safety testing: each party
+// receives an independent pseudorandom bit (maximal disagreement). Safety
+// must hold even under it; termination degrades gracefully.
+func AdversarialCoins(sessionSeed string, self int) CoinFactory {
+	return func(round int, out func(byte)) func() {
+		return func() {
+			h := sha256.Sum256([]byte(fmt.Sprintf("advcoin/%s/%d/%d", sessionSeed, round, self)))
+			out(h[0] & 1)
+		}
 	}
 }

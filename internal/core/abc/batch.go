@@ -184,11 +184,14 @@ func (m *Mempool) Len() int {
 	return len(m.txs)
 }
 
-// Bytes reports the queued transaction bytes.
-func (m *Mempool) Bytes() int {
+// Drain removes and returns every queued transaction, front first.
+func (m *Mempool) Drain() [][]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.size
+	txs := m.txs
+	m.txs, m.size = nil, 0
+	m.space.Broadcast()
+	return txs
 }
 
 // Empty reports whether no transactions are queued.

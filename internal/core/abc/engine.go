@@ -103,7 +103,6 @@ type Engine struct {
 	force    int                // launch through force-1 even without work (WAKE)
 	stopping bool
 	finished bool
-	final    int
 }
 
 // NewEngine registers one party's engine under inst. pool supplies batches;
@@ -130,7 +129,6 @@ func NewEngine(rt proto.Runtime, inst string, keys *pki.Keyring, cfg EngineConfi
 		done:    done,
 		slots:   make(map[int]*slotState),
 		ready:   make(map[int]*slotState),
-		final:   -1,
 	}
 	rt.Register(inst, proto.HandlerFunc(e.handle))
 	return e
@@ -151,14 +149,14 @@ func (e *Engine) NotifyWork() { e.tryLaunch() }
 
 // RequestStop begins drain: once the mempool empties, this party's batches
 // carry the stop flag, and the first slot committing only flagged batches
-// finalizes the log. Every honest party must eventually be asked to stop,
-// or the flagged slots keep admitting unflagged batches. Drain conserves
-// transactions: every batch taken from the mempool either commits in a
-// delivered slot or is requeued at finish — both a batch the adversary
-// excludes from the final slot and batches in pipelined slots the final
-// slot outruns. Requeued transactions have no later slot to carry them;
-// callers needing them must inspect the pool after finish (the Ledger
-// layer reports leftovers).
+// finalizes the log. A party that never stops keeps committing unflagged
+// batches and so holds the ledger open. Drain conserves transactions; it
+// does not deliver them all. Every batch taken from the mempool either
+// commits in a delivered slot or is requeued by finish: a batch the final
+// slots vote out, which is the fate of a slow honest party's, and batches
+// in pipelined slots the final slot outruns. No later slot carries them;
+// the caller takes them with Mempool.Drain after finish (repro.Ledger.Stop
+// returns them, noded counts them in its Decision).
 func (e *Engine) RequestStop() {
 	if e.stopping {
 		return
@@ -166,15 +164,6 @@ func (e *Engine) RequestStop() {
 	e.stopping = true
 	e.tryLaunch()
 }
-
-// DeliveredThrough reports how many leading slots have been delivered.
-func (e *Engine) DeliveredThrough() int { return e.next }
-
-// Finished reports whether the final slot has been delivered.
-func (e *Engine) Finished() bool { return e.finished }
-
-// FinalSlot returns the agreed final slot index, or -1 before finish.
-func (e *Engine) FinalSlot() int { return e.final }
 
 func (e *Engine) streaming() bool { return e.cfg.MaxSlots <= 0 }
 
@@ -351,7 +340,6 @@ func (e *Engine) drainReady() {
 		}
 		if e.streaming() && allStop || !e.streaming() && e.next == e.cfg.MaxSlots {
 			e.finished = true
-			e.final = st.index
 			e.reclaimPipelined()
 			if e.done != nil {
 				e.done(st.index)
@@ -366,8 +354,8 @@ func (e *Engine) drainReady() {
 // the final slot — the pipelining edge of finish. Those slots' outcomes are
 // discarded identically at every party (nothing delivers past the final
 // slot), so the transactions their myTxs hold would otherwise be lost: they
-// left the mempool, will never commit, and Ledger.Stop's leftover sweep
-// only inspects pools. Every undelivered slot sits in e.slots (e.ready is a
+// left the mempool, will never commit, and the caller's Mempool.Drain sees
+// only the pool. Every undelivered slot sits in e.slots (e.ready is a
 // subset), and at finish all of them have index > final; the sweep walks
 // them in descending slot order so Requeue's prepends restore take order.
 func (e *Engine) reclaimPipelined() {

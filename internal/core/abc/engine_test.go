@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"regexp"
 	"testing"
 	"time"
 
@@ -27,6 +29,9 @@ type engFixture struct {
 	pools   []*Mempool
 	engines []*Engine
 	logs    map[int]*slotLog
+	// submitted is what every pool was given, for conserve.
+	submitted    SetDigest
+	submittedTxs int
 }
 
 func engCfg(extra EngineConfig) EngineConfig {
@@ -71,12 +76,38 @@ func (fx *engFixture) preload(t *testing.T, txPerParty int) {
 	t.Helper()
 	fx.c.EachHonest(func(i int) {
 		for k := 0; k < txPerParty; k++ {
-			tx := []byte(fmt.Sprintf("tx|p%d|%d", i, k))
-			if err := fx.pools[i].Submit(context.Background(), tx); err != nil {
-				t.Fatal(err)
-			}
+			fx.submit(t, i, []byte(fmt.Sprintf("tx|p%d|%d", i, k)))
 		}
 	})
+}
+
+func (fx *engFixture) submit(t *testing.T, i int, tx []byte) {
+	t.Helper()
+	if err := fx.pools[i].Submit(context.Background(), tx); err != nil {
+		t.Fatal(err)
+	}
+	fx.submitted.Add(tx)
+	fx.submittedTxs++
+}
+
+// conserve folds party 0's committed log and every honest pool's
+// remainder into one Log and checks conservation on it: committed ⊎ pooled
+// is what was submitted, each transaction once. Call it after
+// checkIdentical, once the run finished.
+func (fx *engFixture) conserve(t *testing.T) *Log {
+	t.Helper()
+	acct := NewLog()
+	for s, entries := range fx.logs[0].slots {
+		acct.Deliver(s, entries)
+	}
+	fx.c.EachHonest(func(i int) { acct.HandBack(fx.pools[i].Drain()) })
+	sum := acct.Set
+	sum.plus(acct.LeftSet)
+	if sum != fx.submitted || acct.Txs+acct.Leftover != fx.submittedTxs {
+		t.Fatalf("%d committed + %d pooled txs (set %s) != %d submitted (set %s)",
+			acct.Txs, acct.Leftover, sum, fx.submittedTxs, fx.submitted)
+	}
+	return acct
 }
 
 func (fx *engFixture) start() {
@@ -232,7 +263,7 @@ func TestEnginePipelines(t *testing.T) {
 	cfgd := fx.engines[0]
 	orig := cfgd.cfg.OnLaunch
 	cfgd.cfg.OnLaunch = func(slot int) {
-		if slot > 0 && cfgd.DeliveredThrough() < slot {
+		if slot > 0 && cfgd.next < slot {
 			launchedBeforeCommit = true
 		}
 		orig(slot)
@@ -260,28 +291,9 @@ func TestEngineStreamingStopDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.checkIdentical(t)
-	want := make(map[string]int)
-	fx.c.EachHonest(func(i int) {
-		for k := 0; k < 3; k++ {
-			want[fmt.Sprintf("tx|p%d|%d", i, k)]++
-		}
-	})
-	got := committedTxs(fx.logs[0])
-	for tx, cnt := range want {
-		if got[tx] != cnt {
-			t.Fatalf("tx %q committed %d times, want %d", tx, got[tx], cnt)
-		}
+	if acct := fx.conserve(t); acct.Leftover != 0 {
+		t.Fatalf("%d txs left over, want every tx committed", acct.Leftover)
 	}
-	for tx, cnt := range got {
-		if want[tx] != cnt {
-			t.Fatalf("unexpected committed tx %q (x%d)", tx, cnt)
-		}
-	}
-	fx.c.EachHonest(func(i int) {
-		if !fx.pools[i].Empty() {
-			t.Fatalf("node %d stopped with %d txs still pooled", i, fx.pools[i].Len())
-		}
-	})
 }
 
 // TestEngineQuiescesWhenIdle asserts the work-conserving property: idle
@@ -352,11 +364,8 @@ func TestEngineFinishRequeuesPipelinedBatches(t *testing.T) {
 	copy(txA, "tx|p0|A")
 	txB := make([]byte, 40)
 	copy(txB, "tx|p0|B")
-	for _, tx := range [][]byte{txA, txB} {
-		if err := fx.pools[0].Submit(context.Background(), tx); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fx.submit(t, 0, txA)
+	fx.submit(t, 0, txB)
 	fx.start()
 	fx.c.EachHonest(func(i int) { fx.engines[i].RequestStop() })
 	if err := fx.c.Net.Run(sim.DefaultDeliveryBudget, fx.allDone()); err != nil {
@@ -370,23 +379,70 @@ func TestEngineFinishRequeuesPipelinedBatches(t *testing.T) {
 		t.Fatalf("scenario did not arm: final=%d, launched=%v (want final slot 0 with a pipelined slot past it)",
 			lg.final, lg.launchO)
 	}
-	got := committedTxs(lg)
-	pooled := make(map[string]int)
-	for !fx.pools[0].Empty() {
-		for _, tx := range fx.pools[0].Take(1 << 30) {
-			pooled[string(tx)]++
-		}
+	if committedTxs(lg)[string(txB)] != 0 {
+		t.Fatalf("tx B committed despite its slot being past the final slot — premise broken")
 	}
 	// Conservation: each tx is committed exactly once or back in the pool
 	// exactly once — never lost, never duplicated.
-	for _, tx := range []string{string(txA), string(txB)} {
-		if got[tx]+pooled[tx] != 1 {
-			t.Fatalf("tx %q committed %d times and pooled %d times; want exactly one of the two",
-				tx, got[tx], pooled[tx])
+	fx.conserve(t)
+}
+
+// TestEngineStopConserves starves one honest party while every party stops
+// right after Start. A scheduler delays party 3's AVID broadcasts
+// (acs/s<k>/b3) with probability p, so slot 0 can vote its batch out and a
+// later all-stop slot end the log before party 3's requeued transactions
+// ride again: they come back to its pool as leftovers. Over 100 seeds per
+// p the logs must agree and committed ⊎ pooled must be the preload, and at
+// p = 0.9 some seed must leave a leftover, or the scenario never armed.
+func TestEngineStopConserves(t *testing.T) {
+	const n, f, txPerParty, seeds = 4, 1, 6, 100
+	coins := func(inst string) aba.CoinFactory { return aba.TestCoins(inst) }
+	re := regexp.MustCompile(`^acs/s\d+/b3(/|$)`)
+	matched := make(map[string]bool) // the scheduler scans the queue per pick
+	starved := func(inst string) bool {
+		m, ok := matched[inst]
+		if !ok {
+			m = re.MatchString(inst)
+			matched[inst] = m
 		}
+		return m
 	}
-	if got[string(txB)] != 0 {
-		t.Fatalf("tx B committed despite its slot being past the final slot — premise broken")
+	for _, p := range []float64{0.5, 0.9} {
+		sched := sim.SchedulerFunc(func(r *rand.Rand, q []*sim.Envelope) int {
+			if r.Float64() < p {
+				other := make([]int, 0, len(q))
+				for i, e := range q {
+					if !starved(e.Inst) {
+						other = append(other, i)
+					}
+				}
+				if len(other) > 0 {
+					return other[r.Intn(len(other))]
+				}
+			}
+			return r.Intn(len(q))
+		})
+		leftover := 0
+		for seed := int64(0); seed < seeds; seed++ {
+			t.Run(fmt.Sprintf("p=%v/seed=%d", p, seed), func(t *testing.T) {
+				fx := setupEngines(t, n, f, seed, harness.Options{Scheduler: sched},
+					engCfg(EngineConfig{BatchBytes: 64, Coins: coins}))
+				fx.preload(t, txPerParty)
+				fx.start()
+				fx.c.EachHonest(func(i int) { fx.engines[i].RequestStop() })
+				if err := fx.c.Net.Run(sim.DefaultDeliveryBudget, fx.allDone()); err != nil {
+					t.Fatal(err)
+				}
+				fx.checkIdentical(t)
+				if fx.conserve(t).Leftover > 0 {
+					leftover++
+				}
+			})
+		}
+		t.Logf("p=%v: %d of %d seeds left txs over", p, leftover, seeds)
+		if p == 0.9 && leftover == 0 {
+			t.Fatalf("p=%v: no seed left a tx over; the straggler scenario never armed", p)
+		}
 	}
 }
 
@@ -449,6 +505,38 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if _, _, err := DecodeBatch(append(EncodeBatch(txs, false), 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+}
+
+// TestSumSetsIsTheUnion: adding two set digests gives the digest of the
+// union, in any order, and a malformed digest is an error.
+func TestSumSetsIsTheUnion(t *testing.T) {
+	var a, b, ab SetDigest
+	a.Add([]byte("tx|x"))
+	b.Add([]byte("tx|y"))
+	ab.Add([]byte("tx|y"))
+	ab.Add([]byte("tx|x"))
+	if got, err := SumSets(a.String(), b.String()); err != nil || got != ab.String() {
+		t.Fatalf("SumSets = %s, %v; want %s", got, err, ab)
+	}
+	for _, bad := range []string{"", "zz", a.String()[2:], a.String() + "00"} {
+		if _, err := SumSets(bad); err == nil {
+			t.Errorf("SumSets(%q) accepted a malformed digest", bad)
+		}
+	}
+}
+
+// FuzzDecodeBatch: a batch DecodeBatch accepts re-encodes to itself, so a
+// batch and its stop flag have one encoding. The seeds are honest batches,
+// which the engine encodes with EncodeBatch.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(EncodeBatch(nil, true))
+	f.Add(EncodeBatch([][]byte{[]byte("tx|p0|0"), {}, []byte("tx|p0|1")}, false))
+	f.Fuzz(func(t *testing.T, batch []byte) {
+		txs, stop, err := DecodeBatch(batch)
+		if err == nil && !bytes.Equal(EncodeBatch(txs, stop), batch) {
+			t.Fatalf("%x decodes and re-encodes as %x", batch, EncodeBatch(txs, stop))
+		}
+	})
 }
 
 func TestMempoolBackpressureBlocksNotDrops(t *testing.T) {
@@ -514,18 +602,24 @@ func TestMempoolTakeAndRequeueOrder(t *testing.T) {
 	if len(all) != 3 || string(all[0]) != "aa" || string(all[1]) != "bb" || string(all[2]) != "cc" {
 		t.Fatalf("post-requeue order = %q", all)
 	}
-	if m.Bytes() != 0 || !m.Empty() {
-		t.Fatalf("pool not empty after draining: %d bytes", m.Bytes())
+	if !m.Empty() {
+		t.Fatalf("pool holds %d txs after draining", m.Len())
+	}
+	// Every byte left with its tx: a full-capacity tx is admitted at once.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := m.Submit(ctx, make([]byte, 100)); err != nil {
+		t.Fatalf("drained pool refused a full-capacity tx: %v", err)
 	}
 }
 
 // TestMempoolLeftoverCycleSurvivesStopRestart models handing a stopped
 // pool's remainder to a restarted party: a stopping party requeues its
 // excluded in-flight batch, closes the pool, harvests the remainder with
-// Take, and the restarted party Requeues that remainder into a fresh
+// Drain, and the restarted party Requeues that remainder into a fresh
 // pool. Submission order must survive the whole cycle with nothing lost
-// or duplicated, and the fresh pool must still admit new submissions
-// behind the restored front.
+// or duplicated, and the fresh pool must admit new submissions behind the
+// restored front up to its capacity, counting the restored bytes.
 func TestMempoolLeftoverCycleSurvivesStopRestart(t *testing.T) {
 	old := NewMempool(1 << 10)
 	for i := 0; i < 6; i++ {
@@ -541,28 +635,25 @@ func TestMempoolLeftoverCycleSurvivesStopRestart(t *testing.T) {
 	old.Requeue(inflight)
 	old.Close()
 
-	// Harvest the leftovers: drain with Take so accounting hits zero, in
-	// front-to-back order.
-	var leftovers [][]byte
-	for {
-		batch := old.Take(1 << 20)
-		if len(batch) == 0 {
-			break
-		}
-		leftovers = append(leftovers, batch...)
-	}
-	if old.Bytes() != 0 || !old.Empty() {
-		t.Fatalf("stopped pool not drained: %d bytes", old.Bytes())
+	leftovers := old.Drain()
+	if !old.Empty() {
+		t.Fatalf("stopped pool holds %d txs after Drain", old.Len())
 	}
 
-	// Restart: restore into a fresh pool, then keep submitting behind it.
-	fresh := NewMempool(1 << 10)
+	// Restart: restore into a fresh pool with room for one more tx, then
+	// keep submitting behind it.
+	fresh := NewMempool(7 * 3)
 	fresh.Requeue(leftovers)
-	if fresh.Len() != 6 || fresh.Bytes() != 6*3 {
-		t.Fatalf("restored pool holds %d txs / %d bytes", fresh.Len(), fresh.Bytes())
+	if fresh.Len() != 6 {
+		t.Fatalf("restored pool holds %d txs", fresh.Len())
 	}
 	if err := fresh.Submit(context.Background(), []byte("tx6")); err != nil {
 		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := fresh.Submit(ctx, []byte("x")); err != context.DeadlineExceeded {
+		t.Fatalf("submit into a pool full of restored bytes: %v, want it blocked", err)
 	}
 	all := fresh.Take(1 << 20)
 	if len(all) != 7 {

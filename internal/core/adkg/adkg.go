@@ -22,7 +22,6 @@ import (
 	"repro/internal/core/vba"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
-	"repro/internal/crypto/poly"
 	"repro/internal/crypto/pvss"
 	"repro/internal/pki"
 	"repro/internal/proto"
@@ -207,26 +206,4 @@ func (a *ADKG) onDecide(value []byte) {
 		Script:   s,
 	}
 	a.out(key)
-}
-
-// EvalShare computes this party's threshold-VUF share on a tag:
-// σ_i = e(H₁(tag), S_i) ∈ GT.
-func (k ThresholdKey) EvalShare(tag []byte) pairing.GT {
-	return pairing.Pair(pairing.HashToG1("adkg/vuf", tag), k.Share)
-}
-
-// Combine Lagrange-interpolates f+1 shares in GT to the group evaluation
-// σ = e(H₁(tag), ĥ1)^{F(0)} and checks it against the transcript.
-func (k ThresholdKey) Combine(tag []byte, shares map[int]pairing.GT) (pairing.GT, bool) {
-	acc, err := poly.CombineAtZero(shares, k.Params.Degree)
-	if err != nil {
-		return pairing.GT{}, false
-	}
-	// Consistency check against the transcript is only possible for the
-	// combined value in the simulated group when recomputed from F(0)'s
-	// G1 commitment paired with the same hash — both sides live in GT
-	// with the same generator exponent h·F(0) iff the shares were honest.
-	// We verify by re-deriving from any other (f+1)-subset when available;
-	// callers compare across parties for agreement.
-	return acc, true
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core/coin"
 	"repro/internal/core/vba"
 	"repro/internal/crypto/pairing"
+	"repro/internal/crypto/poly"
 	"repro/internal/harness"
 )
 
@@ -138,4 +139,22 @@ func TestBadContributionRejected(t *testing.T) {
 	if fx.c.Net.Metrics().Rejected == 0 {
 		t.Fatal("garbage contribution not rejected")
 	}
+}
+
+// EvalShare computes this party's threshold-VUF share on a tag:
+// σ_i = e(H₁(tag), S_i) ∈ GT.
+func (k ThresholdKey) EvalShare(tag []byte) pairing.GT {
+	return pairing.Pair(pairing.HashToG1("adkg/vuf", tag), k.Share)
+}
+
+// Combine Lagrange-interpolates f+1 shares in GT to the group evaluation
+// σ = e(H₁(tag), ĥ1)^{F(0)}; ok is false when they do not interpolate.
+// Nothing checks σ against the transcript: callers compare across subsets
+// and parties.
+func (k ThresholdKey) Combine(tag []byte, shares map[int]pairing.GT) (pairing.GT, bool) {
+	acc, err := poly.CombineAtZero(shares, k.Params.Degree)
+	if err != nil {
+		return pairing.GT{}, false
+	}
+	return acc, true
 }

@@ -105,15 +105,6 @@ func (p Poly) EvalShare(i int) Share {
 	return Share{Index: i, Value: p.Eval(X(i))}
 }
 
-// Shares produces shares for parties 0 … n-1.
-func (p Poly) Shares(n int) []Share {
-	out := make([]Share, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.EvalShare(i)
-	}
-	return out
-}
-
 // ErrDuplicatePoint is returned when interpolation inputs repeat an index.
 var ErrDuplicatePoint = errors.New("poly: duplicate evaluation point")
 
@@ -142,11 +133,6 @@ func InterpolateAt(shares []Share, at field.Scalar) (field.Scalar, error) {
 		acc = acc.Add(coeffs[i].Mul(sh.Value))
 	}
 	return acc, nil
-}
-
-// InterpolateSecret recovers p(0) from the shares.
-func InterpolateSecret(shares []Share) (field.Scalar, error) {
-	return InterpolateAt(shares, field.Zero())
 }
 
 // LagrangeCoeffs returns the Lagrange basis coefficients λ_i such that, for

@@ -29,7 +29,7 @@ func TestSharesReconstructSecret(t *testing.T) {
 			t.Fatal(err)
 		}
 		shares := p.Shares(deg + 1)
-		got, err := InterpolateSecret(shares)
+		got, err := InterpolateAt(shares, field.Zero())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestAnySubsetReconstructs(t *testing.T) {
 		for _, i := range perm {
 			sub = append(sub, all[i])
 		}
-		got, err := InterpolateSecret(sub)
+		got, err := InterpolateAt(sub, field.Zero())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestAnySubsetReconstructs(t *testing.T) {
 
 func TestInterpolateRejectsDuplicates(t *testing.T) {
 	shares := []Share{{Index: 1, Value: field.One()}, {Index: 1, Value: field.Zero()}}
-	if _, err := InterpolateSecret(shares); err == nil {
+	if _, err := InterpolateAt(shares, field.Zero()); err == nil {
 		t.Fatal("accepted duplicate index")
 	}
 	if _, err := Interpolate(shares); err == nil {
@@ -285,4 +285,13 @@ func TestCombineAtZeroUsesLowestIndices(t *testing.T) {
 	if _, err := CombineAtZero(map[int]sumElem{0: {}, 3: {}}, 2); err == nil {
 		t.Fatal("combined 2 shares of a degree-2 polynomial")
 	}
+}
+
+// Shares produces shares for parties 0 … n-1.
+func (p Poly) Shares(n int) []Share {
+	out := make([]Share, n)
+	for i := 0; i < n; i++ {
+		out[i] = p.EvalShare(i)
+	}
+	return out
 }

@@ -193,7 +193,8 @@ func (q *Quorum) Encode(w *wire.Writer) {
 }
 
 // DecodeQuorum reads a quorum written by Encode, rejecting more than maxLen
-// entries. ok is false on any malformation.
+// entries. ok is false on any malformation, indices that are not strictly
+// increasing included, so a quorum has one encoding.
 func DecodeQuorum(rd *wire.Reader, maxLen int) (Quorum, bool) {
 	var q Quorum
 	n := rd.Int()
@@ -203,14 +204,14 @@ func DecodeQuorum(rd *wire.Reader, maxLen int) (Quorum, bool) {
 	for i := 0; i < n; i++ {
 		idx := rd.Int()
 		sb := rd.Raw(Size)
-		if rd.Err() != nil {
+		if rd.Err() != nil || i > 0 && idx <= q.Indices[i-1] {
 			return q, false
 		}
 		s, err := SignatureFromBytes(sb)
 		if err != nil {
 			return q, false
 		}
-		q.Add(idx, s)
+		q.Indices, q.Sigs = append(q.Indices, idx), append(q.Sigs, s)
 	}
 	return q, true
 }

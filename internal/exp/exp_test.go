@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core/seeding"
+	"repro/internal/core/vba"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
@@ -332,4 +333,14 @@ func TestSeedingScriptVerifyDedupBudget(t *testing.T) {
 	if ss.Composed < 1 {
 		t.Fatal("aggregate was never validated compositionally")
 	}
+}
+
+// RunVBA executes one validated BA; proposals[i] is party i's input, and
+// valid is the external predicate Q.
+func RunVBA(spec RunSpec, proposals [][]byte, valid vba.Predicate) (VBAOutcome, error) {
+	inst, err := run(spec, "vba", "vba", vbaInputs(proposals, valid))
+	if err != nil {
+		return VBAOutcome{}, err
+	}
+	return VBAInstance{inst}.Outcome(), nil
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/core/election"
 	"repro/internal/core/rbc"
 	"repro/internal/core/seeding"
-	"repro/internal/core/vba"
 	"repro/internal/core/wcs"
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/rs"
@@ -253,16 +252,6 @@ type VBAOutcome struct {
 	Agreed  bool
 	Value   []byte
 	MaxView int
-}
-
-// RunVBA executes one validated BA; proposals[i] is party i's input, and
-// valid is the external predicate Q.
-func RunVBA(spec RunSpec, proposals [][]byte, valid vba.Predicate) (VBAOutcome, error) {
-	inst, err := run(spec, "vba", "vba", vbaInputs(proposals, valid))
-	if err != nil {
-		return VBAOutcome{}, err
-	}
-	return VBAInstance{inst}.Outcome(), nil
 }
 
 // ADKGOutcome is the result of RunADKG.

@@ -55,12 +55,15 @@ type Decision struct {
 	// invariant across scheduling differences (including crash/recovery),
 	// unlike Value's order-chained digest.
 	TxSet string `json:"txSet,omitempty"`
+	// Leftover and LeftoverSet: the txs this party got back at finish.
+	Leftover    int    `json:"leftover,omitempty"`
+	LeftoverSet string `json:"leftoverSet,omitempty"`
 }
 
 // Same reports whether two decisions carry the same agreement output. Tag
-// names the instance, and Round, View, Attempts and MaxSet are one party's
-// observation of how the run went — honest parties legitimately differ on
-// them — so they are not compared.
+// names the instance, and Round, View, Attempts, MaxSet and the ledger's
+// leftovers are one party's observation of how the run went — honest
+// parties legitimately differ on them — so they are not compared.
 func (d *Decision) Same(o *Decision) bool {
 	if d == nil || o == nil {
 		return d == o
@@ -87,6 +90,7 @@ func Agree(ds []*Decision) bool {
 func (d *Decision) Canonical() *Decision {
 	c := *d
 	c.Round, c.View, c.Attempts, c.MaxSet = 0, 0, nil, false
+	c.Leftover, c.LeftoverSet = 0, ""
 	return &c
 }
 

@@ -203,11 +203,13 @@ var (
 		"TxSet":       func(d *Decision) { d.TxSet += "00" },
 	}
 	ignoredFields = map[string]func(*Decision){
-		"Tag":      func(d *Decision) { d.Tag += "/x" },
-		"Round":    func(d *Decision) { d.Round++ },
-		"View":     func(d *Decision) { d.View++ },
-		"Attempts": func(d *Decision) { d.Attempts = []int{9, 9} },
-		"MaxSet":   func(d *Decision) { d.MaxSet = !d.MaxSet },
+		"Tag":         func(d *Decision) { d.Tag += "/x" },
+		"Round":       func(d *Decision) { d.Round++ },
+		"View":        func(d *Decision) { d.View++ },
+		"Attempts":    func(d *Decision) { d.Attempts = []int{9, 9} },
+		"MaxSet":      func(d *Decision) { d.MaxSet = !d.MaxSet },
+		"Leftover":    func(d *Decision) { d.Leftover++ },
+		"LeftoverSet": func(d *Decision) { d.LeftoverSet += "00" },
 	}
 )
 
@@ -216,7 +218,7 @@ func fullDecision() *Decision {
 		Kind: "k", Tag: "t", Bit: 1, MaxSet: true, Round: 2, Leader: 3, ByDefault: true,
 		Value: "v", View: 4, GroupPK: "ab", Weight: 5,
 		EpochValues: []string{"01", "02"}, Attempts: []int{1, 2},
-		FinalSlot: 6, Txs: 7, Bytes: 8, TxSet: "cd",
+		FinalSlot: 6, Txs: 7, Bytes: 8, TxSet: "cd", Leftover: 9, LeftoverSet: "ef",
 	}
 }
 
@@ -266,13 +268,15 @@ func TestSameComparesTheAgreementFieldsOnly(t *testing.T) {
 }
 
 // TestCanonicalClearsThePerPartyObservations: Canonical drops exactly Round,
-// View, Attempts and MaxSet — the tag stays, committed artifacts store it —
+// View, Attempts, MaxSet and the leftovers — the tag stays, committed
+// artifacts store it —
 // and leaves the receiver untouched.
 func TestCanonicalClearsThePerPartyObservations(t *testing.T) {
 	d := fullDecision()
 	c := d.Canonical()
 	want := fullDecision()
 	want.Round, want.View, want.Attempts, want.MaxSet = 0, 0, nil, false
+	want.Leftover, want.LeftoverSet = 0, ""
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("Canonical() = %+v, want %+v", c, want)
 	}

@@ -266,13 +266,13 @@ func TestDaemonLedgerDrainDigest(t *testing.T) {
 	}
 	decs := awaitAll(t, clients, "l")
 	for i, d := range decs {
-		if d.Txs != 4*txCount {
-			t.Fatalf("party %d delivered %d txs, want %d", i, d.Txs, 4*txCount)
-		}
 		if d.Value != decs[0].Value || d.FinalSlot != decs[0].FinalSlot {
 			t.Fatalf("party %d log (slot %d, %s) != party 0 log (slot %d, %s)",
 				i, d.FinalSlot, d.Value, decs[0].FinalSlot, decs[0].Value)
 		}
+	}
+	if err := CheckLedger(decs, txCount, txBytes); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -333,13 +333,13 @@ func TestDaemonLedgerRestartResumes(t *testing.T) {
 	}
 	decs := awaitAll(t, tc.clients, "l")
 	for i, d := range decs {
-		if d.Txs != n*txCount {
-			t.Fatalf("party %d delivered %d txs, want %d exactly once", i, d.Txs, n*txCount)
-		}
 		if d.Value != decs[0].Value || d.FinalSlot != decs[0].FinalSlot {
 			t.Fatalf("party %d log (slot %d, %s) != party 0 log (slot %d, %s)",
 				i, d.FinalSlot, d.Value, decs[0].FinalSlot, decs[0].Value)
 		}
+	}
+	if err := CheckLedger(decs, txCount, txBytes); err != nil {
+		t.Fatal(err)
 	}
 	resp, err := tc.clients[3].Call(&Request{Op: OpStats}, 5*time.Second)
 	if err != nil {
@@ -368,10 +368,10 @@ func TestDaemonLedgerRestartResumes(t *testing.T) {
 // restarts from its journal and participates in a fresh workload with the
 // same cluster.
 func TestDaemonGracefulRestartRejoins(t *testing.T) {
-	const n, txCount = 4, 8
+	const n, txCount, txBytes = 4, 8, 32
 	tc := startClusterWAL(t, n, 1, 22, t.TempDir())
 	launchDrained(t, tc.clients, &Request{
-		Op: OpLaunch, Kind: "ledger", Tag: "l1", Genesis: []byte("g"), TxCount: txCount, TxBytes: 32,
+		Op: OpLaunch, Kind: "ledger", Tag: "l1", Genesis: []byte("g"), TxCount: txCount, TxBytes: txBytes,
 	})
 	first := awaitAll(t, tc.clients, "l1")
 
@@ -389,16 +389,16 @@ func TestDaemonGracefulRestartRejoins(t *testing.T) {
 		t.Fatalf("l1 digest changed across restart: %s != %s", resp.Decision.Value, first[2].Value)
 	}
 	launchDrained(t, tc.clients, &Request{
-		Op: OpLaunch, Kind: "ledger", Tag: "l2", Genesis: []byte("g2"), TxCount: txCount, TxBytes: 32,
+		Op: OpLaunch, Kind: "ledger", Tag: "l2", Genesis: []byte("g2"), TxCount: txCount, TxBytes: txBytes,
 	})
 	decs := awaitAll(t, tc.clients, "l2")
 	for i, d := range decs {
-		if d.Txs != n*txCount {
-			t.Fatalf("party %d delivered %d txs on l2, want %d", i, d.Txs, n*txCount)
-		}
 		if d.Value != decs[0].Value {
 			t.Fatalf("party %d l2 digest %s != party 0 %s", i, d.Value, decs[0].Value)
 		}
+	}
+	if err := CheckLedger(decs, txCount, txBytes); err != nil {
+		t.Fatal(err)
 	}
 	resp, err = tc.clients[2].Call(&Request{Op: OpStats}, 5*time.Second)
 	if err != nil {
@@ -417,11 +417,11 @@ func TestDaemonGracefulRestartRejoins(t *testing.T) {
 // reproduces every journaled self-send — and the cluster still drains to
 // one log holding every transaction exactly once.
 func TestDaemonShutdownDrainReplays(t *testing.T) {
-	const n, txCount = 4, 16
+	const n, txCount, txBytes = 4, 16, 32
 	tc := startClusterWAL(t, n, 1, 23, t.TempDir())
 	launch := &Request{
 		Op: OpLaunch, Kind: "ledger", Tag: "l", Genesis: []byte("g"),
-		TxCount: txCount, TxBytes: 32, BatchBytes: 64,
+		TxCount: txCount, TxBytes: txBytes, BatchBytes: 64,
 	}
 	for i, c := range tc.clients {
 		if _, err := c.Call(launch, 10*time.Second); err != nil {
@@ -443,12 +443,12 @@ func TestDaemonShutdownDrainReplays(t *testing.T) {
 	}
 	decs := awaitAll(t, tc.clients, "l")
 	for i, d := range decs {
-		if d.Txs != n*txCount {
-			t.Fatalf("party %d delivered %d txs, want %d exactly once", i, d.Txs, n*txCount)
-		}
 		if d.Value != decs[0].Value {
 			t.Fatalf("party %d log %s != party 0 log %s", i, d.Value, decs[0].Value)
 		}
+	}
+	if err := CheckLedger(decs, txCount, txBytes); err != nil {
+		t.Fatal(err)
 	}
 	resp, err := tc.clients[3].Call(&Request{Op: OpStats}, 5*time.Second)
 	if err != nil {

@@ -13,12 +13,8 @@ package noded
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 
 	"repro/internal/adversary"
 	"repro/internal/core/abc"
@@ -91,57 +87,6 @@ func (req *Request) KindInput() (kinds.Input, error) {
 	return in, nil
 }
 
-// ledgerLog folds the committed slot stream into two digests. The chained
-// digest covers slots, origins and order: equal values across processes
-// certify an identical total order, not just an identical tx set. The set
-// digest (a 256-bit additive hash over sha256(tx)) is order- and
-// slot-insensitive: it identifies the delivered transaction multiset alone,
-// so it is invariant under scheduling differences — the value a crash-
-// recovery run can compare against an uninterrupted reference run, where
-// slot layout may legally differ but the delivered set may not. Touched
-// only from the dispatcher goroutine.
-type ledgerLog struct {
-	h     hash.Hash
-	set   [sha256.Size]byte // 256-bit big-endian additive accumulator
-	txs   int
-	bytes int64
-}
-
-func newLedgerLog() *ledgerLog { return &ledgerLog{h: sha256.New()} }
-
-func (l *ledgerLog) absorb(slot int, entries []abc.Entry) {
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], uint64(slot))
-	l.h.Write(num[:])
-	for _, e := range entries {
-		binary.BigEndian.PutUint64(num[:], uint64(e.Origin))
-		l.h.Write(num[:])
-		for _, tx := range e.Txs {
-			binary.BigEndian.PutUint64(num[:], uint64(len(tx)))
-			l.h.Write(num[:])
-			l.h.Write(tx)
-			addTx(&l.set, tx)
-			l.txs++
-			l.bytes += int64(len(tx))
-		}
-	}
-}
-
-// addTx adds sha256(tx) into the 256-bit big-endian accumulator, mod 2²⁵⁶ —
-// the one definition of the set digest's group operation.
-func addTx(set *[sha256.Size]byte, tx []byte) {
-	sum := sha256.Sum256(tx)
-	carry := 0
-	for i := sha256.Size - 1; i >= 0; i-- {
-		v := int(set[i]) + int(sum[i]) + carry
-		set[i] = byte(v)
-		carry = v >> 8
-	}
-}
-
-func (l *ledgerLog) digest() string    { return hex.EncodeToString(l.h.Sum(nil)) }
-func (l *ledgerLog) setDigest() string { return hex.EncodeToString(l.set[:]) }
-
 // LedgerTx is the deterministic transaction party self submits at preload
 // index k — the single definition the daemon loads from and harnesses
 // predict with.
@@ -156,19 +101,42 @@ func LedgerTx(self, k, txBytes int) []byte {
 // (n, txCount, txBytes) alone, any run — interrupted or not — that delivers
 // each transaction exactly once reports this value.
 func ExpectedTxSet(n, txCount, txBytes int) string {
-	var set [sha256.Size]byte
+	var set abc.SetDigest
 	for self := 0; self < n; self++ {
 		for k := 0; k < txCount; k++ {
-			addTx(&set, LedgerTx(self, k, txBytes))
+			set.Add(LedgerTx(self, k, txBytes))
 		}
 	}
-	return hex.EncodeToString(set[:])
+	return set.String()
+}
+
+// CheckLedger checks agreeing ledger decisions, one per party, against
+// their preloads of txCount txBytes-byte txs: conservation (the committed
+// set plus every party's leftovers is the preload), then full delivery (no
+// leftovers), which a slow honest party voted out of the final slots
+// breaks alone.
+func CheckLedger(decs []*Decision, txCount, txBytes int) error {
+	sets, txs := []string{decs[0].TxSet}, decs[0].Txs
+	for _, d := range decs {
+		sets, txs = append(sets, d.LeftoverSet), txs+d.Leftover
+	}
+	got, err := abc.SumSets(sets...)
+	if want := ExpectedTxSet(len(decs), txCount, txBytes); err == nil && (got != want || txs != len(decs)*txCount) {
+		err = fmt.Errorf("conservation broken: committed plus leftover txs=%d set=%s, want txs=%d set=%s",
+			txs, got, len(decs)*txCount, want)
+	}
+	for i := 0; err == nil && i < len(decs); i++ {
+		if decs[i].Leftover != 0 {
+			err = fmt.Errorf("full delivery broken, conservation held: party %d got %d txs back", i, decs[i].Leftover)
+		}
+	}
+	return err
 }
 
 // prepareLedger returns the construction closure of a streaming abc engine
 // preloaded with this party's transactions. The log stays open until a drain
 // op (the RPC's or shutdown's) calls RequestStop on every party; the decision
-// carries the final slot and the ordered-log digest.
+// carries the final slot, the ordered-log digest and the pool's leftovers.
 func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) func(inst *instance) {
 	txCount, txBytes := req.TxCount, req.TxBytes
 	if txCount <= 0 {
@@ -186,17 +154,19 @@ func (d *Daemon) prepareLedger(req *Request, cfg coin.Config, rt proto.Runtime) 
 	self := d.self
 	return func(inst *instance) {
 		pool := abc.NewMempool(2*txCount*txBytes + 1024)
-		log := newLedgerLog()
-		eng := abc.NewEngine(rt, tag, keys, ecfg, pool,
-			func(slot int, entries []abc.Entry) { log.absorb(slot, entries) },
+		log := abc.NewLog()
+		eng := abc.NewEngine(rt, tag, keys, ecfg, pool, log.Deliver,
 			func(finalSlot int) {
+				log.HandBack(pool.Drain())
 				d.complete(inst, &Decision{
 					Kind: "ledger", Tag: tag,
-					FinalSlot: finalSlot,
-					Value:     log.digest(),
-					TxSet:     log.setDigest(),
-					Txs:       log.txs,
-					Bytes:     log.bytes,
+					FinalSlot:   finalSlot,
+					Value:       log.Digest(),
+					TxSet:       log.Set.String(),
+					Txs:         log.Txs,
+					Bytes:       log.Bytes,
+					Leftover:    log.Leftover,
+					LeftoverSet: log.LeftSet.String(),
 				})
 			})
 		// A drain's act reads eng back on the dispatcher, behind this task.

@@ -7,13 +7,13 @@ package nodenet
 // What can be asserted is dictated by the abc engine's semantics. Within
 // one run, agreement is absolute: every party (including a party rebuilt
 // from its WAL) must report the identical chained digest, final slot and
-// tx count. Across runs, only the delivered transaction *multiset* is
-// forced — a kill can make the BKR round exclude the victim's in-flight
-// batch, its transactions requeue and re-ride a later slot, and the slot
-// layout legally diverges from an uninterrupted run. So each round is a
-// ledger Workload, whose own check gates exactly-once delivery against
-// the analytic multiset (Txs == n·TxCount, TxSet == ExpectedTxSet). The
-// kill schedule is a function of the seed alone.
+// tx count. Across runs only the transaction *multiset* is forced: a kill
+// can make a slot exclude the victim's batch, whose transactions re-ride a
+// later slot or, past the final slot, come back as the victim's leftovers,
+// as a slow honest party's do. Each round is a ledger Workload whose check
+// gates conservation, then full delivery, and says which broke. Every party
+// is drained, since one that never stops keeps the ledger open. The kill
+// schedule is a function of the seed alone.
 
 import (
 	"fmt"

@@ -7,10 +7,12 @@ package nodenet
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core/abc"
 	"repro/internal/noded"
 )
 
@@ -88,19 +90,9 @@ func TestProcessClusterSurvivesConnectionKill(t *testing.T) {
 	// party 2.
 	w := Workload{Name: "killtest", Kind: "ledger", Genesis: "kill", TxCount: 48, TxBytes: 96,
 		Agreement: true, Mid: func() error { return cl.Sever(1, 2) }}
-	res, err := w.Run(cl)
-	if err != nil {
+	// Run's check gates agreement, conservation and full delivery.
+	if _, err := w.Run(cl); err != nil {
 		t.Fatalf("ledger after sever: %v\n%s", err, cl.Logs())
-	}
-	decs := res.Decisions
-	for i, d := range decs {
-		if d.Txs != 4*48 {
-			t.Fatalf("party %d delivered %d txs, want %d", i, d.Txs, 4*48)
-		}
-		if d.Value != decs[0].Value || d.FinalSlot != decs[0].FinalSlot {
-			t.Fatalf("party %d log diverged after reconnect: (%d, %s) vs (%d, %s)",
-				i, d.FinalSlot, d.Value, decs[0].FinalSlot, decs[0].Value)
-		}
 	}
 	// The severed link must have actually redialed.
 	deadline := time.Now().Add(10 * time.Second)
@@ -232,23 +224,9 @@ func TestProcessClusterSurvivesKillRestart(t *testing.T) {
 			}
 			return cl.Restart(victim)
 		}}
-	res, err := w.Run(cl)
-	if err != nil {
+	// Run's check gates agreement, conservation and full delivery.
+	if _, err := w.Run(cl); err != nil {
 		t.Fatalf("ledger after kill/restart: %v\n%s", err, cl.Logs())
-	}
-	decs := res.Decisions
-	wantSet := noded.ExpectedTxSet(n, txCount, txBytes)
-	for i, d := range decs {
-		if d.Txs != n*txCount {
-			t.Fatalf("party %d delivered %d txs, want exactly-once %d", i, d.Txs, n*txCount)
-		}
-		if d.TxSet != wantSet {
-			t.Fatalf("party %d tx set %s, want %s", i, d.TxSet, wantSet)
-		}
-		if d.Value != decs[0].Value || d.FinalSlot != decs[0].FinalSlot {
-			t.Fatalf("party %d log diverged after restart: (%d, %s) vs (%d, %s)",
-				i, d.FinalSlot, d.Value, decs[0].FinalSlot, decs[0].Value)
-		}
 	}
 	stats, err := cl.StatsAll()
 	if err != nil {
@@ -286,17 +264,11 @@ func TestChaosRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := WorkloadByName("ledger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := noded.ExpectedTxSet(4, ledger.TxCount, ledger.TxBytes)
+	// Each round is a ledger Workload.Run, whose check gates conservation
+	// and full delivery.
 	kills := 0
 	for _, r := range run.Rounds {
 		kills += len(r.Kills)
-		if d := r.Decisions[0]; d.Txs != 4*ledger.TxCount || d.TxSet != want {
-			t.Fatalf("round %s: txs=%d set=%s, want txs=%d set=%s", r.Tag, d.Txs, d.TxSet, 4*ledger.TxCount, want)
-		}
 	}
 	if len(run.Rounds) != 2 || kills != 1 {
 		t.Fatalf("unexpected chaos shape: %d rounds, %d kills", len(run.Rounds), kills)
@@ -307,7 +279,8 @@ func TestChaosRunSmoke(t *testing.T) {
 }
 
 // TestWorkloadCheck pins the decision-only invariants Run enforces:
-// agreement where declared, and a ledger's exactly-once delivery.
+// agreement where declared, and a ledger's conservation and full delivery,
+// each reported by name.
 func TestWorkloadCheck(t *testing.T) {
 	const n = 4
 	byName := func(name string) Workload {
@@ -318,7 +291,11 @@ func TestWorkloadCheck(t *testing.T) {
 		return w
 	}
 	ledger := byName("ledger")
-	wantTxs, wantSet := n*ledger.TxCount, noded.ExpectedTxSet(n, ledger.TxCount, ledger.TxBytes)
+	wantTxs := n * ledger.TxCount
+	var none, straggler abc.SetDigest // party 3's preload, handed back
+	for k := 0; k < ledger.TxCount; k++ {
+		straggler.Add(noded.LedgerTx(n-1, k, ledger.TxBytes))
+	}
 	bits := func(bs ...int) []*noded.Decision {
 		decs := make([]*noded.Decision, len(bs))
 		for i, b := range bs {
@@ -326,28 +303,37 @@ func TestWorkloadCheck(t *testing.T) {
 		}
 		return decs
 	}
-	logs := func(txs int, set string) []*noded.Decision {
+	// logs is n agreeing ledger decisions whose last party holds left back.
+	logs := func(txs int, set string, left int, leftSet abc.SetDigest) []*noded.Decision {
 		decs := make([]*noded.Decision, n)
 		for i := range decs {
-			decs[i] = &noded.Decision{Kind: "ledger", Value: "log", FinalSlot: 2, Txs: txs, TxSet: set}
+			decs[i] = &noded.Decision{Kind: "ledger", Value: "log", FinalSlot: 2, Txs: txs, TxSet: set,
+				LeftoverSet: none.String()}
 		}
+		decs[n-1].Leftover, decs[n-1].LeftoverSet = left, leftSet.String()
 		return decs
 	}
+	full := noded.ExpectedTxSet(n, ledger.TxCount, ledger.TxBytes)
+	rest := noded.ExpectedTxSet(n-1, ledger.TxCount, ledger.TxBytes) // parties 0..n-2
 	for _, tc := range []struct {
 		name string
 		w    Workload
 		decs []*noded.Decision
-		ok   bool
+		want string // "" = ok, else a substring of the error
 	}{
-		{"agreeing", byName("aba-unanimous"), bits(1, 1, 1, 1), true},
-		{"disagreeing", byName("aba-unanimous"), bits(1, 1, 0, 1), false},
-		{"disagreeing weak coin", byName("coin"), bits(1, 1, 0, 1), true},
-		{"ledger exactly once", ledger, logs(wantTxs, wantSet), true},
-		{"ledger one tx short", ledger, logs(wantTxs-1, wantSet), false},
-		{"ledger wrong tx set", ledger, logs(wantTxs, noded.ExpectedTxSet(n, ledger.TxCount, ledger.TxBytes+1)), false},
+		{"agreeing", byName("aba-unanimous"), bits(1, 1, 1, 1), ""},
+		{"disagreeing", byName("aba-unanimous"), bits(1, 1, 0, 1), "disagree"},
+		{"disagreeing weak coin", byName("coin"), bits(1, 1, 0, 1), ""},
+		{"ledger exactly once", ledger, logs(wantTxs, full, 0, none), ""},
+		{"ledger one tx short", ledger, logs(wantTxs-1, full, 0, none), "conservation"},
+		{"ledger wrong tx set", ledger, logs(wantTxs, noded.ExpectedTxSet(n, ledger.TxCount, ledger.TxBytes+1), 0, none), "conservation"},
+		{"ledger straggler handed back", ledger, logs(wantTxs-ledger.TxCount, rest, ledger.TxCount, straggler), "full delivery"},
+		{"ledger straggler lost", ledger, logs(wantTxs-ledger.TxCount, rest, 0, none), "conservation"},
+		{"ledger straggler also committed", ledger, logs(wantTxs, full, ledger.TxCount, straggler), "conservation"},
 	} {
-		if err := tc.w.check(tc.decs, n); (err == nil) != tc.ok {
-			t.Errorf("%s: check = %v, want ok=%v", tc.name, err, tc.ok)
+		err := tc.w.check(tc.decs)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: check = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -134,8 +134,15 @@ func (r *Reader) Byte() byte {
 	return b[0]
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.Byte() != 0 }
+// Bool reads a boolean; any byte but 0 and 1 latches an error, so a flag
+// has one encoding.
+func (r *Reader) Bool() bool {
+	b := r.Byte()
+	if b > 1 && r.err == nil {
+		r.err = fmt.Errorf("wire: flag byte %#x is not 0 or 1", b)
+	}
+	return b == 1
+}
 
 // Uint32 reads a big-endian uint32.
 func (r *Reader) Uint32() uint32 {

@@ -132,3 +132,12 @@ func TestIntPanicsOnNegative(t *testing.T) {
 	var w Writer
 	w.Int(-1)
 }
+
+func TestBoolRejectsOtherBytes(t *testing.T) {
+	for _, b := range []byte{2, 0x30, 0xff} {
+		r := NewReader([]byte{b})
+		if r.Bool() || r.Err() == nil {
+			t.Fatalf("flag byte %#x decoded without an error", b)
+		}
+	}
+}

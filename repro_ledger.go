@@ -175,8 +175,10 @@ func (l *Ledger) Err() error {
 
 // Stop drains and ends the ledger: future Submits fail, already-queued
 // transactions commit through flagged slots, and the stream closes after
-// the agreed final slot. Returns any leftover transactions that could not
-// be carried (queued after the final slot sealed — normally none). Stop is
+// the agreed final slot. Returns the leftover transactions, committed
+// nowhere: a slow honest party can be voted out of the final slots, and its
+// batch comes back to its pool after the log has ended. A party that never
+// stops would keep the ledger open; here every honest party stops. Stop is
 // idempotent; all callers block until the drain completes or their ctx
 // ends. A ctx that ends first aborts the owner — the usual cause is a
 // consumer that stopped draining Committed(), wedging the drain — so the
@@ -204,9 +206,7 @@ func (l *Ledger) Stop(ctx context.Context) ([][]byte, error) {
 	}
 	var leftover [][]byte
 	for _, i := range l.order {
-		for !l.pools[i].Empty() {
-			leftover = append(leftover, l.pools[i].Take(1<<30)...)
-		}
+		leftover = append(leftover, l.pools[i].Drain()...)
 	}
 	return leftover, nil
 }
