@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core/abc"
 	"repro/internal/harness"
+	"repro/internal/kinds"
 )
 
 // ABCConfig shapes one atomic-broadcast throughput run.
@@ -161,22 +162,15 @@ func RunABC(spec RunSpec, cfg ABCConfig) (ABCOutcome, error) {
 	return inst.Outcome(), nil
 }
 
-// preloadPools builds each honest party's mempool and fills it with
-// deterministic synthetic transactions.
+// preloadPools builds each honest party's mempool and fills it with the
+// ledger kind's deterministic transactions.
 func preloadPools(c *harness.Cluster, cfg ABCConfig) []*abc.Mempool {
 	pools := make([]*abc.Mempool, c.N)
 	c.EachHonest(func(i int) {
 		pools[i] = abc.NewMempool(2*cfg.TxPerParty*cfg.TxBytes + 64)
 		for q := 0; q < cfg.TxPerParty; q++ {
-			tx := make([]byte, cfg.TxBytes)
-			copy(tx, fmt.Sprintf("tx/p%d/%d/", i, q))
-			for m := range tx {
-				if tx[m] == 0 {
-					tx[m] = byte(31*i + 7*q + m)
-				}
-			}
 			// The pool is sized to hold the whole preload; Submit never blocks.
-			_ = pools[i].Submit(context.Background(), tx)
+			_ = pools[i].Submit(context.Background(), kinds.LedgerTx(i, q, cfg.TxBytes))
 		}
 	})
 	return pools

@@ -33,6 +33,8 @@ type ByzOutcome struct {
 	Digest uint32
 	// Liars is how many parties ran a lying behavior.
 	Liars int
+	// Decisions are the honest parties' decisions, in party order.
+	Decisions []*kinds.Decision
 }
 
 // okPrefixed is the external validity predicate Q of every VBA workload in
@@ -40,6 +42,9 @@ type ByzOutcome struct {
 // value+"!") keep the prefix intact: their lie must survive Q so the
 // pin-conflict path, not predicate filtering, is what catches them.
 func okPrefixed(v []byte) bool { return strings.HasPrefix(string(v), "ok:") }
+
+// A ledger run preloads byzTxCount txs of byzTxBytes bytes at every party.
+const byzTxCount, byzTxBytes = 8, 64
 
 // okProposal is party i's distinct valid proposal.
 func okProposal(i int) []byte { return []byte(fmt.Sprintf("ok:p%d", i)) }
@@ -97,16 +102,20 @@ func runByzantine(rs RunSpec, protocol string, behaviors []adversary.Behavior) (
 
 	// Honest parties: the standard launcher (EachHonest skips the byz set).
 	// Liars: the same table entry on a wrapped runtime with the decision
-	// discarded — their outputs are not part of the contract.
+	// discarded — their outputs are not part of the contract — and stopped
+	// like the honest parties: they lie on the wire, not about stopping.
 	const tag = "byz"
 	in := func(i int) kinds.Input {
-		return kinds.Input{Bit: byte(i % 2), Proposal: okProposal(i), Valid: okPrefixed}
+		return kinds.Input{Bit: byte(i % 2), Proposal: okProposal(i), Valid: okPrefixed,
+			TxCount: byzTxCount, TxBytes: byzTxBytes}
 	}
 	inst := launchKnown(c, protocol, tag, rs.Genesis, in)
 	for k, i := range liars {
 		wrt := adversary.Wrap(c.Runtime(i), behaviors[k])
 		c.Launch(i, func() {
-			start(wrt, tag, c.Keys[i], rs.Genesis, in(i), func(*kinds.Decision) {})
+			if stop := start(wrt, tag, c.Keys[i], rs.Genesis, in(i), func(*kinds.Decision) {}); stop != nil {
+				stop()
+			}
 		})
 	}
 
@@ -118,11 +127,12 @@ func runByzantine(rs RunSpec, protocol string, behaviors []adversary.Behavior) (
 	h := fnv.New32a()
 	h.Write([]byte(decision))
 	return ByzOutcome{
-		Stats:    collectStats(c, inst.t.rounds),
-		Agreed:   agreed,
-		Decision: decision,
-		Digest:   h.Sum32(),
-		Liars:    len(liars),
+		Stats:     collectStats(c, inst.t.rounds),
+		Agreed:    agreed,
+		Decision:  decision,
+		Digest:    h.Sum32(),
+		Liars:     len(liars),
+		Decisions: inst.Decisions(),
 	}, nil
 }
 

@@ -16,10 +16,12 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core/aba"
+	"repro/internal/core/abc"
 	"repro/internal/core/adkg"
 	"repro/internal/core/avss"
 	"repro/internal/core/coin"
 	"repro/internal/core/vba"
+	"repro/internal/kinds"
 	"repro/internal/sim"
 )
 
@@ -244,6 +246,46 @@ func TestByzantineGarbageAllProtocols(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestByzantineLedger runs the ledger kind against f garbage peers at
+// n = 4 and 7. The liars preload and stop like the honest parties but
+// mangle every message they send, so none of their batches commits: the
+// honest parties must agree, their committed txs plus their leftovers must
+// be exactly the honest preloads, and the garbage must be rejected.
+func TestByzantineLedger(t *testing.T) {
+	for _, n := range []int{4, 7} {
+		f := (n - 1) / 3
+		var want abc.SetDigest
+		for i := 0; i < n-f; i++ {
+			for k := 0; k < byzTxCount; k++ {
+				want.Add(kinds.LedgerTx(i, k, byzTxBytes))
+			}
+		}
+		out, err := RunByzantine(RunSpec{N: n, F: -1, Seed: byzSeed, Genesis: []byte("byz")},
+			"ledger", repeat([]string{"byz/wire-garbage"}, f))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !out.Agreed {
+			t.Fatalf("n=%d: honest parties disagree (%s)", n, out.Decision)
+		}
+		decs := out.Decisions
+		sets, txs := []string{decs[0].TxSet}, decs[0].Txs
+		for _, d := range decs {
+			sets, txs = append(sets, d.LeftoverSet), txs+d.Leftover
+		}
+		got, err := abc.SumSets(sets...)
+		if err != nil || got != want.String() || txs != (n-f)*byzTxCount {
+			t.Fatalf("n=%d: committed plus honest leftovers txs=%d set=%s (%v), want txs=%d set=%s",
+				n, txs, got, err, (n-f)*byzTxCount, want.String())
+		}
+		if out.Stats.Rejected+out.Stats.Equivocations == 0 {
+			t.Fatalf("n=%d: %d garbage peers, nothing detected", n, f)
+		}
+		t.Logf("n=%d: committed %d txs, %d left over, rejected=%d",
+			n, decs[0].Txs, txs-decs[0].Txs, out.Stats.Rejected)
 	}
 }
 

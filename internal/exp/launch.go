@@ -115,7 +115,9 @@ type Instance struct {
 
 // Launch builds and starts one instance of the named kind per honest party
 // under tag, in party order; in(i) is party i's input (a nil in means the
-// kind takes none). An unknown kind name is an error.
+// kind takes none). An unknown kind name is an error. A kind's stop (the
+// ledger's) runs right after its start, in the same dispatch task, as
+// noded's launch then drain.
 func Launch(c *harness.Cluster, name, tag string, genesis []byte, in func(i int) kinds.Input) (*Instance, error) {
 	start, err := kinds.Lookup(name)
 	if err != nil {
@@ -128,7 +130,11 @@ func Launch(c *harness.Cluster, name, tag string, genesis []byte, in func(i int)
 			input = in(i)
 		}
 		decide := inst.record(i)
-		c.Launch(i, func() { start(c.Runtime(i), tag, c.Keys[i], genesis, input, decide) })
+		c.Launch(i, func() {
+			if stop := start(c.Runtime(i), tag, c.Keys[i], genesis, input, decide); stop != nil {
+				stop()
+			}
+		})
 	})
 	return inst, nil
 }

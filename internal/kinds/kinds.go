@@ -1,22 +1,26 @@
 // Package kinds is the one table of session-level protocol kinds — coin,
-// aba, election, vba, adkg, beacon. Per kind it holds the only code that
-// knows how to build and start that protocol on one party, and how to turn
-// its output into the canonical Decision. The experiment launchers and the
-// Byzantine runner (internal/exp), the noded launch path, the nodenet
-// workloads with their simulator reference, and the public repro handles
-// all go through Lookup, so adding a kind is one entry here.
+// aba, election, vba, adkg, beacon and the preloaded ledger. Per kind it
+// holds the only code that knows how to build and start that protocol on
+// one party, and how to turn its output into the canonical Decision. The
+// experiment launchers and the Byzantine runner (internal/exp), the noded
+// launch path, the nodenet workloads with their simulator reference, and
+// the public repro handles all go through Lookup, so adding a kind is one
+// entry here.
 //
-// The streaming ledger is not a kind: it owns a mempool and stops in-band,
-// and keeps its own wiring: exp.LaunchABC in-process (repro.Ledger builds
-// on it) and noded for a single-party process.
+// Six kinds end by themselves. The ledger commits its preload and ends only
+// once every party has called the stop its Start returned. repro.Ledger
+// and the fixed-horizon abc runs feed their pools from outside and watch
+// every slot, so they keep exp.LaunchABC.
 package kinds
 
 import (
+	"context"
 	"encoding/hex"
 	"fmt"
 	"slices"
 
 	"repro/internal/core/aba"
+	"repro/internal/core/abc"
 	"repro/internal/core/adkg"
 	"repro/internal/core/beacon"
 	"repro/internal/core/coin"
@@ -104,12 +108,17 @@ type Input struct {
 	Proposal []byte        // vba: the proposed value
 	Valid    vba.Predicate // vba: the external-validity predicate Q
 	Epochs   int           // beacon: epochs to run; ≤ 0 means 1
+	// ledger: the preload (TxCount ≤ 0 means 32; TxBytes < 16 means 128)
+	// and the engine's batch cap and pipelining window (≤ 0: abc defaults).
+	TxCount, TxBytes, BatchBytes, MaxInFlight int
 }
 
 // Start builds one party's instance of a kind on rt under tag and starts it.
 // genesis is the coin layer's one-time nonce (nil = on-the-fly Seeding). out
 // receives the party's decision exactly once, in rt's dispatch context.
-type Start func(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision))
+// stop is nil for a kind that ends by itself; otherwise the instance decides
+// only after stop has run, in rt's dispatch context, at every party.
+type Start func(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) (stop func())
 
 var table = map[string]Start{
 	"coin":     startCoin,
@@ -118,6 +127,7 @@ var table = map[string]Start{
 	"vba":      startVBA,
 	"adkg":     startADKG,
 	"beacon":   startBeacon,
+	"ledger":   startLedger,
 }
 
 // Lookup resolves a kind name to its start function.
@@ -129,13 +139,14 @@ func Lookup(name string) (Start, error) {
 	return start, nil
 }
 
-func startCoin(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, _ Input, out func(*Decision)) {
+func startCoin(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, _ Input, out func(*Decision)) func() {
 	coin.New(rt, tag, keys, coin.Config{GenesisNonce: genesis}, func(r coin.Result) {
 		out(&Decision{Kind: "coin", Tag: tag, Bit: int(r.Bit), MaxSet: r.Max != nil})
 	}).Start()
+	return nil
 }
 
-func startABA(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) {
+func startABA(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) func() {
 	coins := in.Coins
 	if coins == nil {
 		coins = aba.PaperCoins(rt, tag+"/c", keys, coin.Config{GenesisNonce: genesis})
@@ -145,25 +156,28 @@ func startABA(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, i
 		out(&Decision{Kind: "aba", Tag: tag, Bit: int(b), Round: a.DecidedRound})
 	})
 	a.Start(in.Bit)
+	return nil
 }
 
-func startElection(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, _ Input, out func(*Decision)) {
+func startElection(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, _ Input, out func(*Decision)) func() {
 	cfg := election.Config{Coin: coin.Config{GenesisNonce: genesis}}
 	election.New(rt, tag, keys, cfg, func(r election.Result) {
 		out(&Decision{Kind: "election", Tag: tag, Leader: r.Leader, ByDefault: r.ByDefault})
 	}).Start()
+	return nil
 }
 
-func startVBA(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) {
+func startVBA(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) func() {
 	cfg := vba.Config{Coin: coin.Config{GenesisNonce: genesis}}
 	var v *vba.VBA
 	v = vba.New(rt, tag, keys, in.Valid, cfg, func(val []byte) {
 		out(&Decision{Kind: "vba", Tag: tag, Value: string(val), View: v.DecidedView})
 	})
 	v.Start(in.Proposal)
+	return nil
 }
 
-func startADKG(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, _ Input, out func(*Decision)) {
+func startADKG(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, _ Input, out func(*Decision)) func() {
 	cfg := adkg.Config{VBA: vba.Config{Coin: coin.Config{GenesisNonce: genesis}}}
 	adkg.New(rt, tag, keys, cfg, func(k adkg.ThresholdKey) {
 		out(&Decision{
@@ -172,10 +186,11 @@ func startADKG(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, 
 			Weight:  k.Script.WeightCount(),
 		})
 	}).Start()
+	return nil
 }
 
 // startBeacon decides once, after the last epoch, with every epoch's value.
-func startBeacon(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) {
+func startBeacon(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) func() {
 	epochs := max(in.Epochs, 1)
 	d := &Decision{Kind: "beacon", Tag: tag}
 	cfg := beacon.Config{Coin: coin.Config{GenesisNonce: genesis}, Epochs: epochs}
@@ -186,4 +201,43 @@ func startBeacon(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte
 			out(d)
 		}
 	}).Start()
+	return nil
+}
+
+// LedgerTx is the deterministic transaction party self submits at preload
+// index k — the single definition the ledger loads from and harnesses
+// predict with.
+func LedgerTx(self, k, txBytes int) []byte {
+	tx := make([]byte, txBytes)
+	copy(tx, fmt.Sprintf("tx/%d/%d/", self, k))
+	return tx
+}
+
+// startLedger runs a streaming abc engine preloaded with this party's
+// LedgerTxs. The log stays open until stop (the engine's RequestStop) has
+// run at every party; the decision carries the final slot, the ordered-log
+// digest and the pool's leftovers.
+func startLedger(rt proto.Runtime, tag string, keys *pki.Keyring, genesis []byte, in Input, out func(*Decision)) func() {
+	txCount, txBytes := in.TxCount, in.TxBytes
+	if txCount <= 0 {
+		txCount = 32
+	}
+	if txBytes < 16 {
+		txBytes = 128
+	}
+	cfg := abc.EngineConfig{Coin: coin.Config{GenesisNonce: genesis}, BatchBytes: in.BatchBytes, MaxInFlight: in.MaxInFlight}
+	pool := abc.NewMempool(2*txCount*txBytes + 1024)
+	log := abc.NewLog()
+	eng := abc.NewEngine(rt, tag, keys, cfg, pool, log.Deliver, func(finalSlot int) {
+		log.HandBack(pool.Drain())
+		out(&Decision{Kind: "ledger", Tag: tag, FinalSlot: finalSlot, Value: log.Digest(),
+			TxSet: log.Set.String(), Txs: log.Txs, Bytes: log.Bytes,
+			Leftover: log.Leftover, LeftoverSet: log.LeftSet.String()})
+	})
+	for k := 0; k < txCount; k++ {
+		// The pool is sized to hold the whole preload; Submit never blocks.
+		_ = pool.Submit(context.Background(), LedgerTx(rt.Self(), k, txBytes))
+	}
+	eng.Start()
+	return eng.RequestStop
 }

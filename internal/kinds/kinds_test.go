@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core/aba"
+	"repro/internal/core/abc"
 	"repro/internal/harness"
 	"repro/internal/livenet"
 	"repro/internal/order"
@@ -40,7 +41,8 @@ func liveCluster(t *testing.T) *harness.Cluster {
 }
 
 // runKind drives one instance of a kind through Lookup and its start
-// function on every party of c and returns the decisions in party order.
+// function on every party of c, calls the returned stop right after the
+// start, and returns the decisions in party order.
 func runKind(t *testing.T, c *harness.Cluster, name, tag string, in func(i int) Input) []*Decision {
 	t.Helper()
 	start, err := Lookup(name)
@@ -51,7 +53,7 @@ func runKind(t *testing.T, c *harness.Cluster, name, tag string, in func(i int) 
 	got := 0
 	for i := 0; i < c.N; i++ {
 		c.Launch(i, func() {
-			start(c.Runtime(i), tag, c.Keys[i], testGenesis, in(i), func(d *Decision) {
+			stop := start(c.Runtime(i), tag, c.Keys[i], testGenesis, in(i), func(d *Decision) {
 				c.Update(func() {
 					if decs[i] != nil {
 						t.Errorf("%s: party %d decided twice", name, i)
@@ -60,6 +62,9 @@ func runKind(t *testing.T, c *harness.Cluster, name, tag string, in func(i int) 
 					got++
 				})
 			})
+			if stop != nil {
+				stop()
+			}
 		})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -78,13 +83,23 @@ func runKind(t *testing.T, c *harness.Cluster, name, tag string, in func(i int) 
 // coincide — must decide the same on both runtimes. The election is not in
 // that set: its leader depends on which coin shares aggregate first, so a
 // concurrent runtime can elect a different one than the simulator (it does
-// now and then under the race detector).
+// now and then under the race detector). Nor is the ledger, whose order
+// depends on the timing; its committed txs plus every party's leftovers
+// must be exactly the parties' preloads.
 func TestEveryKindOnBothRuntimes(t *testing.T) {
 	none := func(int) Input { return Input{} }
+	const txCount, txBytes = 8, 64
+	var preload abc.SetDigest
+	for i := 0; i < testN; i++ {
+		for k := 0; k < txCount; k++ {
+			preload.Add(LedgerTx(i, k, txBytes))
+		}
+	}
 	cases := map[string]struct {
 		in     func(i int) Input
 		pinned bool // the decision is forced by validity, whatever the timing
 		check  func(t *testing.T, d *Decision)
+		all    func(t *testing.T, decs []*Decision)
 	}{
 		"coin": {in: none},
 		"aba": {
@@ -124,6 +139,20 @@ func TestEveryKindOnBothRuntimes(t *testing.T) {
 				}
 			},
 		},
+		"ledger": {
+			in: func(int) Input { return Input{TxCount: txCount, TxBytes: txBytes} },
+			all: func(t *testing.T, decs []*Decision) {
+				sets, txs := []string{decs[0].TxSet}, decs[0].Txs
+				for _, d := range decs {
+					sets, txs = append(sets, d.LeftoverSet), txs+d.Leftover
+				}
+				got, err := abc.SumSets(sets...)
+				if err != nil || got != preload.String() || txs != testN*txCount {
+					t.Fatalf("committed plus leftovers: txs=%d set=%s (%v), want txs=%d set=%s",
+						txs, got, err, testN*txCount, preload.String())
+				}
+			},
+		},
 	}
 	if got, want := order.SortedKeys(cases), order.SortedKeys(table); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cases cover %v, the table holds %v", got, want)
@@ -145,6 +174,9 @@ func TestEveryKindOnBothRuntimes(t *testing.T) {
 				if name != "coin" && !Agree(decs) {
 					t.Fatalf("parties disagree: %+v", decs)
 				}
+				if tc.all != nil {
+					tc.all(t, decs)
+				}
 				first = append(first, decs[0])
 			}
 			if tc.pinned && !first[0].Same(first[1]) {
@@ -155,7 +187,7 @@ func TestEveryKindOnBothRuntimes(t *testing.T) {
 }
 
 func TestLookupUnknownKind(t *testing.T) {
-	for _, name := range []string{"", "ledger", "Coin", "nope"} {
+	for _, name := range []string{"", "Coin", "nope"} {
 		if start, err := Lookup(name); err == nil || start != nil {
 			t.Fatalf("Lookup(%q) = %v, %v; want an error", name, start != nil, err)
 		}

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core/abc"
 	"repro/internal/livenet"
 	"repro/internal/pki"
 	"repro/internal/wal"
@@ -66,8 +65,8 @@ type Daemon struct {
 type instance struct {
 	kind, tag string
 	dec       *Decision
-	eng       *abc.Engine // ledger only: drain hook
-	retired   bool        // absorbed into a WAL snapshot and retired from the runtime
+	stop      func() // set by the launch's act; nil for a kind that ends by itself
+	retired   bool   // absorbed into a WAL snapshot and retired from the runtime
 }
 
 // New builds the daemon: decodes the keyring (validating it against the
@@ -382,14 +381,14 @@ func (d *Daemon) apply(req *Request) (act func(), err error) {
 			d.mu.Lock()
 			var targets []*instance
 			for _, in := range d.insts {
-				if in.eng != nil && !in.retired && (tag == "" || in.tag == tag) {
+				if in.stop != nil && !in.retired && (tag == "" || in.tag == tag) {
 					targets = append(targets, in)
 				}
 			}
 			d.mu.Unlock()
 			sort.Slice(targets, func(a, b int) bool { return targets[a].tag < targets[b].tag })
 			for _, in := range targets {
-				in.eng.RequestStop()
+				in.stop()
 			}
 		}, nil
 	}

@@ -42,7 +42,7 @@ type Request struct {
 	Epochs    int    `json:"epochs,omitempty"`    // beacon epoch count
 	Byz       string `json:"byz,omitempty"`       // adversary behavior name; this party lies
 
-	// ledger tunables (defaults in prepareLedger)
+	// ledger tunables (defaults in kinds.startLedger)
 	TxCount     int `json:"txCount,omitempty"`     // txs this party submits
 	TxBytes     int `json:"txBytes,omitempty"`     // bytes per tx
 	BatchBytes  int `json:"batchBytes,omitempty"`  // abc batch cap

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core/abc"
+	"repro/internal/kinds"
 	"repro/internal/noded"
 )
 
@@ -278,6 +279,24 @@ func TestChaosRunSmoke(t *testing.T) {
 	}
 }
 
+// TestSimDecisionRunsTheLedger: the simulator reference reaches the ledger
+// through the kinds table, as a noded launch does, with the request's tx
+// size, and the ledger it stops right after its start ends with a
+// committed log.
+func TestSimDecisionRunsTheLedger(t *testing.T) {
+	w, err := WorkloadByName("ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := w.SimDecision(4, 1, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Kind != "ledger" || d.Tag != "wl/ledger" || d.Txs == 0 || d.Bytes != int64(d.Txs*w.TxBytes) {
+		t.Fatalf("sim ledger decided %+v", d)
+	}
+}
+
 // TestWorkloadCheck pins the decision-only invariants Run enforces:
 // agreement where declared, and a ledger's conservation and full delivery,
 // each reported by name.
@@ -294,7 +313,7 @@ func TestWorkloadCheck(t *testing.T) {
 	wantTxs := n * ledger.TxCount
 	var none, straggler abc.SetDigest // party 3's preload, handed back
 	for k := 0; k < ledger.TxCount; k++ {
-		straggler.Add(noded.LedgerTx(n-1, k, ledger.TxBytes))
+		straggler.Add(kinds.LedgerTx(n-1, k, ledger.TxBytes))
 	}
 	bits := func(bs ...int) []*noded.Decision {
 		decs := make([]*noded.Decision, len(bs))

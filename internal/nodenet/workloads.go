@@ -203,9 +203,10 @@ func (w Workload) request(tag string, i int) *noded.Request {
 
 // SimDecision runs the same kind on the in-process simulator with the same
 // seed and the inputs of the same launch requests, and returns the
-// reference decision. Every kind of the kinds table can be run this way;
-// the comparison is only meaningful for workloads whose outcome is pinned
-// by the seed (w.Sim).
+// reference decision. Every kind of the kinds table can be run this way,
+// the ledger included: exp.Launch stops it right after its start, where a
+// process cluster drains it after every launch. The comparison is only
+// meaningful for workloads whose outcome is pinned by the seed (w.Sim).
 func (w Workload) SimDecision(n, f int, seed int64) (*noded.Decision, error) {
 	c, err := harness.NewCluster(n, f, seed, harness.Options{})
 	if err != nil {
