@@ -283,7 +283,7 @@ func (a *AVSS) onKeyShare(from int, body []byte) {
 	if a.keyShareHook != nil {
 		a.keyShareHook()
 	}
-	s := a.keys.Sig.Sign(storedMsg(a.inst, k.Cmt))
+	s := a.keys.Sign(storedMsg(a.inst, k.Cmt))
 	var w wire.Writer
 	w.Byte(msgKeyStored)
 	w.Raw(s.Bytes())
@@ -306,7 +306,7 @@ func (a *AVSS) onKeyStored(from int, rd *wire.Reader) {
 	if a.quorum.Len() >= a.rt.N()-a.rt.F() {
 		return // late signature after the quorum closed; not an error
 	}
-	if !a.quorum.Collect(a.keys.Board.Parties[from].Sig, from, storedMsg(a.inst, a.dealCmt.Bytes()), sb) {
+	if !a.keys.Collect(&a.quorum, from, storedMsg(a.inst, a.dealCmt.Bytes()), sb) {
 		a.rt.Reject()
 		return
 	}
@@ -348,7 +348,7 @@ func (a *AVSS) tryEcho(m *cipherMsg) {
 		a.rt.Reject()
 		return
 	}
-	if !sig.VerifyQuorum(a.keys.Board.SigKeys(), storedMsg(a.inst, m.cmtB), &m.quorum, a.rt.N()-a.rt.F()) {
+	if !a.keys.VerifyQuorum(storedMsg(a.inst, m.cmtB), &m.quorum, a.rt.N()-a.rt.F()) {
 		a.rt.Reject()
 		return
 	}

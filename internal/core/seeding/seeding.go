@@ -211,7 +211,7 @@ func (s *Seeding) onAggPvss(from int, rd *wire.Reader) {
 	}
 	s.recorded = script
 	s.recordedB = raw
-	sg := s.keys.Sig.Sign(storedMsg(s.inst, raw))
+	sg := s.keys.Sign(storedMsg(s.inst, raw))
 	var w wire.Writer
 	w.Byte(msgAggPvssStored)
 	w.Raw(sg.Bytes())
@@ -228,7 +228,7 @@ func (s *Seeding) onStored(from int, rd *wire.Reader) {
 	if s.sigma.Len() >= 2*s.rt.F()+1 {
 		return
 	}
-	if !s.sigma.Collect(s.keys.Board.Parties[from].Sig, from, storedMsg(s.inst, s.agg.Bytes()), sb) {
+	if !s.keys.Collect(&s.sigma, from, storedMsg(s.inst, s.agg.Bytes()), sb) {
 		s.rt.Reject()
 		return
 	}
@@ -250,7 +250,7 @@ func (s *Seeding) onCommit(from int, rd *wire.Reader) {
 	if s.shareSent || s.recorded == nil {
 		return
 	}
-	if !sig.VerifyQuorum(s.keys.Board.SigKeys(), storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
+	if !s.keys.VerifyQuorum(storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
 		s.rt.Reject()
 		return
 	}
@@ -311,7 +311,7 @@ func (s *Seeding) onSeed(from int, rd *wire.Reader) {
 		s.rt.Reject()
 		return
 	}
-	if !sig.VerifyQuorum(s.keys.Board.SigKeys(), storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
+	if !s.keys.VerifyQuorum(storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
 		s.rt.Reject()
 		return
 	}

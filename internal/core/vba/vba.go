@@ -217,7 +217,7 @@ func (v *VBA) ackMsg(view, leader, stage int, value []byte) []byte {
 // valid reports whether c's quorum holds n−f acks on its (view, leader,
 // stage, value).
 func (v *VBA) valid(c *cert) bool {
-	return sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(c.view, c.leader, c.stage, c.value), &c.q, v.rt.N()-v.rt.F())
+	return v.keys.VerifyQuorum(v.ackMsg(c.view, c.leader, c.stage, c.value), &c.q, v.rt.N()-v.rt.F())
 }
 
 // encodeTail writes c's (stage, value, quorum), or stage 0 for no cert.
@@ -425,7 +425,7 @@ func (v *VBA) onPBSend(from int, raw []byte, rd *wire.Reader) {
 	}
 	vs.pinned[from] = append([]byte(nil), value...)
 	vs.ackedStage[from] = stage
-	s := v.keys.Sig.Sign(v.ackMsg(view, from, stage, value))
+	s := v.keys.Sign(v.ackMsg(view, from, stage, value))
 	var w wire.Writer
 	w.Byte(msgPBAck)
 	w.Int(view)
@@ -480,7 +480,7 @@ func (v *VBA) onPBAck(from int, rd *wire.Reader) {
 	if vs.myStage >= stage || q.Has(from) || vs.myValue == nil {
 		return
 	}
-	if !q.Collect(v.keys.Board.Parties[from].Sig, from, v.ackMsg(view, v.rt.Self(), stage, vs.myValue), sb) {
+	if !v.keys.Collect(q, from, v.ackMsg(view, v.rt.Self(), stage, vs.myValue), sb) {
 		v.rt.Reject()
 		return
 	}

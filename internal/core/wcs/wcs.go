@@ -117,7 +117,7 @@ func (w *WCS) Handle(from int, body []byte) {
 			return
 		}
 		fresh := !w.sigma.Has(from)
-		if !w.sigma.Collect(w.keys.Board.Parties[from].Sig, from, sigMsg(w.inst, w.snapB), sb) {
+		if !w.keys.Collect(&w.sigma, from, sigMsg(w.inst, w.snapB), sb) {
 			w.rt.Reject()
 			return
 		}
@@ -138,7 +138,7 @@ func (w *WCS) Handle(from int, body []byte) {
 		if w.done {
 			return
 		}
-		if !sig.VerifyQuorum(w.keys.Board.SigKeys(), sigMsg(w.inst, setB), &q, w.rt.N()-w.rt.F()) {
+		if !w.keys.VerifyQuorum(sigMsg(w.inst, setB), &q, w.rt.N()-w.rt.F()) {
 			w.rt.Reject()
 			return
 		}
@@ -175,7 +175,7 @@ func (w *WCS) reexamineLocks() {
 		delete(w.locks, from)
 		var enc wire.Writer
 		enc.BitSet(set, w.rt.N())
-		s := w.keys.Sig.Sign(sigMsg(w.inst, enc.Bytes()))
+		s := w.keys.Sign(sigMsg(w.inst, enc.Bytes()))
 		var m wire.Writer
 		m.Byte(msgConfirm)
 		m.Raw(s.Bytes())

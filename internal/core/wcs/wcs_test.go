@@ -3,6 +3,7 @@ package wcs
 import (
 	"testing"
 
+	"repro/internal/crypto/sig"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -178,6 +179,48 @@ func TestForgedCommitRejected(t *testing.T) {
 	}
 	if len(fx.outs) != 0 {
 		t.Fatal("output produced from forged commit")
+	}
+}
+
+// TestBadCommitSignatureRejectedTwice sends one commit whose quorum holds a
+// valid signature at another signer's index, twice. Both copies are
+// rejected, and the second re-verifies only the bad member: the signature
+// book records the valid members, never the bad one.
+func TestBadCommitSignatureRejectedTwice(t *testing.T) {
+	const n, f = 4, 1
+	fx := setup(t, n, f, 6, harness.Options{})
+	set := map[int]bool{0: true, 1: true, 2: true}
+	var setW wire.Writer
+	setW.BitSet(set, n)
+	msg := sigMsg("wcs", setW.Bytes())
+	var q sig.Quorum
+	q.Add(0, fx.c.Keys[0].Sig.Sign(msg))
+	q.Add(1, fx.c.Keys[1].Sig.Sign(msg))
+	q.Add(2, fx.c.Keys[1].Sig.Sign(msg)) // party 1's signature at party 2's index
+	var w wire.Writer
+	w.Byte(msgCommit)
+	w.BitSet(set, n)
+	q.Encode(&w)
+	book := fx.c.Keys[0]
+	for try := int64(1); try <= 2; try++ {
+		before := book.SigVerifies()
+		fx.c.Net.Inject(3, 0, "wcs", w.Bytes())
+		if err := fx.c.Net.RunAll(10_000); err != nil {
+			t.Fatal(err)
+		}
+		if got := fx.c.Net.Metrics().Rejected; got != try {
+			t.Fatalf("after copy %d: %d rejects, want %d", try, got, try)
+		}
+		want := int64(3) // every member of the first copy
+		if try == 2 {
+			want = 1 // only the bad member of the second
+		}
+		if got := book.SigVerifies() - before; got != want {
+			t.Fatalf("copy %d: %d signatures verified, want %d", try, got, want)
+		}
+	}
+	if len(fx.outs) != 0 {
+		t.Fatal("output produced from a commit with a bad signature")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package memo is the one bounded memo behind every fast-path cache in the
 // tree: VRF verdicts (vcache), PVSS script verdicts (scache), hash-to-point
-// (group), Reed–Solomon codecs and reconstruction bases (rs) and verified
-// AVID roots (rbc). Each of those caches memoizes a deterministic check or
-// construction, so an entry is advisory — results are identical with or
-// without it — and the caching rule is the same everywhere:
+// (group), Reed–Solomon codecs and bases (rs), verified AVID roots (rbc)
+// and each party's signature book (pki). Each memoizes a deterministic
+// check or construction, so an entry is advisory — results are identical
+// with or without it — and the caching rule is the same everywhere:
 //
 //   - the map is bounded, and at its cap it drops every entry rather than
 //     tracking recency;

@@ -7,8 +7,7 @@
 // Every quorum in the protocols signs a Digest under one of four domains:
 // "avss/stored" (Π, Alg. 1), "seeding/stored" (Σ, Alg. 7), "wcs/confirm"
 // (Σ, Alg. 3) and "vba/ack" (the §7.2 VBA's stage certificates). A Quorum
-// both collects those signatures as they arrive and carries them on the
-// wire.
+// carries those signatures; pki.Keyring signs, collects and checks them.
 //
 // Signatures are EUF-CMA secure in the ROM under the discrete-log
 // assumption. Nonces are derived deterministically (RFC 6979 style) so
@@ -149,39 +148,8 @@ func (q *Quorum) Has(index int) bool {
 	return ok
 }
 
-// Collect parses raw as index's signature on msg, verifies it under pk and
-// adds it. It reports whether the signature is valid; a repeated index
-// counts once.
-func (q *Quorum) Collect(pk PublicKey, index int, msg, raw []byte) bool {
-	s, err := SignatureFromBytes(raw)
-	if err != nil || !Verify(pk, msg, s) {
-		return false
-	}
-	q.Add(index, s)
-	return true
-}
-
 // Len returns the number of signatures collected.
 func (q *Quorum) Len() int { return len(q.Indices) }
-
-// VerifyQuorum checks that q holds at least threshold valid signatures on
-// msg from distinct parties whose keys appear in pks.
-func VerifyQuorum(pks []PublicKey, msg []byte, q *Quorum, threshold int) bool {
-	if q == nil || q.Len() < threshold || len(q.Sigs) != len(q.Indices) {
-		return false
-	}
-	seen := make(map[int]bool, q.Len())
-	for i, idx := range q.Indices {
-		if idx < 0 || idx >= len(pks) || seen[idx] {
-			return false
-		}
-		seen[idx] = true
-		if !Verify(pks[idx], msg, q.Sigs[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // Encode writes the quorum to a wire writer (count, then index‖sig pairs).
 func (q *Quorum) Encode(w *wire.Writer) {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -85,13 +88,11 @@ func TestQuorumCollectsDistinctSorted(t *testing.T) {
 	r := testRand(7)
 	msg := []byte("quorum msg")
 	const n = 7
-	pks := make([]PublicKey, n)
 	var q Quorum
 	order := []int{4, 1, 6, 1, 3, 4, 0}
 	sks := make([]PrivateKey, n)
 	for i := 0; i < n; i++ {
 		sks[i], _ = GenerateKey(r)
-		pks[i] = sks[i].PK
 	}
 	for _, i := range order {
 		q.Add(i, sks[i].Sign(msg))
@@ -104,77 +105,19 @@ func TestQuorumCollectsDistinctSorted(t *testing.T) {
 			t.Fatal("indices not strictly increasing")
 		}
 	}
-	if !VerifyQuorum(pks, msg, &q, 5) {
-		t.Fatal("valid quorum rejected")
-	}
-	if VerifyQuorum(pks, msg, &q, 6) {
-		t.Fatal("quorum passed threshold it does not meet")
-	}
-}
-
-func TestVerifyQuorumRejectsBadMember(t *testing.T) {
-	r := testRand(8)
-	msg := []byte("m")
-	const n = 4
-	pks := make([]PublicKey, n)
-	sks := make([]PrivateKey, n)
-	for i := range sks {
-		sks[i], _ = GenerateKey(r)
-		pks[i] = sks[i].PK
-	}
-	var q Quorum
-	q.Add(0, sks[0].Sign(msg))
-	q.Add(1, sks[1].Sign([]byte("other"))) // invalid member
-	q.Add(2, sks[2].Sign(msg))
-	if VerifyQuorum(pks, msg, &q, 3) {
-		t.Fatal("quorum with invalid member accepted")
-	}
-	var q2 Quorum
-	q2.Add(0, sks[0].Sign(msg))
-	q2.Add(9, sks[1].Sign(msg)) // out-of-range signer
-	if VerifyQuorum(pks, msg, &q2, 2) {
-		t.Fatal("quorum with out-of-range signer accepted")
-	}
-	if VerifyQuorum(pks, msg, nil, 0) {
-		t.Fatal("nil quorum accepted")
-	}
-}
-
-func TestQuorumCollect(t *testing.T) {
-	r := testRand(9)
-	msg := []byte("collect")
-	sk0, _ := GenerateKey(r)
-	sk1, _ := GenerateKey(r)
-	good := sk0.Sign(msg).Bytes()
-	var q Quorum
-	for _, c := range []struct {
-		name string
-		pk   PublicKey
-		raw  []byte
-	}{
-		{"truncated", sk0.PK, good[:Size-1]},
-		{"non-canonical scalar", sk0.PK, bytes.Repeat([]byte{0xff}, Size)},
-		{"wrong key", sk1.PK, good},
-		{"wrong message", sk0.PK, sk0.Sign([]byte("other")).Bytes()},
-	} {
-		if q.Collect(c.pk, 0, msg, c.raw) {
-			t.Fatalf("%s: Collect accepted the signature", c.name)
-		}
-		if q.Len() != 0 || q.Has(0) {
-			t.Fatalf("%s: Collect added an invalid signature", c.name)
+	for i, idx := range q.Indices {
+		if !Verify(sks[idx].PK, msg, q.Sigs[i]) {
+			t.Fatalf("signature at index %d moved away from its signer", idx)
 		}
 	}
-	if !q.Collect(sk0.PK, 0, msg, good) || !q.Collect(sk0.PK, 0, msg, good) {
-		t.Fatal("Collect refused a valid signature")
+	if !q.Has(4) || q.Has(2) {
+		t.Fatalf("Has(4)=%v Has(2)=%v, want true false", q.Has(4), q.Has(2))
 	}
-	if q.Len() != 1 {
-		t.Fatalf("a repeated index counted %d times", q.Len())
-	}
-	if !q.Has(0) || q.Has(1) {
-		t.Fatalf("Has(0)=%v Has(1)=%v, want true false", q.Has(0), q.Has(1))
-	}
-	if !VerifyQuorum([]PublicKey{sk0.PK}, msg, &q, 1) {
-		t.Fatal("collected quorum does not verify")
+	var w wire.Writer
+	q.Encode(&w)
+	got, ok := DecodeQuorum(wire.NewReader(w.Bytes()), n)
+	if !ok || !slices.Equal(got.Indices, q.Indices) {
+		t.Fatalf("quorum round trip: ok=%v indices %v, want %v", ok, got.Indices, q.Indices)
 	}
 }
 

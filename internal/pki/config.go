@@ -157,6 +157,7 @@ func (c *KeyringConfig) Keyring() (*Keyring, error) {
 
 		Verifier: vcache.New(),
 		Scripts:  scache.New(),
+		book:     newBook(),
 	}
 	self := board.Parties[c.Self]
 	if !k.Sig.PK.P.Equal(self.Sig.P) || !k.VRF.PK.P.Equal(self.VRF.P) ||

@@ -85,6 +85,7 @@ type Keyring struct {
 	// never re-verify a script any party of the cluster has already
 	// decided. Setup and FromConfig always set it.
 	Scripts *scache.Cache
+	book    *book // this party's own signature book (book.go)
 }
 
 // VerifyVRF checks that (out, pf) is party's VRF evaluation on input,
@@ -145,7 +146,7 @@ func Setup(n int, rng io.Reader) ([]*Keyring, *Board, error) {
 		board.Parties[i] = Party{Sig: sk.PK, VRF: vk.PK, PVSSEnc: ek, PVSSVK: tk.VK}
 		rings[i] = &Keyring{
 			Self: i, Sig: sk, VRF: vk, PVSSDec: dk, PVSSSig: tk, Board: board,
-			Verifier: verifier, Scripts: scripts,
+			Verifier: verifier, Scripts: scripts, book: newBook(),
 		}
 	}
 	return rings, board, nil
